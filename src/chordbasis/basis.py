@@ -1,11 +1,13 @@
 """Bases and dimensions of the diagram spaces modulo the four-term relation.
 
-``connected_basis`` runs the full pipeline (enumerate connected diagrams,
-generate the relation rows, reduce) and keeps the non-pivot diagrams as the
-basis; each pivot diagram carries an expression over the basis.  Dimensions
-of the full (not necessarily connected) spaces are computed from connected
-dimensions by the component-decomposition formula: every diagram splits into
-connected components, so
+``quotient`` is the one pipeline from (m, n) to an eliminated quotient:
+enumerate the diagrams, generate the relation rows, run the forward
+elimination, and memoize the result per (m, n, connected).  Dimensions and
+bases derive from it: ``connected_basis`` keeps the non-pivot diagrams as
+the basis, and each pivot diagram carries an expression over the basis.
+Dimensions of the full (not necessarily connected) spaces are computed from
+connected dimensions by the component-decomposition formula: every diagram
+splits into connected components, so
 
     dim_full(m, n) = sum over c of 1/c! *
         sum over ordered size vectors m_1+..+m_c = m of multinomial(m; m_i) *
@@ -27,15 +29,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from .budget import Budget
+from .budget import Budget, ensure_budget
 from .diagrams import ChordDiagram, disjoint_union
-from .enumeration import DiagramSet, enumerate_connected
+from .enumeration import DiagramSet, _compositions, enumerate_all, enumerate_connected
 from .errors import ChordBasisError, DiagramError
-from .exactla import assemble, express_pivots, pivot_columns, rref
-from .relations import generate_relations
+from .exactla import Echelon, assemble, back_substitute, echelon_form, express_pivots
+from .relations import Relation, generate_relations
 from .util import content_digest
 
 Combination = dict[ChordDiagram, Fraction]
@@ -53,38 +56,77 @@ class BasisResult:
         return len(self.basis)
 
 
-_BASIS_MEMO: dict[tuple[int, int], BasisResult] = {}
-_DIM_MEMO: dict[tuple[int, int], int] = {}
+@dataclass
+class Quotient:
+    """The (m, n) diagrams modulo the four-term relation: the diagram set,
+    its relation rows and their forward echelon form, with what building
+    them charged to a budget (enumeration ``candidates``; the relation
+    matrix's rows and columns as ``cells``), which a memo hit charges again."""
+
+    diagram_set: DiagramSet
+    rows: list[Relation]
+    echelon: Echelon
+    candidates: int
+    cells: tuple[int, int]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.diagram_set) - len(self.echelon)
+
+    @cached_property
+    def basis(self) -> BasisResult:
+        """The non-pivot diagrams, and every pivot diagram expressed over
+        them; back-substitution runs on first use only."""
+        ds = self.diagram_set
+        result = back_substitute(self.echelon, len(ds))
+        pivot_set = set(result.pivots)
+        basis = tuple(d for i, d in enumerate(ds.diagrams) if i not in pivot_set)
+        expressions = {
+            ds.diagrams[pcol]: tuple((ds.diagrams[c], coef) for c, coef in expr)
+            for pcol, expr in express_pivots(result).items()
+        }
+        return BasisResult(ds, result.pivots, basis, expressions)
+
+
+_MEMO: dict[tuple[int, int, bool], Quotient] = {}
 
 
 def clear_memo() -> None:
-    """Drop the in-process result memos (used between determinism runs)."""
-    _BASIS_MEMO.clear()
-    _DIM_MEMO.clear()
+    """Drop the in-process quotient memo (used between determinism runs)."""
+    _MEMO.clear()
 
 
-def connected_basis(m: int, n: int, budget: Budget | None = None,
-                    threads: int = 1) -> BasisResult:
+def quotient(m: int, n: int, connected: bool = True,
+             budget: Budget | None = None) -> Quotient:
+    """Enumerate, relate and forward-eliminate the (m, n) diagrams, or only
+    the connected ones; memoized per (m, n, connected).
+
+    A memo hit charges ``budget`` what the cold computation charged, so a
+    cap too small for the instance fails the same way warm or cold.
+    """
+    key = (m, n, connected)
+    q = _MEMO.get(key)
+    if q is not None:
+        if budget is not None:
+            budget.charge_candidates(q.candidates)
+            budget.check_cells(*q.cells)
+        return q
+    budget = ensure_budget(budget)
+    used = budget.candidates_used
+    ds = (enumerate_connected if connected else enumerate_all)(m, n, budget=budget)
+    candidates = budget.candidates_used - used
+    rows = generate_relations(ds, budget=budget)
+    mat = assemble(rows, len(ds))
+    q = Quotient(ds, rows, echelon_form(mat, budget=budget), candidates,
+                 (mat.nrows, mat.ncols))
+    _MEMO[key] = q
+    return q
+
+
+def connected_basis(m: int, n: int, budget: Budget | None = None) -> BasisResult:
     """Basis of the connected space: the non-pivot diagrams, plus an
     expression for every pivot diagram over the basis."""
-    key = (m, n)
-    if budget is None and key in _BASIS_MEMO:
-        return _BASIS_MEMO[key]
-    ds = enumerate_connected(m, n, budget=budget, threads=threads)
-    rows = generate_relations(ds, budget=budget, threads=threads)
-    mat = assemble(rows, len(ds))
-    result = rref(mat, budget=budget)
-    pivot_set = set(result.pivots)
-    basis = tuple(d for i, d in enumerate(ds.diagrams) if i not in pivot_set)
-    expressions = {}
-    for pcol, expr in express_pivots(result).items():
-        expressions[ds.diagrams[pcol]] = tuple(
-            (ds.diagrams[c], coef) for c, coef in expr
-        )
-    out = BasisResult(ds, result.pivots, basis, expressions)
-    if budget is None:
-        _BASIS_MEMO[key] = out
-    return out
+    return quotient(m, n, budget=budget).basis
 
 
 def express(d: ChordDiagram, b: BasisResult) -> Combination:
@@ -95,7 +137,7 @@ def express(d: ChordDiagram, b: BasisResult) -> Combination:
     return {d: Fraction(1)}
 
 
-def dim_C(m: int, n: int, budget: Budget | None = None, threads: int = 1) -> int:
+def dim_C(m: int, n: int, budget: Budget | None = None) -> int:
     """Dimension of the connected space, boundary conventions applied
     without enumeration."""
     if m < 1 or n < 0:
@@ -104,18 +146,7 @@ def dim_C(m: int, n: int, budget: Budget | None = None, threads: int = 1) -> int
         return 0
     if m == 1 and n == 0:
         return 1
-    key = (m, n)
-    if budget is None and key in _DIM_MEMO:
-        return _DIM_MEMO[key]
-    if budget is None and key in _BASIS_MEMO:
-        return _BASIS_MEMO[key].dimension
-    ds = enumerate_connected(m, n, budget=budget, threads=threads)
-    rows = generate_relations(ds, budget=budget, threads=threads)
-    mat = assemble(rows, len(ds))
-    out = len(ds) - len(pivot_columns(mat, budget=budget))
-    if budget is None:
-        _DIM_MEMO[key] = out
-    return out
+    return quotient(m, n, budget=budget).dimension
 
 
 # Published connected dimensions (columns m = 1.., rows n = 1..5); used for
@@ -161,7 +192,7 @@ class DimensionTable:
 
 
 def dim_table_C(n_max: int, m_max: int, budget: Budget | None = None,
-                threads: int = 1, bundled_n: Sequence[int] = ()) -> DimensionTable:
+                bundled_n: Sequence[int] = ()) -> DimensionTable:
     """Connected dimensions for 1 <= n <= n_max, 1 <= m <= m_max.
 
     Rows listed in ``bundled_n`` are taken from the published reference
@@ -178,7 +209,7 @@ def dim_table_C(n_max: int, m_max: int, budget: Budget | None = None,
                 entries[(m, n)] = REFERENCE_C_DIMS[(m, n)]
                 provenance[(m, n)] = "bundled"
             else:
-                entries[(m, n)] = dim_C(m, n, budget=budget, threads=threads)
+                entries[(m, n)] = dim_C(m, n, budget=budget)
                 provenance[(m, n)] = "live"
     return DimensionTable("C", entries, provenance)
 
@@ -195,16 +226,6 @@ def _c_lookup(table: DimensionTable | Mapping[tuple[int, int], int],
     except KeyError:
         raise ChordBasisError(f"connected dimension for (m={m}, n={n}) missing "
                               "from the supplied table") from None
-
-
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
 
 
 def dim_A(m: int, n: int,
@@ -312,13 +333,13 @@ def full_basis(m: int, n: int,
     return out
 
 
-def connected_bases_for_full(m: int, n: int, budget: Budget | None = None,
-                             threads: int = 1) -> dict[tuple[int, int], BasisResult]:
+def connected_bases_for_full(m: int, n: int, budget: Budget | None = None
+                             ) -> dict[tuple[int, int], BasisResult]:
     """Every connected basis a ``full_basis(m, n)`` call can ask for."""
     out = {}
     for r in range(1, m + 1):
         for s in range(max(0, r - 1), n + 1):
-            out[(r, s)] = connected_basis(r, s, budget=budget, threads=threads)
+            out[(r, s)] = connected_basis(r, s, budget=budget)
     return out
 
 

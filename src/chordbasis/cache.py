@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .util import content_digest
+
 ENV_VAR = "CHORDBASIS_CACHE"
 
 
@@ -49,7 +51,8 @@ class DiskCache:
     def get_text(self, name: str) -> str | None:
         p = self._path(name)
         if p.is_file():
-            return p.read_text(encoding="utf-8")
+            # undecodable bytes become U+FFFD, which fails artifact_intact
+            return p.read_text(encoding="utf-8", errors="replace")
         return None
 
     def put_text(self, name: str, text: str) -> Path:
@@ -83,6 +86,13 @@ class DiskCache:
             out.append(CacheEntry(kind, m, n, connected, digest,
                                   p, p.stat().st_size))
         return out
+
+
+def artifact_intact(text: str) -> bool:
+    """True when the header's ``digest=`` field is the digest of the body."""
+    header, newline, body = text.partition("\n")
+    digests = [f[len("digest="):] for f in header.split() if f.startswith("digest=")]
+    return bool(newline) and digests == [content_digest(body)]
 
 
 def diagrams_name(m: int, n: int, connected: bool) -> str:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 budget exceeded.  Flags beat the optional plain-text config file, which
 beats built-in defaults.  All generated files are UTF-8 with LF line
 endings and carry a content digest in their header; the on-disk cache
-(``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical.
+(``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical,
+and a cached file whose digest does not match its body is recomputed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .basis import (
     connected_bases_for_full,
     dim_table_A,
     dim_table_C,
+    express,
     format_dimension_table,
     full_basis,
+    quotient,
 )
 from .budget import (
     Budget,
@@ -30,6 +33,7 @@ from .budget import (
 )
 from .cache import (
     DiskCache,
+    artifact_intact,
     basis_name,
     diagrams_name,
     equivariant_name,
@@ -38,9 +42,8 @@ from .cache import (
 )
 from .diagrams import diagram
 from .enumeration import enumerate_all, enumerate_connected
-from .basis import express
 from .errors import BudgetExceededError, ChordBasisError, DiagramError
-from .relations import generate_relations, relations_to_text
+from .relations import relations_to_text
 from .render import render, render_svg
 from .symmetry import (
     equivariant_to_text,
@@ -90,28 +93,15 @@ class Settings:
                 return cast(config[key])
             return default
 
-        self.threads = pick(args.threads, "threads", 1, int)
         self.cache_root = pick(args.cache, "cache", None, str)
-        self.max_candidates = pick(args.max_candidates, "max-candidates",
-                                   DEFAULT_MAX_CANDIDATES, int)
-        self.max_matrix_cells = pick(args.max_matrix_cells, "max-matrix-cells",
-                                     DEFAULT_MAX_MATRIX_CELLS, int)
-        self.time_budget = pick(args.time_budget, "time-budget", 0.0, float)
-        custom = (
-            self.max_candidates != DEFAULT_MAX_CANDIDATES
-            or self.max_matrix_cells != DEFAULT_MAX_MATRIX_CELLS
-            or self.time_budget > 0
-        )
         # One budget for the whole invocation, so a time cap is global.
-        # None (library defaults) keeps result memoization usable.
-        self._budget = Budget(
-            max_candidates=self.max_candidates,
-            max_matrix_cells=self.max_matrix_cells,
-            time_budget=self.time_budget,
-        ) if custom else None
-
-    def budget(self) -> Budget | None:
-        return self._budget
+        self.budget = Budget(
+            max_candidates=pick(args.max_candidates, "max-candidates",
+                                DEFAULT_MAX_CANDIDATES, int),
+            max_matrix_cells=pick(args.max_matrix_cells, "max-matrix-cells",
+                                  DEFAULT_MAX_MATRIX_CELLS, int),
+            time_budget=pick(args.time_budget, "time-budget", 0.0, float),
+        )
 
     def cache(self) -> DiskCache:
         return DiskCache(self.cache_root)
@@ -129,7 +119,10 @@ def _cached_text(settings: Settings, name: str, compute) -> str:
     cache = settings.cache()
     hit = cache.get_text(name)
     if hit is not None:
-        return hit
+        if artifact_intact(hit):
+            return hit
+        print(f"warning: {cache.root / name} does not match its digest; "
+              "recomputing it", file=sys.stderr)
     text = compute()
     cache.put_text(name, text)
     return text
@@ -140,7 +133,7 @@ def cmd_enumerate(args, settings: Settings) -> int:
 
     def compute() -> str:
         fn = enumerate_connected if args.connected else enumerate_all
-        ds = fn(args.m, args.n, budget=settings.budget(), threads=settings.threads)
+        ds = fn(args.m, args.n, budget=settings.budget)
         return ds.to_text()
 
     _emit(_cached_text(settings, name, compute), args.out)
@@ -149,18 +142,11 @@ def cmd_enumerate(args, settings: Settings) -> int:
 
 def cmd_basis(args, settings: Settings) -> int:
     def compute() -> str:
-        b = connected_basis(args.m, args.n, budget=settings.budget(),
-                            threads=settings.threads)
+        q = quotient(args.m, args.n, budget=settings.budget)
         # persist the relation rows too, so the basis file's inputs are on disk
-        _cached_text(
-            settings, relations_name(args.m, args.n),
-            lambda: relations_to_text(
-                b.diagram_set,
-                generate_relations(b.diagram_set, budget=settings.budget(),
-                                   threads=settings.threads),
-            ),
-        )
-        return basis_to_text(b)
+        _cached_text(settings, relations_name(args.m, args.n),
+                     lambda: relations_to_text(q.diagram_set, q.rows))
+        return basis_to_text(q.basis)
 
     text = _cached_text(settings, basis_name(args.m, args.n), compute)
     if args.out:
@@ -176,8 +162,8 @@ def cmd_table(args, settings: Settings) -> int:
         bundled = tuple(range(1, args.nmax + 1))
     elif args.c_source == "auto":
         bundled = tuple(n for n in range(5, args.nmax + 1))
-    c_table = dim_table_C(args.nmax, args.mmax, budget=settings.budget(),
-                          threads=settings.threads, bundled_n=bundled)
+    c_table = dim_table_C(args.nmax, args.mmax, budget=settings.budget,
+                          bundled_n=bundled)
     if args.family == "C":
         table = c_table
     else:
@@ -193,17 +179,12 @@ def cmd_verify(args, settings: Settings) -> int:
     n_scope = 3 if args.profile == "fast" else 4
     for n in range(1, n_scope + 1):
         for m in range(1, n + 2):
-            ds = enumerate_connected(m, n, budget=settings.budget(),
-                                     threads=settings.threads)
-            cache.put_text(diagrams_name(m, n, True), ds.to_text())
-            rows = generate_relations(ds, budget=settings.budget(),
-                                      threads=settings.threads)
-            cache.put_text(relations_name(m, n), relations_to_text(ds, rows))
-            b = connected_basis(m, n, budget=settings.budget(),
-                                threads=settings.threads)
-            cache.put_text(basis_name(m, n), basis_to_text(b))
-    results = run_profile(args.profile, threads=settings.threads,
-                          budget=settings.budget())
+            q = quotient(m, n, budget=settings.budget)
+            cache.put_text(diagrams_name(m, n, True), q.diagram_set.to_text())
+            cache.put_text(relations_name(m, n),
+                           relations_to_text(q.diagram_set, q.rows))
+            cache.put_text(basis_name(m, n), basis_to_text(q.basis))
+    results = run_profile(args.profile, budget=settings.budget)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -217,8 +198,7 @@ def cmd_verify(args, settings: Settings) -> int:
 
 def cmd_orbits(args, settings: Settings) -> int:
     def compute() -> str:
-        b = connected_basis(args.m, args.n, budget=settings.budget(),
-                            threads=settings.threads)
+        b = connected_basis(args.m, args.n, budget=settings.budget)
         return orbit_report_to_text(orbit_report(b))
 
     text = _cached_text(settings, orbits_name(args.m, args.n), compute)
@@ -236,8 +216,7 @@ def cmd_equivariant(args, settings: Settings) -> int:
             if len(vectors) != (args.n + 1) ** max(args.n - 1, 0):
                 raise ChordBasisError("tree count mismatch")
             return equivariant_to_text(vectors, args.m, args.n, [0])
-        b = connected_basis(args.m, args.n, budget=settings.budget(),
-                            threads=settings.threads)
+        b = connected_basis(args.m, args.n, budget=settings.budget)
         if args.m == 2:
             vectors, rounds = equivariantize_m2(b)
         elif (args.m, args.n) == (3, 3):
@@ -273,8 +252,7 @@ def cmd_tree_basis(args, settings: Settings) -> int:
 
 def cmd_express(args, settings: Settings) -> int:
     d = diagram(args.diagram)
-    b = connected_basis(d.m, d.n, budget=settings.budget(),
-                        threads=settings.threads)
+    b = connected_basis(d.m, d.n, budget=settings.budget)
     combo = express(d, b)
     terms = " + ".join(
         f"{coef}*{diag}" for diag, coef in sorted(combo.items(), key=lambda t: t[0])
@@ -313,8 +291,7 @@ def cmd_render(args, settings: Settings) -> int:
 
 
 def cmd_full_basis(args, settings: Settings) -> int:
-    bases = connected_bases_for_full(args.m, args.n, budget=settings.budget(),
-                                     threads=settings.threads)
+    bases = connected_bases_for_full(args.m, args.n, budget=settings.budget)
     diagrams = full_basis(args.m, args.n, bases)
     body = "".join(str(d) + "\n" for d in diagrams)
     header = (
@@ -335,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="plain-text config file (key = value)")
     p.add_argument("--cache", help="cache directory (default: CHORDBASIS_CACHE "
                                    "or ~/.cache/chordbasis)")
-    p.add_argument("--threads", type=int, help="worker pool size (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--max-candidates", type=int,
                    help=f"enumeration budget (default {DEFAULT_MAX_CANDIDATES})")
     p.add_argument("--max-matrix-cells", type=int,

@@ -11,7 +11,6 @@ as :func:`enumerate_all_naive` for cross-checking).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
@@ -143,7 +142,7 @@ def _candidates_for_starts(starts: tuple[int, ...], n: int,
 
 
 def _enumerate(m: int, n: int, connected_only: bool,
-               budget: Budget | None, threads: int) -> DiagramSet:
+               budget: Budget | None) -> DiagramSet:
     if m < 1:
         raise DiagramError("need at least one circle")
     if n < 0:
@@ -169,16 +168,9 @@ def _enumerate(m: int, n: int, connected_only: bool,
     budget.charge_candidates(per_starts * len(starts_vectors))
 
     found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(
-                lambda s: _candidates_for_starts(s, n, connected_only), starts_vectors
-            ):
-                found |= result
-    else:
-        for starts in starts_vectors:
-            budget.check_time()
-            found |= _candidates_for_starts(starts, n, connected_only)
+    for starts in starts_vectors:
+        budget.check_time()
+        found |= _candidates_for_starts(starts, n, connected_only)
     diagrams = tuple(
         ChordDiagram(StringRep(feet, starts))
         for feet, starts in sorted(found, key=lambda fs: (fs[1], fs[0]))
@@ -186,16 +178,14 @@ def _enumerate(m: int, n: int, connected_only: bool,
     return DiagramSet(m, n, connected_only, diagrams)
 
 
-def enumerate_all(m: int, n: int, budget: Budget | None = None,
-                  threads: int = 1) -> DiagramSet:
+def enumerate_all(m: int, n: int, budget: Budget | None = None) -> DiagramSet:
     """Every diagram with m circles and n chords, each exactly once."""
-    return _enumerate(m, n, False, budget, threads)
+    return _enumerate(m, n, False, budget)
 
 
-def enumerate_connected(m: int, n: int, budget: Budget | None = None,
-                        threads: int = 1) -> DiagramSet:
+def enumerate_connected(m: int, n: int, budget: Budget | None = None) -> DiagramSet:
     """The connected diagrams with m circles and n chords."""
-    return _enumerate(m, n, True, budget, threads)
+    return _enumerate(m, n, True, budget)
 
 
 def enumerate_all_naive(m: int, n: int) -> DiagramSet:

@@ -21,6 +21,8 @@ from .errors import ChordBasisError
 from .relations import Relation
 
 Row = tuple[tuple[int, Fraction], ...]
+# (pivot column, integer row) pairs in pivot order
+Echelon = list[tuple[int, dict[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,16 @@ def _integer_rows(mat: ExactMatrix) -> list[dict[int, int]]:
 
 
 def _forward_eliminate(int_rows: list[dict[int, int]], ncols: int,
-                       budget: Budget | None = None) -> list[tuple[int, dict[int, int]]]:
+                       budget: Budget | None = None) -> Echelon:
     """Column-ordered elimination; returns (pivot column, row) in pivot order.
 
     Rows are bucketed by leading column; at each column the sparsest row
     becomes the pivot and the rest are combined against it with integer
-    cross-multiplication and gcd reduction.
+    cross-multiplication and gcd reduction.  Every elimination passes
+    through here, so the matrix-cell budget is checked here.
     """
     budget = ensure_budget(budget)
+    budget.check_cells(len(int_rows), ncols)
     buckets: dict[int, list[dict[int, int]]] = {}
     for r in int_rows:
         if r:
@@ -128,18 +132,21 @@ def _forward_eliminate(int_rows: list[dict[int, int]], ncols: int,
     return echelon
 
 
+def echelon_form(mat: ExactMatrix, budget: Budget | None = None) -> Echelon:
+    """The forward pass alone: integer rows in echelon form, each with its
+    pivot column, in pivot order."""
+    return _forward_eliminate(_integer_rows(mat), mat.ncols, budget)
+
+
 def pivot_columns(mat: ExactMatrix, budget: Budget | None = None) -> tuple[int, ...]:
     """Pivot columns of the RREF, via the forward pass only."""
-    echelon = _forward_eliminate(_integer_rows(mat), mat.ncols, budget)
-    return tuple(col for col, _ in echelon)
+    return tuple(col for col, _ in echelon_form(mat, budget))
 
 
-def rref(mat: ExactMatrix, budget: Budget | None = None) -> RrefResult:
-    """The unique reduced row echelon form of the row space of ``mat``."""
-    budget = ensure_budget(budget)
-    budget.check_cells(mat.nrows, mat.ncols)
-    echelon = _forward_eliminate(_integer_rows(mat), mat.ncols, budget)
-    # Back-substitution, right to left, staying in integers.
+def back_substitute(echelon: Echelon, ncols: int) -> RrefResult:
+    """The RREF from a forward echelon form, right to left, staying in
+    integers until the rows are normalized; ``echelon`` is not modified."""
+    echelon = list(echelon)
     for i in range(len(echelon) - 1, -1, -1):
         _, row = echelon[i]
         for j in range(i + 1, len(echelon)):
@@ -169,7 +176,12 @@ def rref(mat: ExactMatrix, budget: Budget | None = None) -> RrefResult:
         lead = Fraction(row[col])
         rref_rows.append(tuple((c, Fraction(v) / lead) for c, v in sorted(row.items())))
     pivots = tuple(col for col, _ in echelon)
-    return RrefResult(ExactMatrix(tuple(rref_rows), mat.ncols), pivots)
+    return RrefResult(ExactMatrix(tuple(rref_rows), ncols), pivots)
+
+
+def rref(mat: ExactMatrix, budget: Budget | None = None) -> RrefResult:
+    """The unique reduced row echelon form of the row space of ``mat``."""
+    return back_substitute(echelon_form(mat, budget), mat.ncols)
 
 
 def rref_dense(mat: ExactMatrix) -> RrefResult:

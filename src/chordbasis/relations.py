@@ -25,7 +25,6 @@ deliberately redundant).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
@@ -137,8 +136,7 @@ def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet) -> list[Relation]:
     return out
 
 
-def generate_relations(ds: DiagramSet, budget: Budget | None = None,
-                       threads: int = 1) -> list[Relation]:
+def generate_relations(ds: DiagramSet, budget: Budget | None = None) -> list[Relation]:
     """All four-term rows over ``ds``, in a fixed documented order.
 
     Iteration order: diagrams in set order, circles ascending, interior
@@ -146,15 +144,11 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
     merge to nothing are kept (for auditing) and dropped at matrix assembly.
     """
     budget = ensure_budget(budget)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda d: _rows_for_diagram(d, ds), ds.diagrams))
-    else:
-        chunks = []
-        for d in ds.diagrams:
-            budget.check_time()
-            chunks.append(_rows_for_diagram(d, ds))
-    return [row for chunk in chunks for row in chunk]
+    rows: list[Relation] = []
+    for d in ds.diagrams:
+        budget.check_time()
+        rows.extend(_rows_for_diagram(d, ds))
+    return rows
 
 
 def check_component_preservation(rel: Relation, ds: DiagramSet) -> bool:

@@ -22,6 +22,7 @@ from .basis import (
     dim_table_C,
     eval_A_polynomial,
     polynomial_discrepancies,
+    quotient,
 )
 from .budget import Budget
 from .diagrams import (
@@ -31,16 +32,14 @@ from .diagrams import (
     canonicalize,
     diagram,
 )
-from .enumeration import enumerate_all, enumerate_connected
 from .exactla import (
     assemble,
-    pivot_columns,
     random_prime,
     rank_modular,
     rref,
     rref_dense,
 )
-from .relations import check_component_preservation, generate_relations
+from .relations import check_component_preservation
 from .symmetry import (
     equivariantize_m2,
     graph_form_basis,
@@ -71,15 +70,14 @@ def _result(name: str, start: float, failures: list[str], ok_detail: str) -> Che
     return CheckResult(name, True, ok_detail, time.time() - start)
 
 
-def check_connected_dims(n_max: int = 4, threads: int = 1,
-                         budget: Budget | None = None) -> CheckResult:
+def check_connected_dims(n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Live connected dimensions equal the reference table for n <= n_max."""
     start = time.time()
     failures = []
     count = 0
     for n in range(1, n_max + 1):
         for m in range(1, n + 2):
-            live = dim_C(m, n, budget=budget, threads=threads)
+            live = dim_C(m, n, budget=budget)
             ref = REFERENCE_C_DIMS[(m, n)]
             count += 1
             if live != ref:
@@ -90,7 +88,7 @@ def check_connected_dims(n_max: int = 4, threads: int = 1,
                    f"{count} entries reproduced live")
 
 
-def check_order5_connected(threads: int = 1, live: bool = True,
+def check_order5_connected(live: bool = True,
                            time_budget: float = 3600.0) -> CheckResult:
     """The n = 5 connected dimensions, with the tree-count cross-check.
 
@@ -107,7 +105,7 @@ def check_order5_connected(threads: int = 1, live: bool = True,
     if live:
         budget = Budget(time_budget=time_budget)
         for m in range(1, 7):
-            value = dim_C(m, 5, budget=budget, threads=threads)
+            value = dim_C(m, 5, budget=budget)
             ref = REFERENCE_C_DIMS[(m, 5)]
             if value != ref:
                 failures.append(f"C[m={m},n=5]: live={value} reference={ref}")
@@ -122,17 +120,13 @@ DIRECT_RANK_FAST = ((4, 3), (5, 3), (6, 3))
 DIRECT_RANK_FULL = DIRECT_RANK_FAST + ((4, 4), (5, 4), (4, 5))
 
 
-def _direct_dim_A(m: int, n: int, threads: int = 1,
-                  budget: Budget | None = None) -> int:
+def _direct_dim_A(m: int, n: int, budget: Budget | None = None) -> int:
     """Full dimension by exact rank over every diagram, connected or not;
     independent of the connected table and of the formula."""
-    ds = enumerate_all(m, n, budget=budget, threads=threads)
-    rows = generate_relations(ds, budget=budget, threads=threads)
-    return len(ds) - len(pivot_columns(assemble(rows, len(ds)), budget=budget))
+    return quotient(m, n, connected=False, budget=budget).dimension
 
 
-def check_full_dims(threads: int = 1, live_n5: bool = False,
-                    budget: Budget | None = None,
+def check_full_dims(live_n5: bool = False, budget: Budget | None = None,
                     direct_cells: tuple[tuple[int, int], ...] = DIRECT_RANK_FAST
                     ) -> CheckResult:
     """Full-space dimensions from the component-decomposition formula
@@ -145,8 +139,8 @@ def check_full_dims(threads: int = 1, live_n5: bool = False,
     """
     start = time.time()
     bundled = () if live_n5 else (5,)
-    table = dim_table_C(5, 6, budget=budget, threads=threads, bundled_n=bundled)
-    direct = {(m, n): _direct_dim_A(m, n, threads=threads, budget=budget)
+    table = dim_table_C(5, 6, budget=budget, bundled_n=bundled)
+    direct = {(m, n): _direct_dim_A(m, n, budget=budget)
               for m, n in direct_cells}
     failures = []
     errata = []
@@ -172,7 +166,7 @@ def check_full_dims(threads: int = 1, live_n5: bool = False,
                    f"published errata: " + "; ".join(errata))
 
 
-def check_polynomials(threads: int = 1, budget: Budget | None = None) -> CheckResult:
+def check_polynomials(budget: Budget | None = None) -> CheckResult:
     """Published closed-form polynomials, m <= 6, n <= 5.
 
     Passes when the n <= 4 forms reproduce the published table and the
@@ -181,7 +175,7 @@ def check_polynomials(threads: int = 1, budget: Budget | None = None) -> CheckRe
     form's included, is a failure.
     """
     start = time.time()
-    table = dim_table_C(5, 6, budget=budget, threads=threads, bundled_n=(4, 5))
+    table = dim_table_C(5, 6, budget=budget, bundled_n=(4, 5))
     failures = []
     for n in range(1, 5):
         for m in range(1, 7):
@@ -272,8 +266,7 @@ def check_canonical_roundtrips(iterations: int = 10000,
                    f"{iterations} randomized round-trips")
 
 
-def check_component_rows(n_max: int = 4, threads: int = 1,
-                         budget: Budget | None = None) -> CheckResult:
+def check_component_rows(n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Every generated relation row mixes only diagrams with the same
     circle partition and per-component chord counts."""
     start = time.time()
@@ -281,12 +274,10 @@ def check_component_rows(n_max: int = 4, threads: int = 1,
     rows_checked = 0
     for n in range(2, n_max + 1):
         for m in range(1, n + 2):
-            ds = enumerate_connected(m, n, budget=budget, threads=threads)
-            if not len(ds):
-                continue
-            for rel in generate_relations(ds, budget=budget, threads=threads):
+            q = quotient(m, n, budget=budget)
+            for rel in q.rows:
                 rows_checked += 1
-                if not check_component_preservation(rel, ds):
+                if not check_component_preservation(rel, q.diagram_set):
                     failures.append(
                         f"row from {rel.provenance.source} "
                         f"({rel.provenance.family}) mixes components"
@@ -376,22 +367,21 @@ def check_orbit_structure_33() -> CheckResult:
 PROFILES = ("fast", "full")
 
 
-def run_profile(profile: str, threads: int = 1,
-                budget: Budget | None = None) -> list[CheckResult]:
+def run_profile(profile: str, budget: Budget | None = None) -> list[CheckResult]:
     """The verification suite; ``fast`` keeps live recomputation to n <= 3
     and leans on bundled reference values where that is sanctioned."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     full = profile == "full"
     results = [
-        check_connected_dims(n_max=4 if full else 3, threads=threads, budget=budget),
-        check_order5_connected(threads=threads, live=full),
-        check_full_dims(threads=threads, live_n5=False, budget=budget,
+        check_connected_dims(n_max=4 if full else 3, budget=budget),
+        check_order5_connected(live=full),
+        check_full_dims(live_n5=False, budget=budget,
                         direct_cells=DIRECT_RANK_FULL if full else DIRECT_RANK_FAST),
-        check_polynomials(threads=threads, budget=budget),
+        check_polynomials(budget=budget),
         check_tree_basis(verify_n_max=4 if full else 3),
         check_canonical_roundtrips(iterations=10000 if full else 2000),
-        check_component_rows(n_max=4 if full else 3, threads=threads, budget=budget),
+        check_component_rows(n_max=4 if full else 3, budget=budget),
         check_rref_oracle(cases=500 if full else 100),
         check_equivariantization(n_max=4 if full else 3),
         check_orbit_structure_33(),

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from chordbasis import basis as B
+from chordbasis import cli, relations
 from chordbasis.basis import (
     REFERENCE_A_DIMS,
     REFERENCE_C_DIMS,
     basis_to_text,
+    clear_memo,
     connected_basis,
     connected_bases_for_full,
     dim_A,
@@ -18,8 +21,9 @@ from chordbasis.basis import (
     full_basis,
     polynomial_discrepancies,
 )
+from chordbasis.budget import Budget
 from chordbasis.diagrams import diagram
-from chordbasis.errors import ChordBasisError, DiagramError
+from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 
 
 def test_connected_dimensions_small():
@@ -250,3 +254,47 @@ def test_full_dimension_by_direct_rank_computation():
 def test_full_dimension_dominates_connected_dimension():
     for (m, n), c in REFERENCE_C_DIMS.items():
         assert dim_A(m, n, REFERENCE_C_DIMS) >= c
+
+
+def _count_calls(monkeypatch, modules, name, real):
+    """Replace ``name`` in each module by a wrapper that records the
+    positional arguments of every call; ``raising=False`` lets a module that
+    lacks the name be patched too, so a second copy of the pipeline there
+    would be counted."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
+
+
+def test_memo_hit_is_charged_to_the_budget(monkeypatch):
+    calls = _count_calls(monkeypatch, [B], "enumerate_connected",
+                         B.enumerate_connected)
+    clear_memo()
+    assert dim_C(2, 3) == 9
+    with pytest.raises(BudgetExceededError):
+        dim_C(2, 3, budget=Budget(max_candidates=10))
+    with pytest.raises(BudgetExceededError):
+        dim_C(2, 3, budget=Budget(max_matrix_cells=1))
+    warm = Budget()
+    assert dim_C(2, 3, budget=warm) == 9
+    assert warm.candidates_used == 5 * 15  # feet-count vectors x matchings
+    assert calls == [(2, 3)]  # enumerated once, by the first call
+
+
+def test_relation_rows_generated_once_per_instance(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, [B, cli], "generate_relations",
+                         relations.generate_relations)
+    clear_memo()
+    assert cli.main(["--cache", str(tmp_path / "cache"), "basis", "3", "4"]) == 0
+    assert [(ds.m, ds.n) for ds, *_ in calls] == [(3, 4)]
+    calls.clear()
+    clear_memo()
+    assert dim_C(2, 4, budget=Budget()) == 22
+    assert connected_basis(2, 4).dimension == 22
+    assert [(ds.m, ds.n) for ds, *_ in calls] == [(2, 4)]

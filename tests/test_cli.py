@@ -1,8 +1,10 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
 
+from chordbasis.basis import clear_memo
 from chordbasis.cli import main
 
 
@@ -79,6 +81,45 @@ def test_budget_exit_code(tmp_path):
 
 def test_time_budget_exit_code(tmp_path):
     assert run(tmp_path, "--time-budget", "0.000001", "basis", "2", "3") == 3
+
+
+def test_matrix_cell_budget_reaches_dimension_table(tmp_path):
+    assert run(tmp_path, "--max-matrix-cells", "1", "table", "--family", "C",
+               "--nmax", "3", "--mmax", "3") == 3
+
+
+def test_time_budget_fires_promptly_with_threads_flag(tmp_path):
+    clear_memo()  # a memo hit would finish before the deadline
+    start = time.monotonic()
+    assert run(tmp_path, "--threads", "2", "--time-budget", "0.2",
+               "basis", "3", "5") == 3
+    assert time.monotonic() - start < 2.0
+
+
+def _garbage(text):
+    return "garbage"
+
+
+def _edit_body_line(text):
+    lines = text.split("\n")
+    lines[1] = lines[2]  # a basis diagram replaced by its neighbour
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("corrupt", [_garbage, _edit_body_line])
+def test_corrupt_cache_file_is_recomputed(tmp_path, capsys, corrupt):
+    cold, cache = tmp_path / "cold", tmp_path / "cache"
+    assert run(tmp_path, "basis", "2", "3", cache=cold) == 0
+    expected = (cold / "basis-m2-n3.txt").read_bytes()
+    path = cache / "basis-m2-n3.txt"
+    cache.mkdir()
+    path.write_text(corrupt(expected.decode("utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert run(tmp_path, "basis", "2", "3", cache=cache) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == "9"
+    assert str(path) in err and len(err.splitlines()) == 1
+    assert path.read_bytes() == expected
 
 
 def test_render_text(tmp_path, capsys):

@@ -181,3 +181,6 @@ def test_budget_cells_error():
     mat = matrix_from_dense([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(BudgetExceededError):
         rref(mat, budget=Budget(max_matrix_cells=4))
+    # the forward-only path checks the same cap
+    with pytest.raises(BudgetExceededError):
+        pivot_columns(mat, budget=Budget(max_matrix_cells=1))

@@ -65,6 +65,8 @@ def test_direct_rank_honours_budget():
     assert V._direct_dim_A(2, 2) == 8
     with pytest.raises(BudgetExceededError):
         V._direct_dim_A(4, 3, budget=Budget(max_candidates=10))
+    with pytest.raises(BudgetExceededError):
+        V._direct_dim_A(4, 3, budget=Budget(max_matrix_cells=1))
 
 
 def test_verify_fast_lists_errata(tmp_path, capsys):
