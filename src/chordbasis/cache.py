@@ -10,26 +10,11 @@ The directory comes from (in order) an explicit path, the
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .util import content_digest
 
 ENV_VAR = "CHORDBASIS_CACHE"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached artifact: its key fields (parsed back from the file
-    name and header), path, and size as creation metadata."""
-
-    kind: str  # diagrams | relations | basis | orbits | equivariant
-    m: int
-    n: int
-    connected: bool | None
-    digest: str
-    path: Path
-    size: int
 
 
 def cache_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -63,36 +48,27 @@ class DiskCache:
         tmp.replace(p)
         return p
 
-    def entries(self) -> list[CacheEntry]:
-        out = []
-        if not self.root.is_dir():
-            return out
-        for p in sorted(self.root.glob("*.txt")):
-            stem = p.stem  # e.g. diagrams-m2-n3-conn
-            parts = stem.split("-")
-            if len(parts) < 3 or not parts[1].startswith("m") or not parts[2].startswith("n"):
-                continue
-            kind = parts[0]
-            m = int(parts[1][1:])
-            n = int(parts[2][1:])
-            connected = None
-            if len(parts) > 3:
-                connected = parts[3] == "conn"
-            digest = ""
-            header = p.read_text(encoding="utf-8").split("\n", 1)[0]
-            for field in header.split():
-                if field.startswith("digest="):
-                    digest = field.split("=", 1)[1]
-            out.append(CacheEntry(kind, m, n, connected, digest,
-                                  p, p.stat().st_size))
-        return out
-
 
 def artifact_intact(text: str) -> bool:
-    """True when the header's ``digest=`` field is the digest of the body."""
+    """True when the header's ``digest=`` field is the digest of the body
+    and, in a basis file, ``dim=`` and ``count=`` agree with the body."""
     header, newline, body = text.partition("\n")
-    digests = [f[len("digest="):] for f in header.split() if f.startswith("digest=")]
-    return bool(newline) and digests == [content_digest(body)]
+    words = header.split()
+    digests = [w[len("digest="):] for w in words if w.startswith("digest=")]
+    if not newline or digests != [content_digest(body)]:
+        return False
+    return words[:1] != ["basis"] or _basis_counts_match(words[1:], body)
+
+
+def _basis_counts_match(fields: list[str], body: str) -> bool:
+    """``dim=`` counts the basis lines before ``pivot-expressions`` and
+    ``count=`` adds the expression lines after it."""
+    lines = body.split("\n")  # the last item is the empty tail after "\n"
+    if "pivot-expressions" not in lines or not all("=" in f for f in fields):
+        return False
+    dim = lines.index("pivot-expressions")
+    header = dict(f.split("=", 1) for f in fields)
+    return header.get("dim") == str(dim) and header.get("count") == str(len(lines) - 2)
 
 
 def diagrams_name(m: int, n: int, connected: bool) -> str:

@@ -5,7 +5,7 @@ budget exceeded.  Flags beat the optional plain-text config file, which
 beats built-in defaults.  All generated files are UTF-8 with LF line
 endings and carry a content digest in their header; the on-disk cache
 (``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical,
-and a cached file whose digest does not match its body is recomputed.
+and a cached file whose header does not match its body is recomputed.
 """
 
 from __future__ import annotations
@@ -90,7 +90,11 @@ class Settings:
             if flag_value is not None:
                 return flag_value
             if key in config:
-                return cast(config[key])
+                try:
+                    return cast(config[key])
+                except ValueError:
+                    raise DiagramError(f"config value for {key!r} is not a "
+                                       f"valid {cast.__name__}: {config[key]!r}") from None
             return default
 
         self.cache_root = pick(args.cache, "cache", None, str)
@@ -121,7 +125,7 @@ def _cached_text(settings: Settings, name: str, compute) -> str:
     if hit is not None:
         if artifact_intact(hit):
             return hit
-        print(f"warning: {cache.root / name} does not match its digest; "
+        print(f"warning: {cache.root / name} does not match its header; "
               "recomputing it", file=sys.stderr)
     text = compute()
     cache.put_text(name, text)

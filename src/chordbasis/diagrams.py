@@ -220,12 +220,12 @@ def parse(text: str) -> StringRep:
         if comma_mode:
             labels = []
             for tok in part.split(","):
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):
                     raise DiagramError(f"malformed label {tok!r} in {text!r}")
                 labels.append(int(tok))
             blocks.append(labels)
         else:
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise DiagramError(f"malformed character in {text!r}")
             blocks.append([int(ch) for ch in part])
     feet = tuple(c for b in blocks for c in b)
@@ -337,10 +337,6 @@ def permute_circles(d: ChordDiagram, sigma: Sequence[int]) -> ChordDiagram:
     for b in new_blocks:
         starts.append(starts[-1] + len(b))  # type: ignore[arg-type]
     return canonicalize(StringRep(feet, tuple(starts)))
-
-
-def all_permutations(m: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(m)))
 
 
 def disjoint_union(parts: Iterable[tuple[ChordDiagram, Sequence[int]]]) -> ChordDiagram:

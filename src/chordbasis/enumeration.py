@@ -77,10 +77,13 @@ class DiagramSet:
     @classmethod
     def from_text(cls, text: str) -> "DiagramSet":
         lines = text.split("\n")
-        fields = dict(item.split("=", 1) for item in lines[0].split())
-        m, n = int(fields["m"]), int(fields["n"])
-        connected = bool(int(fields["connected"]))
-        count = int(fields["count"])
+        try:
+            fields = dict(item.split("=", 1) for item in lines[0].split())
+            m, n = int(fields["m"]), int(fields["n"])
+            connected = bool(int(fields["connected"]))
+            count = int(fields["count"])
+        except (KeyError, ValueError) as exc:
+            raise DiagramError(f"malformed diagram file header {lines[0]!r}") from exc
         body_lines = lines[1:]
         if body_lines and body_lines[-1] == "":
             body_lines.pop()  # trailing-newline artifact; "" is a real

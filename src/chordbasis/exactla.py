@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-The reduced row echelon form is computed with integer-preserving sparse
-elimination: rows carry unbounded integers, are divided by their gcd after
-every combination, and only converted to rationals when the final RREF is
-normalized.  A naive dense Fraction eliminator and a modular rank serve as
-independent oracles; the RREF of a row space is unique, so all routes must
-agree exactly.
+Rows stay integer end to end: ``assemble`` stores the integer relation
+coefficients as given, the sparse eliminator combines rows by integer
+cross-multiplication and divides each result by its gcd, and rationals
+appear only when the final RREF is normalized.  Every production solve
+(rank, RREF, ``solve_columns``) runs this eliminator.  A naive dense
+Fraction eliminator and a modular rank are independent oracles only; the
+RREF of a row space is unique, so all routes must agree exactly.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import ChordBasisError
 from .relations import Relation
 
-Row = tuple[tuple[int, Fraction], ...]
+# (column, value) pairs; integers from ``assemble``, Fractions in an RREF
+Row = tuple[tuple[int, int | Fraction], ...]
 # (pivot column, integer row) pairs in pivot order
 Echelon = list[tuple[int, dict[int, int]]]
 
@@ -48,42 +50,51 @@ class RrefResult:
         return len(self.pivots)
 
 
-def assemble(rows: Iterable[Relation | dict[int, int] | Sequence[tuple[int, int]]],
-             ncols: int) -> ExactMatrix:
-    """Build a matrix from integer relation rows; empty rows are dropped."""
+def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int) -> ExactMatrix:
+    """Build an integer matrix from relation rows; empty rows are dropped."""
     out: list[Row] = []
     for row in rows:
-        if isinstance(row, Relation):
-            items: Iterable[tuple[int, int]] = row.coeffs
-        elif isinstance(row, dict):
-            items = sorted(row.items())
-        else:
-            items = sorted(row)
+        items = row.coeffs if isinstance(row, Relation) else sorted(row.items())
         entries = []
         for col, coef in items:
             if not 0 <= col < ncols:
                 raise ChordBasisError(f"column index {col} out of range 0..{ncols - 1}")
             if coef:
-                entries.append((col, Fraction(coef)))
+                entries.append((col, coef))
         if entries:
             out.append(tuple(entries))
     return ExactMatrix(tuple(out), ncols)
 
 
 def _integer_rows(mat: ExactMatrix) -> list[dict[int, int]]:
+    """Each row cleared of denominators (integer rows have none) and
+    divided by the gcd of its entries."""
     rows = []
     for row in mat.rows:
-        scale = 1
-        for _, v in row:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        d = {c: int(v * scale) for c, v in row}
-        g = 0
-        for v in d.values():
-            g = gcd(g, v)
-        if g > 1:
-            d = {c: v // g for c, v in d.items()}
-        rows.append(d)
+        scale = lcm(*(v.denominator for _, v in row))
+        rows.append(_primitive({c: int(v * scale) for c, v in row}))
     return rows
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """The primitive integer combination of ``row`` and ``pivot`` whose
+    entry in column ``col`` is zero: cross-multiply, then divide by the gcd."""
+    g = gcd(pivot[col], row[col])
+    pf, rf = pivot[col] // g, row[col] // g
+    new = {c: v * pf for c, v in row.items()}
+    for c, v in pivot.items():
+        w = new.get(c, 0) - v * rf
+        if w:
+            new[c] = w
+        elif c in new:
+            del new[c]
+    return _primitive(new)
 
 
 def _forward_eliminate(int_rows: list[dict[int, int]], ncols: int,
@@ -109,25 +120,10 @@ def _forward_eliminate(int_rows: list[dict[int, int]], ncols: int,
         budget.check_time()
         rows_here.sort(key=len)
         pivot = rows_here[0]
-        plead = pivot[col]
         echelon.append((col, pivot))
         for row in rows_here[1:]:
-            rlead = row[col]
-            g = gcd(plead, rlead)
-            pf, rf = plead // g, rlead // g
-            new = {c: v * pf for c, v in row.items()}
-            for c, v in pivot.items():
-                w = new.get(c, 0) - v * rf
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
+            new = _cancel(row, pivot, col)
             if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
                 buckets.setdefault(min(new), []).append(new)
     return echelon
 
@@ -151,25 +147,8 @@ def back_substitute(echelon: Echelon, ncols: int) -> RrefResult:
         _, row = echelon[i]
         for j in range(i + 1, len(echelon)):
             pcol, prow = echelon[j]
-            if pcol not in row:
-                continue
-            plead = prow[pcol]
-            rcoef = row[pcol]
-            g = gcd(plead, rcoef)
-            pf, rf = plead // g, rcoef // g
-            new = {c: v * pf for c, v in row.items()}
-            for c, v in prow.items():
-                w = new.get(c, 0) - v * rf
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-            row = new
+            if pcol in row:
+                row = _cancel(row, prow, pcol)
         echelon[i] = (echelon[i][0], row)
     rref_rows = []
     for col, row in echelon:
@@ -189,7 +168,7 @@ def rref_dense(mat: ExactMatrix) -> RrefResult:
     rows = [[Fraction(0)] * mat.ncols for _ in range(mat.nrows)]
     for i, row in enumerate(mat.rows):
         for c, v in row:
-            rows[i][c] = v
+            rows[i][c] = Fraction(v)
     pivots: list[int] = []
     r = 0
     for col in range(mat.ncols):
@@ -309,7 +288,7 @@ def solve_columns(columns: Sequence[dict[int, Fraction]],
         row = [col.get(i, Fraction(0)) for col in columns]
         row.append(target.get(i, Fraction(0)))
         rows.append(tuple((c, v) for c, v in enumerate(row) if v != 0))
-    result = rref_dense(ExactMatrix(tuple(rows), k + 1))
+    result = rref(ExactMatrix(tuple(rows), k + 1))
     if k in result.pivots:
         raise ChordBasisError("target vector is outside the span of the columns")
     if result.rank != k:

@@ -188,24 +188,27 @@ def relations_to_text(ds: DiagramSet, rows: list[Relation]) -> str:
 
 def relations_from_text(text: str, ds: DiagramSet) -> list[Relation]:
     lines = text.split("\n")
-    fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
-    if int(fields["count"]) != len(ds):
-        raise DiagramError("relation file does not match the diagram set")
     rows: list[Relation] = []
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        meta = dict(item.split("=", 1) for item in lines[i][2:].split())
-        pa, pb = meta["pair"].split(",")
-        prov = Provenance(meta["source"], int(meta["circle"]),
-                          (int(pa), int(pb)), meta["family"])
-        data = lines[i + 1] if i + 1 < len(lines) else ""
-        coeffs = []
-        if data:
+    try:
+        fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
+        count, nrows = int(fields["count"]), int(fields["rows"])
+        i = 1
+        while i < len(lines) and lines[i].startswith("#"):
+            meta = dict(item.split("=", 1) for item in lines[i][2:].split())
+            pa, pb = meta["pair"].split(",")
+            prov = Provenance(meta["source"], int(meta["circle"]),
+                              (int(pa), int(pb)), meta["family"])
+            data = lines[i + 1] if i + 1 < len(lines) else ""
+            coeffs = []
             for tok in data.split():
                 idx, coef = tok.split(":")
                 coeffs.append((int(idx), int(coef)))
-        rows.append(Relation(tuple(coeffs), prov))
-        i += 2
-    if len(rows) != int(fields["rows"]):
+            rows.append(Relation(tuple(coeffs), prov))
+            i += 2
+    except (KeyError, ValueError) as exc:
+        raise DiagramError(f"malformed relation file: {exc}") from exc
+    if count != len(ds):
+        raise DiagramError("relation file does not match the diagram set")
+    if len(rows) != nrows:
         raise DiagramError("relation file row count mismatch")
     return rows

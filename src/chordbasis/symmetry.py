@@ -30,7 +30,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .basis import BasisResult, express
 from .diagrams import (
@@ -41,7 +41,7 @@ from .diagrams import (
     permute_circles,
 )
 from .errors import ChordBasisError, DiagramError
-from .exactla import ExactMatrix, rref_dense, solve_columns
+from .exactla import ExactMatrix, pivot_columns, solve_columns
 from .util import content_digest
 
 Coords = tuple[tuple[int, Fraction], ...]  # sparse, index-sorted, no zeros
@@ -73,31 +73,25 @@ def vector_of(d: ChordDiagram) -> GeneralizedBasisVector:
     return GeneralizedBasisVector(((d, Fraction(1)),))
 
 
-def _combine(terms: dict[ChordDiagram, Fraction]) -> GeneralizedBasisVector:
-    cleaned = tuple(sorted(((d, c) for d, c in terms.items() if c), key=lambda t: t[0]))
+def _combine(terms: Iterable[tuple[ChordDiagram, Fraction]]) -> GeneralizedBasisVector:
+    """The vector summing ``terms``, with like diagrams collected."""
+    acc: dict[ChordDiagram, Fraction] = {}
+    for d, c in terms:
+        acc[d] = acc.get(d, Fraction(0)) + c
+    cleaned = tuple(sorted(((d, c) for d, c in acc.items() if c), key=lambda t: t[0]))
     return GeneralizedBasisVector(cleaned)
 
 
 def vector_sum(a: GeneralizedBasisVector, b: GeneralizedBasisVector) -> GeneralizedBasisVector:
-    terms: dict[ChordDiagram, Fraction] = dict(a.terms)
-    for d, c in b.terms:
-        terms[d] = terms.get(d, Fraction(0)) + c
-    return _combine(terms)
+    return _combine(a.terms + b.terms)
 
 
 def vector_difference(a: GeneralizedBasisVector, b: GeneralizedBasisVector) -> GeneralizedBasisVector:
-    terms: dict[ChordDiagram, Fraction] = dict(a.terms)
-    for d, c in b.terms:
-        terms[d] = terms.get(d, Fraction(0)) - c
-    return _combine(terms)
+    return _combine(a.terms + tuple((d, -c) for d, c in b.terms))
 
 
 def apply_permutation(v: GeneralizedBasisVector, sigma: Sequence[int]) -> GeneralizedBasisVector:
-    terms: dict[ChordDiagram, Fraction] = {}
-    for d, c in v.terms:
-        image = permute_circles(d, sigma)
-        terms[image] = terms.get(image, Fraction(0)) + c
-    return _combine(terms)
+    return _combine((permute_circles(d, sigma), c) for d, c in v.terms)
 
 
 def class_coords(v: GeneralizedBasisVector, b: BasisResult) -> Coords:
@@ -109,6 +103,29 @@ def class_coords(v: GeneralizedBasisVector, b: BasisResult) -> Coords:
             i = pos[diag]
             acc[i] = acc.get(i, Fraction(0)) + c * coef
     return tuple(sorted((i, c) for i, c in acc.items() if c))
+
+
+def _rank(coords: Sequence[Coords], b: BasisResult) -> int:
+    return len(pivot_columns(ExactMatrix(tuple(coords), len(b.basis))))
+
+
+def _incomplete(vectors: Sequence[GeneralizedBasisVector], b: BasisResult,
+                perms: Sequence[Sequence[int]]
+                ) -> Iterator[tuple[int, GeneralizedBasisVector]]:
+    """Each vector some translate of which leaves the vectors' classes, as
+    (index, first such translate under ``perms``), in vector order."""
+    known = {class_coords(v, b) for v in vectors}
+    for i, v in enumerate(vectors):
+        for sigma in perms:
+            image = apply_permutation(v, sigma)
+            if class_coords(image, b) not in known:
+                yield i, image
+                break
+
+
+def _moving_perms(m: int) -> list[tuple[int, ...]]:
+    """Every relabelling of ``m`` circles except the identity."""
+    return list(itertools.permutations(range(m)))[1:]
 
 
 @dataclass(frozen=True)
@@ -146,12 +163,12 @@ class OrbitReport:
 
 
 def _orbit_partition(vectors: Sequence[GeneralizedBasisVector],
-                     b: BasisResult) -> list[dict]:
+                     b: BasisResult) -> tuple[list[Coords], list[dict]]:
     """Group the given basis vectors into class-level orbits.
 
-    Returns one record per orbit: its member classes (coords -> best
-    representative vector), and which basis vectors (by index into
-    ``vectors``) it contains.
+    Returns the class coordinates of every vector, and one record per
+    orbit: its member classes (coords -> best representative vector), and
+    which basis vectors (by index into ``vectors``) it contains.
     """
     perms = list(itertools.permutations(range(b.diagram_set.m)))
     coords_of = [class_coords(v, b) for v in vectors]
@@ -177,7 +194,7 @@ def _orbit_partition(vectors: Sequence[GeneralizedBasisVector],
                 seen.add(j)
                 classes[c] = vectors[j]
         orbits.append({"classes": classes, "basis_indices": sorted(inside)})
-    return orbits
+    return coords_of, orbits
 
 
 def orbit_report(b: BasisResult,
@@ -186,8 +203,9 @@ def orbit_report(b: BasisResult,
     classify every incomplete orbit by the expansion dichotomy."""
     if vectors is None:
         vectors = [vector_of(d) for d in b.basis]
-    records = _orbit_partition(vectors, b)
-    coords_of = [class_coords(v, b) for v in vectors]
+    coords_of, records = _orbit_partition(vectors, b)
+    columns = [dict(c) for c in coords_of]
+    known = set(coords_of)
     # orbit index of every basis vector, for the type II test
     orbit_of_vec: dict[int, int] = {}
     for oi, rec in enumerate(records):
@@ -197,7 +215,6 @@ def orbit_report(b: BasisResult,
         oi for oi, rec in enumerate(records)
         if len(rec["basis_indices"]) != len(rec["classes"])
     }
-    basis_coord_to_vec = {c: i for i, c in enumerate(coords_of)}
     orbits = []
     for oi, rec in enumerate(records):
         classes = rec["classes"]
@@ -205,11 +222,11 @@ def orbit_report(b: BasisResult,
         if oi in incomplete:
             own = set(rec["basis_indices"])
             for c in classes:
-                if c in basis_coord_to_vec:
+                if c in known:
                     continue
                 touched_i = False
                 touched_ii = False
-                coeffs = _expand_over(vectors, coords_of, c, b)
+                coeffs = solve_columns(columns, dict(c), len(b.basis))
                 for j, coef in enumerate(coeffs):
                     if not coef:
                         continue
@@ -237,33 +254,16 @@ def orbit_report(b: BasisResult,
     return OrbitReport(b.diagram_set.m, b.diagram_set.n, tuple(orbits))
 
 
-def _expand_over(vectors: Sequence[GeneralizedBasisVector],
-                 coords_of: Sequence[Coords], target: Coords,
-                 b: BasisResult) -> list[Fraction]:
-    """Expand a class (given by coords over b.basis) over the supplied
-    basis vectors."""
-    columns = [dict(c) for c in coords_of]
-    return solve_columns(columns, dict(target), len(b.basis))
-
-
 def verify_equivariant(vectors: Sequence[GeneralizedBasisVector],
                        b: BasisResult) -> bool:
     """True iff the vectors form a basis of the connected space that is
     closed (classwise) under every circle relabelling."""
     if len(vectors) != len(b.basis):
         return False
-    coords_of = [class_coords(v, b) for v in vectors]
-    if len(set(coords_of)) != len(vectors):
+    if _rank([class_coords(v, b) for v in vectors], b) != len(vectors):
         return False
-    rows = tuple(c for c in coords_of)
-    if rref_dense(ExactMatrix(rows, len(b.basis))).rank != len(vectors):
-        return False
-    known = set(coords_of)
-    for sigma in itertools.permutations(range(b.diagram_set.m)):
-        for v in vectors:
-            if class_coords(apply_permutation(v, sigma), b) not in known:
-                return False
-    return True
+    perms = _moving_perms(b.diagram_set.m)
+    return next(_incomplete(vectors, b, perms), None) is None
 
 
 def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], list[int]]:
@@ -276,27 +276,16 @@ def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], lis
         raise ChordBasisError("the repair algorithm is specific to two circles")
     swap = (1, 0)
     vectors: list[GeneralizedBasisVector] = [vector_of(d) for d in b.basis]
-    history: list[int] = []
-
-    def incomplete_orbits() -> list[tuple[int, GeneralizedBasisVector]]:
-        coords = {class_coords(v, b): i for i, v in enumerate(vectors)}
-        out = []
-        for i, v in enumerate(vectors):
-            image = apply_permutation(v, swap)
-            if class_coords(image, b) not in coords:
-                out.append((i, image))
-        return out
-
-    while True:
-        bad = incomplete_orbits()
-        history.append(len(bad))
-        if not bad:
-            break
+    bad = list(_incomplete(vectors, b, [swap]))
+    history = [len(bad)]
+    while bad:
         coords_of = [class_coords(v, b) for v in vectors]
+        columns = [dict(c) for c in coords_of]
         bad_indices = {i for i, _ in bad}
         applied = False
         for i, image in bad:
-            coeffs = _expand_over(vectors, coords_of, class_coords(image, b), b)
+            coeffs = solve_columns(columns, dict(class_coords(image, b)),
+                                   len(b.basis))
             # Type I repair (replace b by the fixed point b + sigma(b)) keeps
             # a basis only while the b-coefficient of sigma(b) is not -1:
             # b + sigma(b) = (1 + c_b) b + ... loses its b-component there.
@@ -338,8 +327,10 @@ def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], lis
             x = vectors[fixed_idx]
             vectors[i] = vector_sum(x, anti)
             vectors[fixed_idx] = vector_difference(x, anti)
-        if len(incomplete_orbits()) >= history[-1]:
+        bad = list(_incomplete(vectors, b, [swap]))
+        if len(bad) >= history[-1]:
             raise ChordBasisError("repair failed to reduce the incomplete count")
+        history.append(len(bad))
     return vectors, history
 
 
@@ -350,72 +341,45 @@ def equivariantize_greedy(b: BasisResult, max_rounds: int = 200
     Applies the two-circle moves whenever they keep the set a basis; makes
     no promise of success.  Returns (vectors, finished, per-round counts).
     """
-    m = b.diagram_set.m
-    perms = [p for p in itertools.permutations(range(m)) if p != tuple(range(m))]
+    perms = _moving_perms(b.diagram_set.m)
     vectors: list[GeneralizedBasisVector] = [vector_of(d) for d in b.basis]
     history: list[int] = []
 
-    def first_incomplete() -> tuple[int, GeneralizedBasisVector] | None:
-        coords = {class_coords(v, b) for v in vectors}
-        for i, v in enumerate(vectors):
-            for sigma in perms:
-                image = apply_permutation(v, sigma)
-                if class_coords(image, b) not in coords:
-                    return i, image
-        return None
-
-    def incomplete_count() -> int:
-        coords = {class_coords(v, b) for v in vectors}
-        count = 0
-        for v in vectors:
-            if any(class_coords(apply_permutation(v, sigma), b) not in coords
-                   for sigma in perms):
-                count += 1
-        return count
-
-    def is_basis(cand: Sequence[GeneralizedBasisVector]) -> bool:
-        rows = tuple(class_coords(v, b) for v in cand)
-        return rref_dense(ExactMatrix(rows, len(b.basis))).rank == len(cand)
+    def improves(cand: list[GeneralizedBasisVector]) -> bool:
+        """``cand`` is a basis with fewer incomplete vectors than now."""
+        if _rank([class_coords(v, b) for v in cand], b) != len(cand):
+            return False
+        fewer = itertools.islice(_incomplete(cand, b, perms), history[-1])
+        return sum(1 for _ in fewer) < history[-1]
 
     for _ in range(max_rounds):
-        history.append(incomplete_count())
-        problem = first_incomplete()
-        if problem is None:
+        bad = list(_incomplete(vectors, b, perms))
+        history.append(len(bad))
+        if not bad:
             return vectors, True, history
-        i, image = problem
+        i, image = bad[0]
         # try the fixed-point move first, then swapping the image in for
         # some other vector still in an incomplete orbit
         summed = vectors[:]
         summed[i] = vector_sum(vectors[i], image)
-        if is_basis(summed) and _strictly_better(summed, history[-1], b, perms):
+        if improves(summed):
             vectors = summed
             continue
-        coords_of = [class_coords(v, b) for v in vectors]
-        coeffs = _expand_over(vectors, coords_of, class_coords(image, b), b)
+        columns = [dict(class_coords(v, b)) for v in vectors]
+        coeffs = solve_columns(columns, dict(class_coords(image, b)), len(b.basis))
         done = False
         for j, coef in enumerate(coeffs):
             if not coef or j == i:
                 continue
             cand = vectors[:]
             cand[j] = image
-            if is_basis(cand) and _strictly_better(cand, history[-1], b, perms):
+            if improves(cand):
                 vectors = cand
                 done = True
                 break
         if not done:
             return vectors, False, history
     return vectors, False, history
-
-
-def _strictly_better(cand: Sequence[GeneralizedBasisVector], previous: int,
-                     b: BasisResult, perms) -> bool:
-    coords = {class_coords(v, b) for v in cand}
-    count = 0
-    for v in cand:
-        if any(class_coords(apply_permutation(v, sigma), b) not in coords
-               for sigma in perms):
-            count += 1
-    return count < previous
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,4 @@
-from chordbasis.cache import DiskCache, cache_dir, diagrams_name
-from chordbasis.enumeration import enumerate_connected
-from chordbasis.util import content_digest
+from chordbasis.cache import DiskCache, cache_dir
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
@@ -9,16 +7,6 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     assert cache_dir(tmp_path / "explicit") == tmp_path / "explicit"
     monkeypatch.delenv("CHORDBASIS_CACHE")
     assert cache_dir().name == "chordbasis"
-
-
-def test_entries_parse_key_and_digest(tmp_path):
-    cache = DiskCache(tmp_path)
-    ds = enumerate_connected(2, 3)
-    cache.put_text(diagrams_name(2, 3, True), ds.to_text())
-    (entry,) = cache.entries()
-    assert (entry.kind, entry.m, entry.n, entry.connected) == ("diagrams", 2, 3, True)
-    assert entry.digest == content_digest("".join(str(d) + "\n" for d in ds.diagrams))
-    assert entry.path.is_file() and entry.size > 0
 
 
 def test_get_returns_none_on_miss(tmp_path):

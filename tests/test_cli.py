@@ -106,7 +106,17 @@ def _edit_body_line(text):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("corrupt", [_garbage, _edit_body_line])
+def _inflate_dim(text):
+    # the body, and so the digest, stay intact
+    return text.replace(" dim=9 ", " dim=99 ", 1)
+
+
+def _inflate_count(text):
+    return text.replace(" count=", " count=1", 1)
+
+
+@pytest.mark.parametrize("corrupt", [_garbage, _edit_body_line, _inflate_dim,
+                                     _inflate_count])
 def test_corrupt_cache_file_is_recomputed(tmp_path, capsys, corrupt):
     cold, cache = tmp_path / "cold", tmp_path / "cache"
     assert run(tmp_path, "basis", "2", "3", cache=cold) == 0
@@ -198,6 +208,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("wat = 1\n")
     assert main(["--config", str(config), "enumerate", "1", "1"]) == 2
+
+
+def test_config_value_that_does_not_parse_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_text("max-candidates = lots\n")
+    assert main(["--config", str(config), "enumerate", "1", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "max-candidates" in err and "lots" in err
 
 
 def test_env_cache_dir_is_used(tmp_path, monkeypatch, capsys):

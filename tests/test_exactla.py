@@ -54,6 +54,20 @@ def test_assemble_drops_empty_rows_and_validates():
         assemble([{5: 1}], 4)
 
 
+def test_assemble_keeps_relation_coefficients_integer():
+    ds = enumerate_connected(2, 3)
+    mat = assemble(generate_relations(ds), len(ds))
+    assert mat.nrows > 0
+    assert all(type(v) is int for row in mat.rows for _, v in row)
+
+
+def test_dense_oracle_returns_fractions_on_integer_matrix():
+    mat = ExactMatrix((((0, 2), (1, 3)), ((0, 4), (2, 1)), ((1, 5), (2, -7))), 3)
+    dense = rref_dense(mat)
+    assert all(type(v) is Fraction for row in dense.matrix.rows for _, v in row)
+    assert dense == rref(mat)
+
+
 def test_assemble_keeps_duplicates():
     mat = assemble([{0: 1, 1: -1}, {0: 1, 1: -1}], 2)
     assert mat.nrows == 2

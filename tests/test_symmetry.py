@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from chordbasis.basis import REFERENCE_C_DIMS, connected_basis, express
 from chordbasis.diagrams import StringRep, canonicalize, diagram
 from chordbasis.errors import ChordBasisError, DiagramError
+from chordbasis.exactla import solve_columns
 from chordbasis.symmetry import (
     GeneralizedBasisVector,
     LabeledTree,
@@ -186,6 +188,23 @@ def test_raw_two_circle_three_chord_basis_is_not_equivariant():
 def test_verify_equivariant_checks_cardinality():
     b = connected_basis(2, 2)
     assert not verify_equivariant([vector_of(b.basis[0])], b)
+
+
+def test_production_solves_never_run_the_dense_oracle(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("the dense RREF is an oracle only")
+
+    # every binding of the name, so no import can reach the original
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("chordbasis") and hasattr(module, "rref_dense"):
+            monkeypatch.setattr(module, "rref_dense", refuse)
+    assert orbit_report(connected_basis(2, 3)).incomplete_count == 1
+    b = connected_basis(2, 3)
+    vectors, _ = equivariantize_m2(b)
+    assert verify_equivariant(vectors, b)
+    assert len(equivariantize_greedy(connected_basis(3, 3))[0]) == 16
+    cols = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
+    assert solve_columns(cols, {0: Fraction(3), 1: Fraction(7)}, 2) == [3, 1]
 
 
 def test_equivariantize_greedy_contract():
