@@ -55,6 +55,11 @@ class BasisResult:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def basis_index(self) -> dict[ChordDiagram, int]:
+        """Position of every basis diagram in ``basis``."""
+        return {d: i for i, d in enumerate(self.basis)}
+
 
 @dataclass
 class Quotient:
@@ -297,6 +302,8 @@ class PartitionComposition:
 def partition_compositions(m: int, n: int) -> Iterator[PartitionComposition]:
     """All (partition, composition) pairs that can carry a nonzero factor:
     each part of r circles gets at least r - 1 chords."""
+    if m < 1 or n < 0:
+        raise DiagramError(f"bad parameters m={m}, n={n}")
     for partition in _set_partitions(list(range(m))):
         for chords in _compositions(n, len(partition), 0):
             if all(ni >= len(part) - 1 for part, ni in zip(partition, chords)):

@@ -13,6 +13,11 @@ rotation of each circle's block and a relabelling of the chords.  The
 per-circle rotations, with chords renumbered by first occurrence; it is the
 identity of a diagram and the total order on diagrams is lexicographic on
 (m, n, starts, feet).
+
+:func:`canonical_feet` computes it by a branch-and-bound search over the
+circles and is the only canonicalizer production code runs.  The brute
+force over every combination of rotations is kept as the defining oracle
+that the ``canonical-roundtrips`` check and the tests compare it against.
 """
 
 from __future__ import annotations
@@ -60,6 +65,16 @@ class StringRep:
     def __str__(self) -> str:
         return format_rep(self)
 
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[Sequence[int]]) -> "StringRep":
+        """The rep whose circle i carries the feet ``blocks[i]``."""
+        feet: list[int] = []
+        starts = [0]
+        for b in blocks:
+            feet.extend(b)
+            starts.append(len(feet))
+        return cls(tuple(feet), tuple(starts))
+
 
 def validate(feet: Sequence[int], starts: Sequence[int]) -> None:
     """Raise DiagramError unless (feet, starts) is a valid string rep."""
@@ -83,13 +98,15 @@ def validate(feet: Sequence[int], starts: Sequence[int]) -> None:
             raise DiagramError(f"chord label {c} occurs {k} times, expected 2")
 
 
-def canonical_feet(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int, ...]:
+def canonical_feet_bruteforce(feet: tuple[int, ...],
+                              starts: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least feet sequence over all per-circle rotations.
 
     Chords are renumbered by first occurrence across the whole rotated
-    string, so the chosen labelling never matters.  This is the defining,
-    brute-force canonicalization; see :func:`canonical_feet_pruned` for the
-    cross-checked accelerator.
+    string, so the chosen labelling never matters.  This is the defining
+    oracle: it tries every combination of rotations, and only the
+    ``canonical-roundtrips`` check and the tests call it, to guard
+    :func:`canonical_feet`.
     """
     n = len(feet) // 2
     m = len(starts) - 1
@@ -115,13 +132,13 @@ def canonical_feet(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int,
     return best if best is not None else ()
 
 
-def canonical_feet_pruned(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int, ...]:
-    """Branch-and-bound canonicalization, one circle at a time.
+def canonical_feet(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical feet sequence, by branch-and-bound search one circle at a time.
 
     On a circle sharing a chord with an earlier circle the minimal feet
     sequence must start at a foot of the least already-numbered chord; all
     positions achieving that label are tried (tie branching), so the result
-    provably equals :func:`canonical_feet`.  Circles with no earlier chord
+    provably equals the brute-force oracle.  Circles with no earlier chord
     fall back to trying every rotation.
     """
     n = len(feet) // 2
@@ -191,15 +208,9 @@ class ChordDiagram:
         return format_rep(self.rep)
 
 
-def canonicalize(rep: StringRep, method: str = "bruteforce") -> ChordDiagram:
+def canonicalize(rep: StringRep) -> ChordDiagram:
     """Canonical form of ``rep``; the identity of the underlying diagram."""
-    if method == "bruteforce":
-        feet = canonical_feet(rep.feet, rep.starts)
-    elif method == "pruned":
-        feet = canonical_feet_pruned(rep.feet, rep.starts)
-    else:
-        raise ValueError(f"unknown canonicalization method {method!r}")
-    return ChordDiagram(StringRep(feet, rep.starts))
+    return ChordDiagram(StringRep(canonical_feet(rep.feet, rep.starts), rep.starts))
 
 
 def parse(text: str) -> StringRep:
@@ -228,12 +239,7 @@ def parse(text: str) -> StringRep:
             if not (part.isascii() and part.isdigit()):
                 raise DiagramError(f"malformed character in {text!r}")
             blocks.append([int(ch) for ch in part])
-    feet = tuple(c for b in blocks for c in b)
-    starts = [0]
-    for b in blocks:
-        starts.append(starts[-1] + len(b))
-    rep = StringRep(feet, tuple(starts))  # validates label counts
-    return rep
+    return StringRep.from_blocks(blocks)  # validates label counts
 
 
 def format_rep(rep: StringRep) -> str:
@@ -328,15 +334,8 @@ def permute_circles(d: ChordDiagram, sigma: Sequence[int]) -> ChordDiagram:
     m = d.m
     if sorted(sigma) != list(range(m)):
         raise DiagramError(f"{sigma!r} is not a permutation of 0..{m - 1}")
-    old_blocks = d.rep.blocks()
-    new_blocks: list[tuple[int, ...] | None] = [None] * m
-    for j in range(m):
-        new_blocks[sigma[j]] = old_blocks[j]
-    feet = tuple(c for b in new_blocks for c in b)  # type: ignore[union-attr]
-    starts = [0]
-    for b in new_blocks:
-        starts.append(starts[-1] + len(b))  # type: ignore[arg-type]
-    return canonicalize(StringRep(feet, tuple(starts)))
+    inverse = sorted(range(m), key=sigma.__getitem__)
+    return canonicalize(StringRep.from_blocks(d.rep.block(j) for j in inverse))
 
 
 def disjoint_union(parts: Iterable[tuple[ChordDiagram, Sequence[int]]]) -> ChordDiagram:
@@ -363,12 +362,7 @@ def disjoint_union(parts: Iterable[tuple[ChordDiagram, Sequence[int]]]) -> Chord
         offset += d.n
     if sorted(placed) != list(range(m_total)):
         raise DiagramError("target circle lists do not partition the circles")
-    blocks = [placed[i] for i in range(m_total)]
-    feet = tuple(c for b in blocks for c in b)
-    starts = [0]
-    for b in blocks:
-        starts.append(starts[-1] + len(b))
-    return canonicalize(StringRep(feet, tuple(starts)))
+    return canonicalize(StringRep.from_blocks(placed[i] for i in range(m_total)))
 
 
 def full_subdiagram(d: ChordDiagram, circles: Sequence[int]) -> ChordDiagram:
@@ -385,11 +379,6 @@ def full_subdiagram(d: ChordDiagram, circles: Sequence[int]) -> ChordDiagram:
         c for c, cs in chord_circles.items() if all(x in keepset for x in cs)
     )
     relabel = {c: i for i, c in enumerate(surviving)}
-    blocks = []
-    for i in keep:
-        blocks.append(tuple(relabel[c] for c in d.rep.block(i) if c in relabel))
-    feet = tuple(c for b in blocks for c in b)
-    starts = [0]
-    for b in blocks:
-        starts.append(starts[-1] + len(b))
-    return canonicalize(StringRep(feet, tuple(starts)))
+    return canonicalize(StringRep.from_blocks(
+        [relabel[c] for c in d.rep.block(i) if c in relabel] for i in keep
+    ))

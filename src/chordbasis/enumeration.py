@@ -35,8 +35,8 @@ class DiagramSet:
         self.n = n
         self.connected_only = connected_only
         self.diagrams = diagrams
-        self._index = {d: i for i, d in enumerate(diagrams)}
-        self._raw_index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
+        # keyed by the canonical (feet, starts), which identifies a diagram
+        self._index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -45,7 +45,7 @@ class DiagramSet:
         return iter(self.diagrams)
 
     def __contains__(self, d: ChordDiagram) -> bool:
-        return d in self._index
+        return (d.rep.feet, d.rep.starts) in self._index
 
     def __eq__(self, other) -> bool:
         return (
@@ -56,13 +56,13 @@ class DiagramSet:
 
     def index_of(self, d: ChordDiagram) -> int:
         try:
-            return self._index[d]
+            return self._index[(d.rep.feet, d.rep.starts)]
         except KeyError:
             raise DiagramError(f"{d} is not in the enumerated set") from None
 
     def index_of_raw(self, feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
         try:
-            return self._raw_index[(feet, starts)]
+            return self._index[(feet, starts)]
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
 

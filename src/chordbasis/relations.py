@@ -39,8 +39,6 @@ from .enumeration import DiagramSet
 from .errors import DiagramError
 from .util import content_digest
 
-FAMILIES = ("interior-A", "interior-B", "wrap-A", "wrap-B")
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -59,9 +57,6 @@ class Relation:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
 
 
 def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...],

@@ -46,6 +46,8 @@ from .util import content_digest
 
 Coords = tuple[tuple[int, Fraction], ...]  # sparse, index-sorted, no zeros
 
+GREEDY_MAX_ROUNDS = 200  # repair rounds before the greedy run gives up
+
 
 @dataclass(frozen=True)
 class GeneralizedBasisVector:
@@ -96,7 +98,7 @@ def apply_permutation(v: GeneralizedBasisVector, sigma: Sequence[int]) -> Genera
 
 def class_coords(v: GeneralizedBasisVector, b: BasisResult) -> Coords:
     """Coordinates of the class of ``v`` over ``b.basis``."""
-    pos = {d: i for i, d in enumerate(b.basis)}
+    pos = b.basis_index
     acc: dict[int, Fraction] = {}
     for d, c in v.terms:
         for diag, coef in express(d, b).items():
@@ -105,8 +107,12 @@ def class_coords(v: GeneralizedBasisVector, b: BasisResult) -> Coords:
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
-def _rank(coords: Sequence[Coords], b: BasisResult) -> int:
-    return len(pivot_columns(ExactMatrix(tuple(coords), len(b.basis))))
+def is_basis(vectors: Sequence[GeneralizedBasisVector], b: BasisResult) -> bool:
+    """True iff the classes of the vectors form a basis of ``b``'s space."""
+    if len(vectors) != len(b.basis):
+        return False
+    coords = tuple(class_coords(v, b) for v in vectors)
+    return len(pivot_columns(ExactMatrix(coords, len(b.basis)))) == len(vectors)
 
 
 def _incomplete(vectors: Sequence[GeneralizedBasisVector], b: BasisResult,
@@ -258,12 +264,8 @@ def verify_equivariant(vectors: Sequence[GeneralizedBasisVector],
                        b: BasisResult) -> bool:
     """True iff the vectors form a basis of the connected space that is
     closed (classwise) under every circle relabelling."""
-    if len(vectors) != len(b.basis):
-        return False
-    if _rank([class_coords(v, b) for v in vectors], b) != len(vectors):
-        return False
     perms = _moving_perms(b.diagram_set.m)
-    return next(_incomplete(vectors, b, perms), None) is None
+    return is_basis(vectors, b) and next(_incomplete(vectors, b, perms), None) is None
 
 
 def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], list[int]]:
@@ -334,12 +336,13 @@ def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], lis
     return vectors, history
 
 
-def equivariantize_greedy(b: BasisResult, max_rounds: int = 200
+def equivariantize_greedy(b: BasisResult
                           ) -> tuple[list[GeneralizedBasisVector], bool, list[int]]:
     """Best-effort repair for any circle count.
 
-    Applies the two-circle moves whenever they keep the set a basis; makes
-    no promise of success.  Returns (vectors, finished, per-round counts).
+    Applies the two-circle moves whenever they keep the set a basis, for at
+    most ``GREEDY_MAX_ROUNDS`` rounds; makes no promise of success.  Returns
+    (vectors, finished, per-round counts); the vectors are a basis either way.
     """
     perms = _moving_perms(b.diagram_set.m)
     vectors: list[GeneralizedBasisVector] = [vector_of(d) for d in b.basis]
@@ -347,12 +350,12 @@ def equivariantize_greedy(b: BasisResult, max_rounds: int = 200
 
     def improves(cand: list[GeneralizedBasisVector]) -> bool:
         """``cand`` is a basis with fewer incomplete vectors than now."""
-        if _rank([class_coords(v, b) for v in cand], b) != len(cand):
+        if not is_basis(cand, b):
             return False
         fewer = itertools.islice(_incomplete(cand, b, perms), history[-1])
         return sum(1 for _ in fewer) < history[-1]
 
-    for _ in range(max_rounds):
+    for _ in range(GREEDY_MAX_ROUNDS):
         bad = list(_incomplete(vectors, b, perms))
         history.append(len(bad))
         if not bad:
@@ -443,15 +446,9 @@ def diagram_from_multigraph(edges: Sequence[tuple[int, int]], m: int) -> ChordDi
         else:
             incident[a].append((c, label))
             incident[c].append((a, label))
-    blocks = []
-    for i in range(m):
-        incident[i].sort()
-        blocks.append(tuple(label for _, label in incident[i]))
-    feet = tuple(c for b in blocks for c in b)
-    starts = [0]
-    for b in blocks:
-        starts.append(starts[-1] + len(b))
-    return canonicalize(StringRep(feet, tuple(starts)))
+    return canonicalize(StringRep.from_blocks(
+        [label for _, label in sorted(ends)] for ends in incident
+    ))
 
 
 def tree_basis(n: int) -> list[ChordDiagram]:
@@ -460,6 +457,8 @@ def tree_basis(n: int) -> list[ChordDiagram]:
     By the Cayley-Borchardt count there are (n+1)^(n-1) of them, and they
     form an equivariant basis of the connected space with m = n + 1.
     """
+    if n < 0:
+        raise DiagramError(f"chord count must be nonnegative, got n={n}")
     return sorted(
         diagram_from_multigraph(t.edges, n + 1) for t in all_labeled_trees(n + 1)
     )

@@ -169,6 +169,41 @@ def test_equivariant_command(tmp_path, capsys):
     assert head.startswith("equivariant-basis m=2 n=3 vectors=9")
 
 
+def test_unfinished_greedy_run_emits_its_partial_basis(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert run(tmp_path, "equivariant", "3", "4", cache=cache) == 0
+    cold = capsys.readouterr()
+    assert "stopped with 10 incomplete orbits" in cold.err
+    head = (cache / "equivariant-m3-n4.txt").read_text().splitlines()[0]
+    fields = dict(item.split("=", 1) for item in head.split()[1:])
+    assert fields["vectors"] == "67"
+    assert fields["rounds"].endswith(",10")
+    assert run(tmp_path, "equivariant", "3", "4", cache=cache) == 0
+    assert capsys.readouterr().out == cold.out
+
+
+@pytest.mark.parametrize("check, m, n", [("verify_equivariant", "2", "2"),
+                                         ("is_basis", "3", "4")])
+def test_failed_equivariance_verification_exits_1(tmp_path, capsys, monkeypatch,
+                                                  check, m, n):
+    # the full check for a finished repair, the basis check for a partial one
+    monkeypatch.setattr(f"chordbasis.cli.{check}", lambda vectors, b: False)
+    cache = tmp_path / "cache"
+    assert run(tmp_path, "equivariant", m, n, cache=cache) == 1
+    err = capsys.readouterr().err
+    assert err == "error: produced vectors failed the equivariance verification\n"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("tree-basis", "-1"), ("equivariant", "0", "-1"),
+                                  ("full-basis", "0", "2"), ("full-basis", "2", "-1")])
+def test_bad_circle_or_chord_count_is_a_usage_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_orbits_command(tmp_path, capsys):
     assert run(tmp_path, "orbits", "3", "3", "--out", str(tmp_path / "o.txt")) == 0
     head = (tmp_path / "o.txt").read_text().splitlines()[0]

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from chordbasis.diagrams import (
     CirclePartition,
     StringRep,
     canonical_feet,
-    canonical_feet_pruned,
+    canonical_feet_bruteforce,
     canonicalize,
     components,
     component_chord_counts,
@@ -20,7 +21,10 @@ from chordbasis.diagrams import (
     parse,
     permute_circles,
 )
+from chordbasis.basis import clear_memo, connected_basis, dim_C
+from chordbasis.enumeration import enumerate_all
 from chordbasis.errors import DiagramError
+from chordbasis.symmetry import equivariantize_m2, orbit_report, tree_basis
 
 
 # -- strategies ---------------------------------------------------------
@@ -134,8 +138,35 @@ def test_canonical_idempotent(rep):
 
 @settings(max_examples=300)
 @given(string_reps())
-def test_pruned_matches_bruteforce(rep):
-    assert canonical_feet_pruned(rep.feet, rep.starts) == canonical_feet(rep.feet, rep.starts)
+def test_canonicalize_matches_bruteforce_oracle(rep):
+    oracle = canonical_feet_bruteforce(rep.feet, rep.starts)
+    assert canonical_feet(rep.feet, rep.starts) == oracle
+    assert canonicalize(rep).rep.feet == oracle
+
+
+def test_production_never_runs_the_bruteforce_oracle(monkeypatch):
+    def refuse(feet, starts):
+        raise AssertionError("the brute-force canonical form is an oracle only")
+
+    # every binding of the function object, under whatever name
+    for module in list(sys.modules.values()):
+        if not module.__name__.startswith("chordbasis"):
+            continue
+        for name, value in list(vars(module).items()):
+            if value is canonical_feet_bruteforce:
+                monkeypatch.setattr(module, name, refuse)
+    clear_memo()  # so the pipeline below really enumerates and relates
+    assert str(diagram("0121|20")) == "0102|12"
+    assert len(enumerate_all(2, 2)) == 8
+    assert dim_C(3, 3) == 16
+    b = connected_basis(2, 3)
+    assert orbit_report(b).incomplete_count == 1
+    vectors, _ = equivariantize_m2(b)
+    assert len(vectors) == 9
+    d = disjoint_union([(diagram("0011"), [1]), (diagram("00"), [0])])
+    assert str(d) == "00|1122"
+    assert str(full_subdiagram(d, [1])) == "0011"
+    assert len(tree_basis(3)) == 16
 
 
 def test_total_order_key():
