@@ -211,6 +211,10 @@ def dim_table_C(n_max: int, m_max: int, budget: Budget | None = None,
                 entries[(m, n)] = 0
                 provenance[(m, n)] = "structural-zero"
             elif n in bundled_n:
+                if (m, n) not in REFERENCE_C_DIMS:
+                    raise DiagramError(f"no published connected dimension for "
+                                       f"(m={m}, n={n}); the n={n} row cannot "
+                                       "be bundled")
                 entries[(m, n)] = REFERENCE_C_DIMS[(m, n)]
                 provenance[(m, n)] = "bundled"
             else:

@@ -67,9 +67,17 @@ EXIT_BUDGET = 3
 CONFIG_KEYS = ("threads", "cache", "max-candidates", "max-matrix-cells", "time-budget")
 
 
+def _read_user_text(path: str) -> str:
+    """A file named on the command line, as UTF-8 text."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_user_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,11 +169,7 @@ def cmd_basis(args, settings: Settings) -> int:
 
 
 def cmd_table(args, settings: Settings) -> int:
-    bundled = ()
-    if args.c_source == "bundled":
-        bundled = tuple(range(1, args.nmax + 1))
-    elif args.c_source == "auto":
-        bundled = tuple(n for n in range(5, args.nmax + 1))
+    bundled = {"live": (), "auto": (5,), "bundled": range(1, args.nmax + 1)}[args.c_source]
     c_table = dim_table_C(args.nmax, args.mmax, budget=settings.budget,
                           bundled_n=bundled)
     if args.family == "C":
@@ -267,7 +271,7 @@ def cmd_express(args, settings: Settings) -> int:
 def cmd_render(args, settings: Settings) -> int:
     texts: list[str]
     if args.basis_file:
-        lines = Path(args.basis_file).read_text(encoding="utf-8").splitlines()
+        lines = _read_user_text(args.basis_file).splitlines()
         texts = []
         for line in lines[1:]:
             if line == "pivot-expressions":
@@ -340,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c-source", choices=("auto", "live", "bundled"),
                     default="auto",
                     help="connected values: live, bundled, or live with the "
-                         "order-5 row bundled (auto)")
+                         "published order-5 row bundled (auto)")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="run the verification suite")
@@ -394,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DiagramError, FileNotFoundError) as exc:
+    except (DiagramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ChordBasisError as exc:

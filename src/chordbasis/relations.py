@@ -26,34 +26,29 @@ deliberately redundant).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .budget import Budget, ensure_budget
 from .diagrams import (
     ChordDiagram,
-    StringRep,
     canonical_feet,
     component_chord_counts,
     components,
 )
 from .enumeration import DiagramSet
-from .errors import DiagramError
+from .errors import ChordBasisError, DiagramError
 from .util import content_digest
 
 
-@dataclass(frozen=True)
-class Provenance:
-    source: str
-    circle: int
-    positions: tuple[int, int]
-    family: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
-    """A sparse integer row over a DiagramSet: ((column, coefficient), ...)."""
+    """A sparse integer row over a DiagramSet: ((column, coefficient), ...).
+
+    Where a row came from is a function of its position in the generation
+    order, so it is derived when the relations file is written, not stored.
+    """
 
     coeffs: tuple[tuple[int, int], ...]
-    provenance: Provenance
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -81,21 +76,22 @@ def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...],
     return new_feet, new_starts
 
 
-def _adjacent_pairs(starts: tuple[int, ...]) -> list[tuple[int, int, int, bool]]:
-    """(circle, first position, second position, is_wrap) in generation order."""
-    pairs = []
+def _adjacent_pairs(feet: tuple[int, ...], starts: tuple[int, ...]
+                    ) -> Iterator[tuple[int, int, int, bool]]:
+    """(circle, first position, second position, is_wrap) of every
+    cyclically adjacent pair of feet on distinct chords, in generation
+    order; each pair yields a family-A row, then a family-B row."""
     for i in range(len(starts) - 1):
         lo, hi = starts[i], starts[i + 1]
         for k in range(lo, hi - 1):
-            pairs.append((i, k, k + 1, False))
-        if hi - lo >= 2:
-            pairs.append((i, hi - 1, lo, True))
-    return pairs
+            if feet[k] != feet[k + 1]:
+                yield i, k, k + 1, False
+        if hi - lo >= 2 and feet[hi - 1] != feet[lo]:
+            yield i, hi - 1, lo, True
 
 
 def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet) -> list[Relation]:
     feet, starts = d.rep.feet, d.rep.starts
-    source = str(d)
     src_idx = ds.index_of_raw(feet, starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -106,17 +102,13 @@ def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet) -> list[Relation]:
         else:
             first_pos[c] = pos
     out: list[Relation] = []
-    for circle, pa, pb, wrap in _adjacent_pairs(starts):
-        if feet[pa] == feet[pb]:
-            continue
+    for _, pa, pb, _ in _adjacent_pairs(feet, starts):
         swapped = list(feet)
         swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
         swap_idx = ds.index_of_raw(canonical_feet(tuple(swapped), starts), starts)
-        far_b = partner[pb]
-        far_a = partner[pa]
-        for family, moving, target, signs in (
-            ("A", pa, far_b, (1, -1)),   # before far foot: +, after: -
-            ("B", pb, far_a, (-1, 1)),   # before far foot: -, after: +
+        for moving, target, signs in (
+            (pa, partner[pb], (1, -1)),   # family A; before far foot: +, after: -
+            (pb, partner[pa], (-1, 1)),   # family B; before far foot: -, after: +
         ):
             terms = [(src_idx, 1), (swap_idx, -1)]
             for after, sign in ((False, signs[0]), (True, signs[1])):
@@ -125,9 +117,7 @@ def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet) -> list[Relation]:
             merged: dict[int, int] = {}
             for idx, coef in terms:
                 merged[idx] = merged.get(idx, 0) + coef
-            coeffs = tuple(sorted((i, c) for i, c in merged.items() if c))
-            tag = ("wrap-" if wrap else "interior-") + family
-            out.append(Relation(coeffs, Provenance(source, circle, (pa, pb), tag)))
+            out.append(Relation(tuple(sorted((i, c) for i, c in merged.items() if c))))
     return out
 
 
@@ -161,17 +151,29 @@ def check_component_preservation(rel: Relation, ds: DiagramSet) -> bool:
     return True
 
 
+def _row_labels(ds: DiagramSet) -> Iterator[str]:
+    """The provenance line of every row ``generate_relations`` yields for
+    ``ds``, in the same order."""
+    for d in ds.diagrams:
+        source = str(d)
+        for circle, pa, pb, wrap in _adjacent_pairs(d.rep.feet, d.rep.starts):
+            kind = "wrap-" if wrap else "interior-"
+            for family in "AB":
+                yield (f"# source={source} circle={circle} pair={pa},{pb} "
+                       f"family={kind}{family}")
+
+
 def relations_to_text(ds: DiagramSet, rows: list[Relation]) -> str:
+    """The relations file: a header, then each row's provenance line and its
+    coefficients.  ``rows`` must be the rows generation yields for ``ds``."""
+    labels = _row_labels(ds)
+    body_lines = [label + "\n" + " ".join(f"{i}:{c}" for i, c in r.coeffs) + "\n"
+                  for r, label in zip(rows, labels)]
+    if len(body_lines) != len(rows) or next(labels, None) is not None:
+        raise ChordBasisError(f"{len(rows)} rows given, but generation over the "
+                              f"(m={ds.m}, n={ds.n}) diagram set yields another count")
+    body = "".join(body_lines)
     nonzero = sum(1 for r in rows if not r.is_zero())
-    body_lines = []
-    for r in rows:
-        p = r.provenance
-        body_lines.append(
-            f"# source={p.source} circle={p.circle} "
-            f"pair={p.positions[0]},{p.positions[1]} family={p.family}"
-        )
-        body_lines.append(" ".join(f"{i}:{c}" for i, c in r.coeffs))
-    body = "".join(line + "\n" for line in body_lines)
     ds_digest = content_digest("".join(str(d) + "\n" for d in ds.diagrams))
     header = (
         f"relations m={ds.m} n={ds.n} connected={int(ds.connected_only)} "
@@ -182,28 +184,19 @@ def relations_to_text(ds: DiagramSet, rows: list[Relation]) -> str:
 
 
 def relations_from_text(text: str, ds: DiagramSet) -> list[Relation]:
-    lines = text.split("\n")
-    rows: list[Relation] = []
+    """The rows of a relations file over ``ds``; the file must be exactly
+    the text :func:`relations_to_text` writes for them."""
     try:
-        fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
-        count, nrows = int(fields["count"]), int(fields["rows"])
-        i = 1
-        while i < len(lines) and lines[i].startswith("#"):
-            meta = dict(item.split("=", 1) for item in lines[i][2:].split())
-            pa, pb = meta["pair"].split(",")
-            prov = Provenance(meta["source"], int(meta["circle"]),
-                              (int(pa), int(pb)), meta["family"])
-            data = lines[i + 1] if i + 1 < len(lines) else ""
-            coeffs = []
-            for tok in data.split():
-                idx, coef = tok.split(":")
-                coeffs.append((int(idx), int(coef)))
-            rows.append(Relation(tuple(coeffs), prov))
-            i += 2
-    except (KeyError, ValueError) as exc:
+        rows = [Relation(tuple((int(i), int(c)) for i, c in
+                               (tok.split(":") for tok in line.split())))
+                for line in text.split("\n")[2::2]]
+    except ValueError as exc:
         raise DiagramError(f"malformed relation file: {exc}") from exc
-    if count != len(ds):
-        raise DiagramError("relation file does not match the diagram set")
-    if len(rows) != nrows:
-        raise DiagramError("relation file row count mismatch")
+    try:
+        written = relations_to_text(ds, rows)
+    except ChordBasisError:
+        written = None
+    if written != text:
+        raise DiagramError("relation file is not the text written for its rows "
+                           "over this diagram set")
     return rows

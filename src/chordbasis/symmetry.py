@@ -144,7 +144,6 @@ class Orbit:
     """
 
     members: tuple[GeneralizedBasisVector, ...]
-    member_coords: tuple[Coords, ...]
     basis_members: tuple[GeneralizedBasisVector, ...]
     complete: bool
     types: frozenset[str]  # subset of {"I", "II"}, empty for complete orbits
@@ -252,7 +251,6 @@ def orbit_report(b: BasisResult,
         members = tuple(classes[c] for c in sorted(classes))
         orbits.append(Orbit(
             members=members,
-            member_coords=tuple(sorted(classes)),
             basis_members=tuple(vectors[j] for j in rec["basis_indices"]),
             complete=oi not in incomplete,
             types=frozenset(types),
@@ -390,10 +388,6 @@ class LabeledTree:
     """A labelled tree on vertices 0..m-1 as a sorted edge tuple."""
 
     edges: tuple[tuple[int, int], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.edges) + 1
 
     @classmethod
     def from_prufer(cls, seq: Sequence[int], m: int) -> "LabeledTree":

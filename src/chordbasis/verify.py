@@ -87,13 +87,14 @@ def check_connected_dims(n_max: int = 4, budget: Budget | None = None) -> CheckR
                    f"{count} entries reproduced live")
 
 
-def check_order5_connected(live: bool = True,
-                           time_budget: float = 3600.0) -> CheckResult:
+def check_order5_connected(live: bool = True, time_budget: float = 3600.0,
+                           budget: Budget | None = None) -> CheckResult:
     """The n = 5 connected dimensions, with the tree-count cross-check.
 
-    With ``live`` the whole row is recomputed end to end under a time
-    budget (a BudgetExceededError propagates rather than reporting a wrong
-    number); otherwise only the independent tree-count cross-check runs.
+    With ``live`` the whole row is recomputed end to end under ``budget``,
+    or under a fresh ``time_budget`` when none is passed (a
+    BudgetExceededError propagates rather than reporting a wrong number);
+    otherwise only the independent tree-count cross-check runs.
     """
     start = time.time()
     failures = []
@@ -102,7 +103,8 @@ def check_order5_connected(live: bool = True,
         failures.append(f"tree count {trees} != 1296")
     detail = "tree-count cross-check only (fast profile)"
     if live:
-        budget = Budget(time_budget=time_budget)
+        if budget is None:
+            budget = Budget(time_budget=time_budget)
         for m in range(1, 7):
             value = dim_C(m, 5, budget=budget)
             ref = REFERENCE_C_DIMS[(m, 5)]
@@ -196,7 +198,7 @@ def check_polynomials(budget: Budget | None = None) -> CheckResult:
                    "every other evaluation agrees with the formula")
 
 
-def check_tree_basis(verify_n_max: int = 4) -> CheckResult:
+def check_tree_basis(verify_n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Tree-basis count is (n+1)^(n-1) for n in 1..5 and the basis is
     equivariant against the live connected basis for n <= verify_n_max."""
     start = time.time()
@@ -206,7 +208,7 @@ def check_tree_basis(verify_n_max: int = 4) -> CheckResult:
         if count != (n + 1) ** (n - 1):
             failures.append(f"|tree_basis({n})| = {count} != {(n + 1) ** (n - 1)}")
     for n in range(1, verify_n_max + 1):
-        b = connected_basis(n + 1, n)
+        b = connected_basis(n + 1, n, budget=budget)
         vectors = [vector_of(d) for d in tree_basis(n)]
         if not verify_equivariant(vectors, b):
             failures.append(f"tree_basis({n}) failed equivariance against live basis")
@@ -275,13 +277,10 @@ def check_component_rows(n_max: int = 4, budget: Budget | None = None) -> CheckR
     for n in range(2, n_max + 1):
         for m in range(1, n + 2):
             q = quotient(m, n, budget=budget)
-            for rel in q.rows:
-                rows_checked += 1
+            for i, rel in enumerate(q.rows):
                 if not check_component_preservation(rel, q.diagram_set):
-                    failures.append(
-                        f"row from {rel.provenance.source} "
-                        f"({rel.provenance.family}) mixes components"
-                    )
+                    failures.append(f"(m={m}, n={n}) row {i} mixes components")
+            rows_checked += len(q.rows)
     return _result("component-preservation", start, failures,
                    f"{rows_checked} rows checked for n<={n_max}")
 
@@ -321,13 +320,13 @@ def check_rref_oracle(cases: int = 500, seed: int = RREF_SEED) -> CheckResult:
     return _result("rref-oracle", start, failures, f"{cases} random matrices")
 
 
-def check_equivariantization(n_max: int = 4) -> CheckResult:
+def check_equivariantization(n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Two-circle repair: terminates, keeps the dimension, produces an
     equivariant basis, and strictly shrinks the incomplete count."""
     start = time.time()
     failures = []
     for n in range(1, n_max + 1):
-        b = connected_basis(2, n)
+        b = connected_basis(2, n, budget=budget)
         vectors, history = equivariantize_m2(b)
         if len(vectors) != REFERENCE_C_DIMS[(2, n)]:
             failures.append(f"n={n}: {len(vectors)} vectors, expected "
@@ -342,12 +341,12 @@ def check_equivariantization(n_max: int = 4) -> CheckResult:
                    f"repaired n=1..{n_max}")
 
 
-def check_orbit_structure_33() -> CheckResult:
+def check_orbit_structure_33(budget: Budget | None = None) -> CheckResult:
     """The per-graph basis of the three-circle, three-chord space splits
     into orbits of sizes 6, 6, 3, 1, all complete."""
     start = time.time()
     failures = []
-    b = connected_basis(3, 3)
+    b = connected_basis(3, 3, budget=budget)
     reps = graph_form_basis(b)
     vectors = [vector_of(d) for d in reps]
     if not verify_equivariant(vectors, b):
@@ -375,15 +374,15 @@ def run_profile(profile: str, budget: Budget | None = None) -> list[CheckResult]
     full = profile == "full"
     results = [
         check_connected_dims(n_max=4 if full else 3, budget=budget),
-        check_order5_connected(live=full),
+        check_order5_connected(live=full, budget=budget),
         check_full_dims(live_n5=False, budget=budget,
                         direct_cells=DIRECT_RANK_FULL if full else DIRECT_RANK_FAST),
         check_polynomials(budget=budget),
-        check_tree_basis(verify_n_max=4 if full else 3),
+        check_tree_basis(verify_n_max=4 if full else 3, budget=budget),
         check_canonical_roundtrips(iterations=10000 if full else 2000),
         check_component_rows(n_max=4 if full else 3, budget=budget),
         check_rref_oracle(cases=500 if full else 100),
-        check_equivariantization(n_max=4 if full else 3),
-        check_orbit_structure_33(),
+        check_equivariantization(n_max=4 if full else 3, budget=budget),
+        check_orbit_structure_33(budget=budget),
     ]
     return results

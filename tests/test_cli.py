@@ -260,3 +260,43 @@ def test_env_cache_dir_is_used(tmp_path, monkeypatch, capsys):
     assert main(["enumerate", "1", "2", "--connected", "--out",
                  str(tmp_path / "x.txt")]) == 0
     assert (env_cache / "diagrams-m1-n2-conn.txt").is_file()
+
+
+def test_table_without_a_published_row_to_bundle_is_a_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "table", "--family", "C", "--nmax", "6", "--mmax", "2",
+               "--c-source", "bundled") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_table_computes_rows_beyond_the_published_ones_live(tmp_path):
+    # the live n = 6 row starts, and the one-second budget stops it
+    assert run(tmp_path, "--time-budget", "1", "table", "--family", "C",
+               "--nmax", "6", "--mmax", "1") == 3
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+def _regular_file(tmp_path):
+    path = tmp_path / "plain.txt"
+    path.write_text("")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["--config", str(p), "tree-basis", "1"],
+    lambda p: ["render", "--basis-file", str(p)],
+    lambda p: ["--cache", _regular_file(p), "basis", "1", "2"],
+    lambda p: ["--config", _undecodable(p), "tree-basis", "1"],
+    lambda p: ["render", "--basis-file", _undecodable(p)],
+], ids=["config-dir", "basis-file-dir", "cache-file", "config-bytes", "basis-file-bytes"])
+def test_unusable_user_named_file_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,16 +1,30 @@
+import dataclasses
+
 import pytest
 
 from chordbasis.diagrams import diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
+from chordbasis.errors import ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns
 from chordbasis.relations import (
-    Provenance,
     Relation,
     check_component_preservation,
     generate_relations,
     relations_from_text,
     relations_to_text,
 )
+from chordbasis.util import content_digest
+
+
+def _labelled(ds):
+    """Every generated row with the fields of its provenance line, read back
+    from the written relations file."""
+    rows = generate_relations(ds)
+    labels = [dict(field.split("=", 1) for field in line[2:].split())
+              for line in relations_to_text(ds, rows).splitlines()
+              if line.startswith("# ")]
+    assert len(labels) == len(rows)
+    return list(zip(labels, rows))
 
 
 def test_two_chords_one_circle_all_rows_cancel():
@@ -56,25 +70,28 @@ def test_row_indices_in_range_and_sorted():
 
 def test_generation_order_documented_and_deterministic():
     ds = enumerate_connected(2, 3)
-    rows1 = generate_relations(ds)
-    assert generate_relations(ds) == rows1
-    families = [r.provenance.family for r in rows1[:2]]
+    assert generate_relations(ds) == generate_relations(ds)
+    labelled = _labelled(ds)
+    families = [label["family"] for label, _ in labelled[:2]]
     assert families == ["interior-A", "interior-B"]
-    sources = [r.provenance.source for r in rows1]
-    assert sources == sorted(sources, key=lambda s: sources.index(s))  # grouped by diagram
+    sources = [label["source"] for label, _ in labelled]
+    # grouped by diagram, diagrams in set order
+    assert list(dict.fromkeys(sources)) == [
+        str(d) for d in ds.diagrams if str(d) in sources]
+    assert sources == sorted(sources, key=sources.index)
 
 
 def test_wrap_family_emitted():
     ds = enumerate_connected(2, 2)
-    families = {r.provenance.family for r in generate_relations(ds)}
+    families = {label["family"] for label, _ in _labelled(ds)}
     assert "wrap-A" in families and "wrap-B" in families
 
 
 def test_two_foot_circle_emits_interior_and_wrap():
     ds = enumerate_connected(2, 2)
-    rows = [r for r in generate_relations(ds) if r.provenance.source == "01|01"]
-    pair_kinds = {(r.provenance.circle, r.provenance.family[:4]) for r in rows}
-    assert (0, "inte") in pair_kinds and (0, "wrap") in pair_kinds
+    pair_kinds = {(label["circle"], label["family"][:4])
+                  for label, _ in _labelled(ds) if label["source"] == "01|01"}
+    assert ("0", "inte") in pair_kinds and ("0", "wrap") in pair_kinds
 
 
 def test_component_preservation_on_generated_rows():
@@ -95,14 +112,13 @@ def test_component_preservation_rejects_artificial_mixture():
     ds = enumerate_all(2, 3)
     mixed = ds.index_of(diagram("0011|22"))
     connected = ds.index_of(diagram("0102|12"))
-    fake = Relation(((mixed, 1), (connected, -1)),
-                    Provenance("test", 0, (0, 1), "interior-A"))
+    fake = Relation(((mixed, 1), (connected, -1)))
     assert not check_component_preservation(fake, ds)
 
 
 def test_empty_relation_trivially_preserves_components():
     ds = enumerate_connected(1, 2)
-    empty = Relation((), Provenance("0011", 0, (1, 2), "interior-A"))
+    empty = Relation(())
     assert check_component_preservation(empty, ds)
 
 
@@ -130,16 +146,60 @@ def test_frozen_rows_for_three_chords():
     assert [str(d) for d in ds.diagrams] == [
         "001122", "001212", "001221", "010212", "012012",
     ]
-    rows = generate_relations(ds)
-    first = rows[0]
-    assert first.provenance.source == "001122"
-    assert first.provenance.positions == (1, 2)
-    assert first.provenance.family == "interior-A"
+    labelled = _labelled(ds)
+    label, first = labelled[0]
+    assert label == {"source": "001122", "circle": "0", "pair": "1,2",
+                     "family": "interior-A"}
     assert first.coeffs == ((0, 1), (2, -1))
     # a merged coefficient of -2 from coinciding canonical forms
-    seventh = rows[6]
-    assert seventh.provenance.source == "001212"
+    label, seventh = labelled[6]
+    assert label["source"] == "001212"
     assert seventh.coeffs == ((1, 1), (3, -2), (4, 1))
     # and its family-B partner merges away entirely (kept for audit)
-    assert rows[7].provenance.family == "interior-B"
-    assert rows[7].is_zero()
+    label, eighth = labelled[7]
+    assert label["family"] == "interior-B"
+    assert eighth.is_zero()
+
+
+def test_relation_is_its_coefficients_alone():
+    assert [f.name for f in dataclasses.fields(Relation)] == ["coeffs"]
+    row = Relation(((0, 1), (2, -1)))
+    assert not hasattr(row, "__dict__")
+    assert row == Relation(((0, 1), (2, -1))) and not row.is_zero()
+
+
+@pytest.mark.parametrize("enumerate_fn, m, n, digest", [
+    (enumerate_connected, 1, 3,
+     "sha256:97cf4e9d3ec0de38c731ed3b141f4dce50b9ad4eed117855a7e6d8444b8f0b9c"),
+    (enumerate_connected, 2, 3,
+     "sha256:32540cbb68595ead44a9bc7f1f0d6c53f29ed23fc69f8fe4dc52a7ffa0fbd9a6"),
+    (enumerate_all, 2, 2,
+     "sha256:9ae840181cd2137b00ca28ab3a208aa8eb78ccab6a05f55d944c8bfd9c7d614b"),
+    (enumerate_all, 3, 3,
+     "sha256:1d0099a3b1566fbdd4458463ef8c8971563156c596d69267c5165d3b9fb91661"),
+])
+def test_relations_file_bytes_are_pinned(enumerate_fn, m, n, digest):
+    ds = enumerate_fn(m, n)
+    assert content_digest(relations_to_text(ds, generate_relations(ds))) == digest
+
+
+def test_writer_rejects_rows_it_did_not_generate():
+    ds = enumerate_connected(2, 3)
+    rows = generate_relations(ds)
+    for wrong in (rows[:-1], rows + [Relation(())], []):
+        with pytest.raises(ChordBasisError):
+            relations_to_text(ds, wrong)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("family=interior-B", "family=interior-A"),
+    (" digest=sha256:", " digest=sha256:0"),
+])
+def test_reader_rejects_edited_provenance_or_digest(old, new):
+    ds = enumerate_connected(2, 3)
+    text = relations_to_text(ds, generate_relations(ds))
+    lines = text.split("\n")
+    i = next(i for i, line in enumerate(lines) if old in line)
+    lines[i] = lines[i].replace(old, new, 1)
+    with pytest.raises(DiagramError):
+        relations_from_text("\n".join(lines), ds)

@@ -1,6 +1,8 @@
 """The full-dimension and polynomial checks fail when the numbers they
-guard regress, and ``chordbasis verify`` reports the published errata."""
+guard regress, ``chordbasis verify`` reports the published errata, and
+the checks run under the invocation's budget."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,3 +100,15 @@ def test_polynomials_fail_when_an_inherited_erratum_vanishes(monkeypatch):
     assert not result.passed
     assert ("poly-A[n=3,m=4]: agrees with the formula at a published erratum"
             in result.detail)
+
+
+def test_order5_check_honours_a_passed_budget():
+    with pytest.raises(BudgetExceededError):
+        V.check_order5_connected(live=True, budget=Budget(max_candidates=10))
+
+
+def test_verify_full_stops_promptly_on_the_invocation_time_budget(tmp_path):
+    start = time.monotonic()
+    assert main(["--cache", str(tmp_path / "cache"), "--time-budget", "3",
+                 "verify", "--profile", "full"]) == 3
+    assert time.monotonic() - start < 15
