@@ -429,7 +429,6 @@ def format_dimension_table(table: DimensionTable, csv: bool = False) -> str:
 
 def basis_to_text(b: BasisResult) -> str:
     ds = b.diagram_set
-    ds_digest = content_digest("".join(str(d) + "\n" for d in ds.diagrams))
     body_lines = [str(d) for d in b.basis]
     body_lines.append("pivot-expressions")
     for i in b.pivots:
@@ -443,6 +442,6 @@ def basis_to_text(b: BasisResult) -> str:
     body = "".join(line + "\n" for line in body_lines)
     header = (
         f"basis m={ds.m} n={ds.n} dim={b.dimension} count={len(ds)} "
-        f"diagrams-digest={ds_digest} digest={content_digest(body)}"
+        f"diagrams-digest={ds.digest} digest={content_digest(body)}"
     )
     return header + "\n" + body

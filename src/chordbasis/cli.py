@@ -182,7 +182,7 @@ def cmd_table(args, settings: Settings) -> int:
 
 def cmd_verify(args, settings: Settings) -> int:
     # Materialize the artifact files for the profile scope first; the
-    # determinism acceptance run compares these across thread counts.
+    # determinism acceptance run compares these across processes.
     cache = settings.cache()
     n_scope = 3 if args.profile == "fast" else 4
     for n in range(1, n_scope + 1):
@@ -207,7 +207,7 @@ def cmd_verify(args, settings: Settings) -> int:
 def cmd_orbits(args, settings: Settings) -> int:
     def compute() -> str:
         b = connected_basis(args.m, args.n, budget=settings.budget)
-        return orbit_report_to_text(orbit_report(b))
+        return orbit_report_to_text(orbit_report(b, budget=settings.budget))
 
     text = _cached_text(settings, orbits_name(args.m, args.n), compute)
     _emit(text, args.out)
@@ -227,16 +227,16 @@ def cmd_equivariant(args, settings: Settings) -> int:
         b = connected_basis(args.m, args.n, budget=settings.budget)
         finished = True
         if args.m == 2:
-            vectors, rounds = equivariantize_m2(b)
+            vectors, rounds = equivariantize_m2(b, settings.budget)
         elif (args.m, args.n) == (3, 3):
             vectors = [vector_of(d) for d in graph_form_basis(b)]
             rounds = [0]
         else:
-            vectors, finished, rounds = equivariantize_greedy(b)
+            vectors, finished, rounds = equivariantize_greedy(b, settings.budget)
         # An unfinished greedy run is a reported outcome, not an error: its
         # vectors need only form a basis, and rounds= ends in the count left.
-        check = verify_equivariant if finished else is_basis
-        if not check(vectors, b):
+        if not (verify_equivariant(vectors, b, settings.budget) if finished
+                else is_basis(vectors, b)):
             raise ChordBasisError(
                 "produced vectors failed the equivariance verification"
             )
@@ -271,7 +271,10 @@ def cmd_express(args, settings: Settings) -> int:
 def cmd_render(args, settings: Settings) -> int:
     texts: list[str]
     if args.basis_file:
-        lines = _read_user_text(args.basis_file).splitlines()
+        text = _read_user_text(args.basis_file)
+        if text.split(maxsplit=1)[:1] != ["basis"] or not artifact_intact(text):
+            raise DiagramError(f"{args.basis_file} is not an intact basis file")
+        lines = text.splitlines()
         texts = []
         for line in lines[1:]:
             if line == "pivot-expressions":

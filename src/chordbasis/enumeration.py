@@ -11,6 +11,7 @@ as :func:`enumerate_all_naive` for cross-checking).
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
@@ -66,13 +67,21 @@ class DiagramSet:
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
 
+    @cached_property
+    def digest(self) -> str:
+        """The ``digest=`` of the diagram-set file, which the relations and
+        basis files cite as ``diagrams-digest=``."""
+        return content_digest(self._body())
+
+    def _body(self) -> str:
+        return "".join(str(d) + "\n" for d in self.diagrams)
+
     def to_text(self) -> str:
-        body = "".join(str(d) + "\n" for d in self.diagrams)
         header = (
             f"m={self.m} n={self.n} connected={int(self.connected_only)} "
-            f"count={len(self.diagrams)} digest={content_digest(body)}"
+            f"count={len(self.diagrams)} digest={self.digest}"
         )
-        return header + "\n" + body
+        return header + "\n" + self._body()
 
     @classmethod
     def from_text(cls, text: str) -> "DiagramSet":

@@ -4,9 +4,9 @@ Rows stay integer end to end: ``assemble`` stores the integer relation
 coefficients as given, the sparse eliminator combines rows by integer
 cross-multiplication and divides each result by its gcd, and rationals
 appear only when the final RREF is normalized.  Every production solve
-(rank, RREF, ``solve_columns``) runs this eliminator.  A naive dense
-Fraction eliminator and a modular rank are independent oracles only; the
-RREF of a row space is unique, so all routes must agree exactly.
+(rank and RREF) runs this eliminator.  A naive dense Fraction eliminator
+and a modular rank are independent oracles only; the RREF of a row space
+is unique, so all routes must agree exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .budget import Budget, ensure_budget
 from .errors import ChordBasisError
@@ -277,24 +277,3 @@ def random_prime(bits: int, rng: random.Random) -> int:
         if _is_probable_prime(cand):
             return cand
 
-
-def solve_columns(columns: Sequence[dict[int, Fraction]],
-                  target: dict[int, Fraction], dim: int) -> list[Fraction]:
-    """Solve sum_j x_j * columns[j] = target for x; the columns must be
-    linearly independent and the target must lie in their span."""
-    k = len(columns)
-    rows = []
-    for i in range(dim):
-        row = [col.get(i, Fraction(0)) for col in columns]
-        row.append(target.get(i, Fraction(0)))
-        rows.append(tuple((c, v) for c, v in enumerate(row) if v != 0))
-    result = rref(ExactMatrix(tuple(rows), k + 1))
-    if k in result.pivots:
-        raise ChordBasisError("target vector is outside the span of the columns")
-    if result.rank != k:
-        raise ChordBasisError("columns are linearly dependent")
-    solution = [Fraction(0)] * k
-    for pcol, row in zip(result.pivots, result.matrix.rows):
-        entries = dict(row)
-        solution[pcol] = entries.get(k, Fraction(0))
-    return solution

@@ -174,11 +174,10 @@ def relations_to_text(ds: DiagramSet, rows: list[Relation]) -> str:
                               f"(m={ds.m}, n={ds.n}) diagram set yields another count")
     body = "".join(body_lines)
     nonzero = sum(1 for r in rows if not r.is_zero())
-    ds_digest = content_digest("".join(str(d) + "\n" for d in ds.diagrams))
     header = (
         f"relations m={ds.m} n={ds.n} connected={int(ds.connected_only)} "
         f"rows={len(rows)} nonzero={nonzero} count={len(ds)} "
-        f"diagrams-digest={ds_digest} digest={content_digest(body)}"
+        f"diagrams-digest={ds.digest} digest={content_digest(body)}"
     )
     return header + "\n" + body
 

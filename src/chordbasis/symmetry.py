@@ -26,6 +26,7 @@ but a failure to finish is a reported outcome, not an error.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .basis import BasisResult, express
+from .budget import Budget, ensure_budget
 from .diagrams import (
     ChordDiagram,
     StringRep,
@@ -41,7 +43,7 @@ from .diagrams import (
     permute_circles,
 )
 from .errors import ChordBasisError, DiagramError
-from .exactla import ExactMatrix, pivot_columns, solve_columns
+from .exactla import ExactMatrix, pivot_columns, rref
 from .util import content_digest
 
 Coords = tuple[tuple[int, Fraction], ...]  # sparse, index-sorted, no zeros
@@ -109,24 +111,103 @@ def class_coords(v: GeneralizedBasisVector, b: BasisResult) -> Coords:
 
 def is_basis(vectors: Sequence[GeneralizedBasisVector], b: BasisResult) -> bool:
     """True iff the classes of the vectors form a basis of ``b``'s space."""
-    if len(vectors) != len(b.basis):
-        return False
-    coords = tuple(class_coords(v, b) for v in vectors)
-    return len(pivot_columns(ExactMatrix(coords, len(b.basis)))) == len(vectors)
+    return _Frame(vectors, b).is_basis()
 
 
-def _incomplete(vectors: Sequence[GeneralizedBasisVector], b: BasisResult,
-                perms: Sequence[Sequence[int]]
-                ) -> Iterator[tuple[int, GeneralizedBasisVector]]:
-    """Each vector some translate of which leaves the vectors' classes, as
-    (index, first such translate under ``perms``), in vector order."""
-    known = {class_coords(v, b) for v in vectors}
-    for i, v in enumerate(vectors):
-        for sigma in perms:
-            image = apply_permutation(v, sigma)
-            if class_coords(image, b) not in known:
-                yield i, image
-                break
+class _Frame:
+    """A list of vectors with their class coordinates, the memoized class of
+    each translate, and the inverse of the coordinate matrix, which answers
+    coefficient questions and takes a rank-one update per replaced vector."""
+
+    def __init__(self, vectors: Sequence[GeneralizedBasisVector], b: BasisResult,
+                 budget: Budget | None = None):
+        self.b = b
+        self.budget = ensure_budget(budget)
+        self.vectors = list(vectors)
+        self.coords = [class_coords(v, b) for v in self.vectors]
+        # per vector: relabelling -> (translate, its class coordinates)
+        self._translates: list[dict] = [{} for _ in self.vectors]
+        # row k: the coefficients of the k-th basis class over the vectors;
+        # rows are replaced, never changed in place
+        self._inverse: list[dict[int, Fraction]] | None = None
+
+    def copy(self) -> "_Frame":
+        # The translate memos are shared: ``replace`` gives the replaced
+        # vector a fresh memo, so a shared entry stays valid for both.
+        other = copy.copy(self)
+        other.vectors, other.coords = self.vectors[:], self.coords[:]
+        other._translates, other._inverse = self._translates[:], copy.copy(self._inverse)
+        return other
+
+    def is_basis(self) -> bool:
+        dim = len(self.b.basis)
+        return len(self.coords) == dim and len(
+            pivot_columns(ExactMatrix(tuple(self.coords), dim), self.budget)) == dim
+
+    def translate(self, i: int, sigma: tuple[int, ...]
+                  ) -> tuple[GeneralizedBasisVector, Coords]:
+        """The image of vector ``i`` under ``sigma``, with its class coordinates."""
+        memo = self._translates[i]
+        if sigma not in memo:
+            self.budget.check_time()
+            image = apply_permutation(self.vectors[i], sigma)
+            memo[sigma] = (image, class_coords(image, self.b))
+        return memo[sigma]
+
+    def incomplete(self, perms: Sequence[tuple[int, ...]]
+                   ) -> Iterator[tuple[int, GeneralizedBasisVector, Coords]]:
+        """Each vector some translate of which leaves the vectors' classes, as
+        (index, first such translate under ``perms``, its coordinates), in
+        vector order."""
+        known = set(self.coords)
+        for i in range(len(self.vectors)):
+            for sigma in perms:
+                image, c = self.translate(i, sigma)
+                if c not in known:
+                    yield i, image, c
+                    break
+
+    def solve(self, coords: Coords) -> list[Fraction]:
+        """The coefficients of the class ``coords`` over the vectors."""
+        if self._inverse is None:
+            self._inverse = self._invert()
+        x = [Fraction(0)] * len(self.vectors)
+        for k, ck in coords:
+            for j, r in self._inverse[k].items():
+                x[j] += ck * r
+        return x
+
+    def _invert(self) -> list[dict[int, Fraction]]:
+        n = len(self.b.basis)
+        if self.coords == [((k, 1),) for k in range(n)]:
+            return [{k: Fraction(1)} for k in range(n)]
+        # [M | I] reduces to [I | M^-1] exactly when M is square and invertible
+        mat = ExactMatrix(tuple(c + ((n + k, 1),) for k, c in enumerate(self.coords)),
+                          n + len(self.coords))
+        result = rref(mat, self.budget)
+        if result.pivots != tuple(range(n)):
+            raise ChordBasisError("the vectors are not a basis of the space")
+        return [{c - n: v for c, v in row if c >= n} for row in result.matrix.rows]
+
+    def replace(self, i: int, v: GeneralizedBasisVector) -> bool:
+        """Put ``v`` in place of vector ``i`` if the vectors stay a basis, that
+        is if ``v`` has a nonzero coefficient on vector ``i``; otherwise leave
+        the frame untouched.  Returns whether ``v`` was put in."""
+        self.budget.check_time()
+        c = class_coords(v, self.b)
+        x = self.solve(c)
+        if not x[i]:
+            return False
+        # The new coordinate matrix is E M, with E the identity whose row i
+        # is x.  Its inverse M^-1 E^-1 differs from M^-1 only in the rows k
+        # with an entry a in column i, by -a * (x - e_i) / x_i.
+        step = {j: (xj - (j == i)) / x[i] for j, xj in enumerate(x) if xj}
+        for k, row in enumerate(self._inverse):
+            if a := row.get(i):
+                self._inverse[k] = {j: w for j in row.keys() | step.keys()
+                                    if (w := row.get(j, 0) - a * step.get(j, 0))}
+        self.vectors[i], self.coords[i], self._translates[i] = v, c, {}
+        return True
 
 
 def _moving_perms(m: int) -> list[tuple[int, ...]]:
@@ -167,91 +248,53 @@ class OrbitReport:
         return sorted((o.size for o in self.orbits), reverse=True)
 
 
-def _orbit_partition(vectors: Sequence[GeneralizedBasisVector],
-                     b: BasisResult) -> tuple[list[Coords], list[dict]]:
-    """Group the given basis vectors into class-level orbits.
-
-    Returns the class coordinates of every vector, and one record per
-    orbit: its member classes (coords -> best representative vector), and
-    which basis vectors (by index into ``vectors``) it contains.
-    """
-    perms = list(itertools.permutations(range(b.diagram_set.m)))
-    coords_of = [class_coords(v, b) for v in vectors]
-    coord_to_vec = {c: i for i, c in enumerate(coords_of)}
-    if len(coord_to_vec) != len(vectors):
-        raise ChordBasisError("the supplied vectors are not pairwise distinct classes")
-    seen: set[int] = set()
-    orbits: list[dict] = []
-    for i, v in enumerate(vectors):
-        if i in seen:
-            continue
-        classes: dict[Coords, GeneralizedBasisVector] = {}
-        for sigma in perms:
-            image = apply_permutation(v, sigma)
-            c = class_coords(image, b)
-            if c not in classes or str(image) < str(classes[c]):
-                classes[c] = image
-        inside: list[int] = []
-        for c in classes:
-            j = coord_to_vec.get(c)
-            if j is not None:
-                inside.append(j)
-                seen.add(j)
-                classes[c] = vectors[j]
-        orbits.append({"classes": classes, "basis_indices": sorted(inside)})
-    return coords_of, orbits
-
-
 def orbit_report(b: BasisResult,
-                 vectors: Sequence[GeneralizedBasisVector] | None = None) -> OrbitReport:
+                 vectors: Sequence[GeneralizedBasisVector] | None = None,
+                 budget: Budget | None = None) -> OrbitReport:
     """Decompose a basis (by default ``b.basis``) into group orbits and
     classify every incomplete orbit by the expansion dichotomy."""
     if vectors is None:
         vectors = [vector_of(d) for d in b.basis]
-    coords_of, records = _orbit_partition(vectors, b)
-    columns = [dict(c) for c in coords_of]
-    known = set(coords_of)
-    # orbit index of every basis vector, for the type II test
-    orbit_of_vec: dict[int, int] = {}
-    for oi, rec in enumerate(records):
-        for j in rec["basis_indices"]:
-            orbit_of_vec[j] = oi
-    incomplete = {
-        oi for oi, rec in enumerate(records)
-        if len(rec["basis_indices"]) != len(rec["classes"])
-    }
+    frame = _Frame(vectors, b, budget)
+    index = {c: j for j, c in enumerate(frame.coords)}
+    if len(index) != len(vectors):
+        raise ChordBasisError("the supplied vectors are not pairwise distinct classes")
+    perms = list(itertools.permutations(range(b.diagram_set.m)))
+    partition = []  # per orbit: (class coords -> representative, vector indices)
+    orbit_of: dict[int, int] = {}
+    for i in range(len(vectors)):
+        if i in orbit_of:
+            continue
+        classes: dict[Coords, GeneralizedBasisVector] = {}
+        for sigma in perms:
+            image, c = frame.translate(i, sigma)
+            if c not in classes or str(image) < str(classes[c]):
+                classes[c] = image
+        inside = sorted(index[c] for c in classes if c in index)
+        for j in inside:
+            orbit_of[j] = len(partition)
+            classes[frame.coords[j]] = frame.vectors[j]
+        partition.append((classes, inside))
+    incomplete = {oi for oi, (classes, inside) in enumerate(partition)
+                  if len(inside) != len(classes)}
     orbits = []
-    for oi, rec in enumerate(records):
-        classes = rec["classes"]
+    for oi, (classes, inside) in enumerate(partition):
         types: set[str] = set()
-        if oi in incomplete:
-            own = set(rec["basis_indices"])
-            for c in classes:
-                if c in known:
-                    continue
-                touched_i = False
-                touched_ii = False
-                coeffs = solve_columns(columns, dict(c), len(b.basis))
-                for j, coef in enumerate(coeffs):
-                    if not coef:
-                        continue
-                    if j in own:
-                        touched_i = True
-                    elif orbit_of_vec[j] in incomplete:
-                        touched_ii = True
-                if touched_i:
-                    types.add("I")
-                if touched_ii:
-                    types.add("II")
-                if not touched_i and not touched_ii:
-                    raise ChordBasisError(
-                        "expansion dichotomy violated: a non-basis translate "
-                        "expands over complete orbits only"
-                    )
-        members = tuple(classes[c] for c in sorted(classes))
+        for c in classes.keys() - index.keys():
+            # type I: a coefficient inside this orbit; type II: one in
+            # another incomplete orbit
+            found = {"I" if orbit_of[j] == oi else "II"
+                     for j, coef in enumerate(frame.solve(c))
+                     if coef and orbit_of[j] in incomplete}
+            if not found:
+                raise ChordBasisError(
+                    "expansion dichotomy violated: a non-basis translate "
+                    "expands over complete orbits only"
+                )
+            types |= found
         orbits.append(Orbit(
-            members=members,
-            basis_members=tuple(vectors[j] for j in rec["basis_indices"]),
+            members=tuple(classes[c] for c in sorted(classes)),
+            basis_members=tuple(frame.vectors[j] for j in inside),
             complete=oi not in incomplete,
             types=frozenset(types),
         ))
@@ -259,14 +302,16 @@ def orbit_report(b: BasisResult,
 
 
 def verify_equivariant(vectors: Sequence[GeneralizedBasisVector],
-                       b: BasisResult) -> bool:
+                       b: BasisResult, budget: Budget | None = None) -> bool:
     """True iff the vectors form a basis of the connected space that is
     closed (classwise) under every circle relabelling."""
+    frame = _Frame(vectors, b, budget)
     perms = _moving_perms(b.diagram_set.m)
-    return is_basis(vectors, b) and next(_incomplete(vectors, b, perms), None) is None
+    return frame.is_basis() and next(frame.incomplete(perms), None) is None
 
 
-def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], list[int]]:
+def equivariantize_m2(b: BasisResult, budget: Budget | None = None
+                      ) -> tuple[list[GeneralizedBasisVector], list[int]]:
     """Repair a two-circle connected basis into an equivariant one.
 
     Returns the new basis vectors and the incomplete-orbit count after each
@@ -275,66 +320,54 @@ def equivariantize_m2(b: BasisResult) -> tuple[list[GeneralizedBasisVector], lis
     if b.diagram_set.m != 2:
         raise ChordBasisError("the repair algorithm is specific to two circles")
     swap = (1, 0)
-    vectors: list[GeneralizedBasisVector] = [vector_of(d) for d in b.basis]
-    bad = list(_incomplete(vectors, b, [swap]))
+    frame = _Frame([vector_of(d) for d in b.basis], b, budget)
+    bad = list(frame.incomplete([swap]))
     history = [len(bad)]
     while bad:
-        coords_of = [class_coords(v, b) for v in vectors]
-        columns = [dict(c) for c in coords_of]
-        bad_indices = {i for i, _ in bad}
-        applied = False
-        for i, image in bad:
-            coeffs = solve_columns(columns, dict(class_coords(image, b)),
-                                   len(b.basis))
+        bad_indices = {i for i, _, _ in bad}
+        # Both repairs below keep a basis, so ``replace`` accepts them.
+        for i, image, c in bad:
+            coeffs = frame.solve(c)
             # Type I repair (replace b by the fixed point b + sigma(b)) keeps
             # a basis only while the b-coefficient of sigma(b) is not -1:
             # b + sigma(b) = (1 + c_b) b + ... loses its b-component there.
-            if coeffs[i] and coeffs[i] != Fraction(-1):
-                vectors[i] = vector_sum(vectors[i], image)
-                applied = True
+            if coeffs[i] and coeffs[i] != -1:
+                frame.replace(i, vector_sum(frame.vectors[i], image))
                 break
-            witness = None
-            for j, coef in enumerate(coeffs):
-                if coef and j != i and j in bad_indices:
-                    witness = j
-                    break
+            witness = next((j for j, coef in enumerate(coeffs)
+                            if coef and j != i and j in bad_indices), None)
             if witness is not None:
                 # type II: the witness in another incomplete orbit is
                 # replaced by the translate itself
-                vectors[witness] = image
-                applied = True
+                frame.replace(witness, image)
                 break
-        if not applied:
+        else:
             # Every incomplete orbit is stuck: sigma(b) = -b + (vectors in
             # complete orbits only).  Then b - sigma(b) is negated by the
             # action, and pairing it with a fixed basis vector x as
             # x +- (b - sigma(b)) gives a swapped pair spanning {x, b}
             # modulo the rest; the stuck orbit disappears.
-            i, image = bad[0]
-            anti = vector_difference(vectors[i], image)
-            fixed_idx = None
-            for j, v in enumerate(vectors):
-                if j in bad_indices:
-                    continue
-                if class_coords(apply_permutation(v, swap), b) == coords_of[j]:
-                    fixed_idx = j
-                    break
-            if fixed_idx is None:
+            i, image, _ = bad[0]
+            anti = vector_difference(frame.vectors[i], image)
+            fixed = next((j for j in range(len(frame.vectors)) if j not in bad_indices
+                          and frame.translate(j, swap)[1] == frame.coords[j]), None)
+            if fixed is None:
                 raise ChordBasisError(
                     "stuck incomplete orbit and no fixed basis vector to "
                     "pair it with"
                 )
-            x = vectors[fixed_idx]
-            vectors[i] = vector_sum(x, anti)
-            vectors[fixed_idx] = vector_difference(x, anti)
-        bad = list(_incomplete(vectors, b, [swap]))
+            x = frame.vectors[fixed]
+            if not (frame.replace(i, vector_sum(x, anti))
+                    and frame.replace(fixed, vector_difference(x, anti))):
+                raise ChordBasisError("the stuck-orbit move did not keep a basis")
+        bad = list(frame.incomplete([swap]))
         if len(bad) >= history[-1]:
             raise ChordBasisError("repair failed to reduce the incomplete count")
         history.append(len(bad))
-    return vectors, history
+    return frame.vectors, history
 
 
-def equivariantize_greedy(b: BasisResult
+def equivariantize_greedy(b: BasisResult, budget: Budget | None = None
                           ) -> tuple[list[GeneralizedBasisVector], bool, list[int]]:
     """Best-effort repair for any circle count.
 
@@ -343,44 +376,27 @@ def equivariantize_greedy(b: BasisResult
     (vectors, finished, per-round counts); the vectors are a basis either way.
     """
     perms = _moving_perms(b.diagram_set.m)
-    vectors: list[GeneralizedBasisVector] = [vector_of(d) for d in b.basis]
+    frame = _Frame([vector_of(d) for d in b.basis], b, budget)
     history: list[int] = []
-
-    def improves(cand: list[GeneralizedBasisVector]) -> bool:
-        """``cand`` is a basis with fewer incomplete vectors than now."""
-        if not is_basis(cand, b):
-            return False
-        fewer = itertools.islice(_incomplete(cand, b, perms), history[-1])
-        return sum(1 for _ in fewer) < history[-1]
-
     for _ in range(GREEDY_MAX_ROUNDS):
-        bad = list(_incomplete(vectors, b, perms))
+        bad = list(frame.incomplete(perms))
         history.append(len(bad))
         if not bad:
-            return vectors, True, history
-        i, image = bad[0]
-        # try the fixed-point move first, then swapping the image in for
-        # some other vector still in an incomplete orbit
-        summed = vectors[:]
-        summed[i] = vector_sum(vectors[i], image)
-        if improves(summed):
-            vectors = summed
-            continue
-        columns = [dict(class_coords(v, b)) for v in vectors]
-        coeffs = solve_columns(columns, dict(class_coords(image, b)), len(b.basis))
-        done = False
-        for j, coef in enumerate(coeffs):
-            if not coef or j == i:
-                continue
-            cand = vectors[:]
-            cand[j] = image
-            if improves(cand):
-                vectors = cand
-                done = True
+            return frame.vectors, True, history
+        i, image, c = bad[0]
+        # the fixed-point move, then the image in place of each other vector
+        # it has a coefficient on; the first to keep a basis and shrink wins
+        moves = [(i, vector_sum(frame.vectors[i], image))]
+        moves += [(j, image) for j, coef in enumerate(frame.solve(c)) if coef and j != i]
+        for j, v in moves:
+            trial = frame.copy()
+            if trial.replace(j, v) and sum(
+                    1 for _ in itertools.islice(trial.incomplete(perms), len(bad))) < len(bad):
+                frame = trial
                 break
-        if not done:
-            return vectors, False, history
-    return vectors, False, history
+        else:
+            return frame.vectors, False, history
+    return frame.vectors, False, history
 
 
 @dataclass(frozen=True)

@@ -327,7 +327,7 @@ def check_equivariantization(n_max: int = 4, budget: Budget | None = None) -> Ch
     failures = []
     for n in range(1, n_max + 1):
         b = connected_basis(2, n, budget=budget)
-        vectors, history = equivariantize_m2(b)
+        vectors, history = equivariantize_m2(b, budget)
         if len(vectors) != REFERENCE_C_DIMS[(2, n)]:
             failures.append(f"n={n}: {len(vectors)} vectors, expected "
                             f"{REFERENCE_C_DIMS[(2, n)]}")
@@ -335,7 +335,7 @@ def check_equivariantization(n_max: int = 4, budget: Budget | None = None) -> Ch
             failures.append(f"n={n}: incomplete counts {history} not strictly decreasing")
         if history[-1] != 0:
             failures.append(f"n={n}: repair left {history[-1]} incomplete orbits")
-        if not verify_equivariant(vectors, b):
+        if not verify_equivariant(vectors, b, budget):
             failures.append(f"n={n}: output failed the equivariance verification")
     return _result("equivariantize-two-circles", start, failures,
                    f"repaired n=1..{n_max}")
@@ -349,9 +349,9 @@ def check_orbit_structure_33(budget: Budget | None = None) -> CheckResult:
     b = connected_basis(3, 3, budget=budget)
     reps = graph_form_basis(b)
     vectors = [vector_of(d) for d in reps]
-    if not verify_equivariant(vectors, b):
+    if not verify_equivariant(vectors, b, budget):
         failures.append("per-graph basis failed the equivariance verification")
-    report = orbit_report(b, vectors)
+    report = orbit_report(b, vectors, budget)
     sizes = report.orbit_sizes()
     if sizes != [6, 6, 3, 1]:
         failures.append(f"orbit sizes {sizes} != [6, 6, 3, 1]")

@@ -187,7 +187,7 @@ def test_unfinished_greedy_run_emits_its_partial_basis(tmp_path, capsys):
 def test_failed_equivariance_verification_exits_1(tmp_path, capsys, monkeypatch,
                                                   check, m, n):
     # the full check for a finished repair, the basis check for a partial one
-    monkeypatch.setattr(f"chordbasis.cli.{check}", lambda vectors, b: False)
+    monkeypatch.setattr(f"chordbasis.cli.{check}", lambda vectors, b, budget=None: False)
     cache = tmp_path / "cache"
     assert run(tmp_path, "equivariant", m, n, cache=cache) == 1
     err = capsys.readouterr().err
@@ -288,13 +288,31 @@ def _regular_file(tmp_path):
     return str(path)
 
 
+def _written_file(tmp_path, *argv):
+    path = tmp_path / "written.txt"
+    assert main(["--cache", str(tmp_path / "cache"), *argv, "--out", str(path)]) == 0
+    return path
+
+
+def _edited_basis_file(tmp_path):
+    # the body no longer matches the header's digest=
+    path = _written_file(tmp_path, "basis", "2", "2")
+    lines = path.read_text().split("\n")
+    lines[1] = "0011|"
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     lambda p: ["--config", str(p), "tree-basis", "1"],
     lambda p: ["render", "--basis-file", str(p)],
     lambda p: ["--cache", _regular_file(p), "basis", "1", "2"],
     lambda p: ["--config", _undecodable(p), "tree-basis", "1"],
     lambda p: ["render", "--basis-file", _undecodable(p)],
-], ids=["config-dir", "basis-file-dir", "cache-file", "config-bytes", "basis-file-bytes"])
+    lambda p: ["render", "--basis-file", _edited_basis_file(p)],
+    lambda p: ["render", "--basis-file", str(_written_file(p, "enumerate", "2", "2"))],
+], ids=["config-dir", "basis-file-dir", "cache-file", "config-bytes", "basis-file-bytes",
+        "basis-file-edited", "basis-file-diagram-set"])
 def test_unusable_user_named_file_is_a_usage_error(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

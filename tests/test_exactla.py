@@ -16,7 +16,6 @@ from chordbasis.exactla import (
     random_prime,
     rref,
     rref_dense,
-    solve_columns,
 )
 from chordbasis.relations import generate_relations
 
@@ -176,19 +175,6 @@ def test_pivot_columns_match_full_rref():
 def test_random_prime_is_large_and_odd():
     p = random_prime(62, random.Random(1))
     assert p % 2 == 1 and p.bit_length() == 62
-
-
-def test_solve_columns_roundtrip():
-    cols = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
-    target = {0: Fraction(3), 1: Fraction(7)}
-    x = solve_columns(cols, target, 2)
-    assert x == [Fraction(3), Fraction(1)]
-
-
-def test_solve_columns_rejects_outside_span():
-    cols = [{0: Fraction(1)}]
-    with pytest.raises(ChordBasisError):
-        solve_columns(cols, {1: Fraction(1)}, 2)
 
 
 def test_budget_cells_error():

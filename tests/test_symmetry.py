@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from chordbasis.basis import REFERENCE_C_DIMS, connected_basis, express
+from chordbasis.budget import Budget
 from chordbasis.diagrams import StringRep, canonicalize, diagram
-from chordbasis.errors import ChordBasisError, DiagramError
-from chordbasis.exactla import solve_columns
+from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
+from chordbasis.exactla import ExactMatrix, rref_dense
 from chordbasis.symmetry import (
     GeneralizedBasisVector,
     LabeledTree,
+    _Frame,
     all_labeled_trees,
     apply_permutation,
     class_coords,
@@ -26,8 +28,10 @@ from chordbasis.symmetry import (
     tree_reduce,
     underlying_multigraph,
     vector_of,
+    vector_sum,
     verify_equivariant,
 )
+from chordbasis.util import content_digest
 
 
 # -- orbit reports ------------------------------------------------------
@@ -203,8 +207,6 @@ def test_production_solves_never_run_the_dense_oracle(monkeypatch):
     vectors, _ = equivariantize_m2(b)
     assert verify_equivariant(vectors, b)
     assert len(equivariantize_greedy(connected_basis(3, 3))[0]) == 16
-    cols = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
-    assert solve_columns(cols, {0: Fraction(3), 1: Fraction(7)}, 2) == [3, 1]
 
 
 def test_equivariantize_greedy_contract():
@@ -264,3 +266,116 @@ def test_orbit_dichotomy_holds_on_larger_bases(m, n):
     assert report.incomplete_count >= 1
     for o in report.orbits:
         assert o.complete or o.types
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, budget: orbit_report(b, budget=budget),
+    lambda b, budget: equivariantize_m2(b, budget),
+    lambda b, budget: equivariantize_greedy(b, budget),
+    lambda b, budget: verify_equivariant([vector_of(d) for d in b.basis], b, budget),
+], ids=["orbit_report", "equivariantize_m2", "equivariantize_greedy",
+        "verify_equivariant"])
+def test_symmetry_stops_on_the_time_budget(call):
+    b = connected_basis(2, 3)  # built before the budget runs out
+    with pytest.raises(BudgetExceededError):
+        call(b, Budget(time_budget=1e-9))
+
+
+# -- the vector-list frame against the dense oracle ---------------------
+
+def _scaled(v, k):
+    return GeneralizedBasisVector(tuple((d, c * k) for d, c in v.terms))
+
+
+def _dense_rank(coords, dim):
+    return rref_dense(ExactMatrix(tuple(coords), dim)).rank
+
+
+def _dense_solve(coords, target, dim):
+    """x with sum_j x_j * coords[j] = target, from the RREF of [M^T | target]."""
+    columns = [dict(c) for c in coords] + [dict(target)]
+    rows = tuple(tuple((j, col[k]) for j, col in enumerate(columns) if k in col)
+                 for k in range(dim))
+    result = rref_dense(ExactMatrix(rows, dim + 1))
+    assert result.pivots == tuple(range(dim))
+    return [dict(row).get(dim, Fraction(0)) for row in result.matrix.rows]
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("start", ["basis-diagrams", "triangular"])
+def test_frame_matches_the_dense_oracle(m, n, start):
+    rng = random.Random(f"{m}-{n}-{start}")
+    b = connected_basis(m, n)
+    dim = len(b.basis)
+    diagrams = b.diagram_set.diagrams
+    vectors = [vector_of(d) for d in b.basis]
+    if start == "triangular":
+        # still a basis, but its coordinate matrix is not the identity
+        vectors = [vector_sum(v, _scaled(w, rng.choice([-2, 1, 3])))
+                   for v, w in zip(vectors, vectors[1:])] + vectors[-1:]
+
+    def random_vector():
+        terms = [_scaled(vector_of(rng.choice(diagrams)), rng.choice([-3, -1, 1, 2]))
+                 for _ in range(rng.randint(1, 3))]
+        v = terms[0]
+        for t in terms[1:]:
+            v = vector_sum(v, t)
+        return v
+
+    frame = _Frame(vectors, b)
+    assert _dense_rank(frame.coords, dim) == dim
+    outcomes = set()
+    for _ in range(30):
+        i = rng.randrange(dim)
+        if rng.random() < 0.3:
+            # a combination of two other vectors: the rank must drop
+            j, k = rng.sample([x for x in range(dim) if x != i], 2)
+            v = vector_sum(_scaled(frame.vectors[j], 2), _scaled(frame.vectors[k], -1))
+        else:
+            v = random_vector()
+        new_coords = frame.coords[:i] + [class_coords(v, b)] + frame.coords[i + 1:]
+        keeps = _dense_rank(new_coords, dim) == dim
+        probe = class_coords(random_vector(), b)
+        before = (list(frame.vectors), list(frame.coords), frame.solve(probe))
+        assert frame.replace(i, v) is keeps
+        outcomes.add(keeps)
+        if not keeps:
+            assert (frame.vectors, frame.coords, frame.solve(probe)) == before
+        for _ in range(3):
+            c = class_coords(random_vector(), b)
+            assert frame.solve(c) == _dense_solve(frame.coords, c, dim)
+    assert outcomes == {True, False}
+
+
+# -- pinned artifact bytes ----------------------------------------------
+
+def _orbits_text(m, n):
+    return orbit_report_to_text(orbit_report(connected_basis(m, n)))
+
+
+def _m2_text(n):
+    vectors, rounds = equivariantize_m2(connected_basis(2, n))
+    return equivariant_to_text(vectors, 2, n, rounds)
+
+
+def _greedy_text(m, n):
+    vectors, finished, rounds = equivariantize_greedy(connected_basis(m, n))
+    return equivariant_to_text(vectors, m, n, rounds)
+
+
+@pytest.mark.parametrize("make, args, digest", [
+    (_orbits_text, (2, 3), "1e63884957c665251bf7e5fc7e75db1f52faf5b77a8825aa1aee3a0c01a8ddd4"),
+    (_orbits_text, (3, 3), "00af4f0f43842af243c71a4094b7c9fb848c8d12f44376add665dde210a2dacb"),
+    (_orbits_text, (2, 4), "fa97257fd5a5294c29bbadc1c0d2f66befbf283ea4a14690d312a49c8842f2b2"),
+    (_orbits_text, (3, 4), "ca5e9b571feeffda58fa1513a8ad1a7d6a64d3320281c21b16da9484dd2bd07f"),
+    (_orbits_text, (3, 5), "f82a61b5f0def6b565d9042b5dcc0bd5232b7f77444eb6fd42c6e15420daab85"),
+    # rounds 1,0
+    (_m2_text, (3,), "9b219e3e3aaebdae44ca9f053b272e2e1654230a79cdd92aabd7679162f4ba32"),
+    # rounds 5,3,2,1,0 with one stuck-orbit move
+    (_m2_text, (4,), "97928062a46697e7720523bd7d6f3962295f1413f4355dc29c02e81ed215ed52"),
+    # unfinished: rounds 22,16,10
+    (_greedy_text, (3, 4), "c876df61b1aa7023c2001bede398175301755fca3c18aa7e909055647a2a45e5"),
+], ids=["orbits-2-3", "orbits-3-3", "orbits-2-4", "orbits-3-4", "orbits-3-5",
+        "m2-3", "m2-4", "greedy-3-4"])
+def test_symmetry_artifact_bytes_are_pinned(make, args, digest):
+    assert content_digest(make(*args)) == "sha256:" + digest
