@@ -98,6 +98,19 @@ def validate(feet: Sequence[int], starts: Sequence[int]) -> None:
             raise DiagramError(f"chord label {c} occurs {k} times, expected 2")
 
 
+def relabel(feet: Iterable[int]) -> tuple[int, ...]:
+    """``feet`` with its chords renumbered 0, 1, ... by first occurrence."""
+    labels: dict[int, int] = {}
+    return tuple([labels.setdefault(c, len(labels)) for c in feet])
+
+
+def circle_owners(starts: Sequence[int]) -> list[int]:
+    """The circle owning each feet position: ``circle_owners(starts)[p]``
+    is ``StringRep.circle_of(p)`` for every rep with these ``starts``."""
+    return [i for i, (lo, hi) in enumerate(zip(starts, starts[1:]))
+            for _ in range(lo, hi)]
+
+
 def canonical_feet_bruteforce(feet: tuple[int, ...],
                               starts: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least feet sequence over all per-circle rotations.

@@ -2,10 +2,18 @@
 
 For each feet-count vector (one weak composition of 2n over the m circles)
 every perfect matching of the 2n feet positions is generated with chords
-numbered by first occurrence, canonicalized, and inserted into an ordered
-set.  This produces exactly the canonical form of every diagram once,
-without the quadratic retained-list scan of the naive method (which is kept
-as :func:`enumerate_all_naive` for cross-checking).
+numbered by first occurrence.  Rotating each circle's block and numbering
+the chords afresh maps a matching to another matching of the same diagram,
+so the matchings fall into orbits, one per diagram (orbit marking, the
+first step of isomorph-free generation; McKay, J. Algorithms 26, 1998).
+The matchings are walked in order.  The first matching of an orbit marks
+all of its images as seen, is tested for connectivity straight from its
+feet, and is canonicalized once by :func:`canonical_feet`; the orbit's
+later members are skipped unexamined.  The seen set holds at most
+(2n-1)!! matchings and is dropped after each vector.  This yields the
+canonical form of every diagram exactly once, without the quadratic
+retained-list scan of the naive method (which is kept as
+:func:`enumerate_all_naive` for cross-checking).
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ from .diagrams import (
     StringRep,
     canonical_feet,
     canonicalize,
-    is_connected,
+    circle_owners,
     parse,
+    relabel,
 )
 from .errors import DiagramError
 from .util import content_digest
@@ -117,17 +126,27 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _matchings(positions: list[int]) -> Iterator[list[tuple[int, int]]]:
-    """All perfect matchings; the first element always pairs leftmost-first,
-    so reading pairs in order gives the first-occurrence chord numbering."""
-    if not positions:
-        yield []
-        return
-    first = positions[0]
-    for i in range(1, len(positions)):
-        rest = positions[1:i] + positions[i + 1:]
-        for sub in _matchings(rest):
-            yield [(first, positions[i])] + sub
+def _matchings(size: int) -> Iterator[tuple[int, ...]]:
+    """Feet sequences of every perfect matching of ``size`` positions, chords
+    numbered by first occurrence; the leftmost free position is paired with
+    each later free position in turn."""
+    feet = [-1] * size
+
+    def extend(label: int, first: int) -> Iterator[tuple[int, ...]]:
+        while first < size and feet[first] >= 0:
+            first += 1
+        if first == size:
+            yield tuple(feet)
+            return
+        feet[first] = label
+        for j in range(first + 1, size):
+            if feet[j] < 0:
+                feet[j] = label
+                yield from extend(label + 1, first + 1)
+                feet[j] = -1
+        feet[first] = -1
+
+    yield from extend(0, 0)
 
 
 def _double_factorial_odd(n: int) -> int:
@@ -138,18 +157,56 @@ def _double_factorial_odd(n: int) -> int:
     return out
 
 
-def _candidates_for_starts(starts: tuple[int, ...], n: int,
-                           connected_only: bool) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for match in _matchings(list(range(2 * n))):
-        feet = [0] * (2 * n)
-        for label, (p, q) in enumerate(match):
-            feet[p] = label
-            feet[q] = label
-        feet_t = tuple(feet)
-        if connected_only and not is_connected(StringRep(feet_t, starts)):
+def _orbit(feet: tuple[int, ...], starts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every rotation of every circle of ``feet``, relabelled by first
+    occurrence: the matchings that are the same diagram."""
+    rotations = []
+    for lo, hi in zip(starts, starts[1:]):
+        block = feet[lo:hi]
+        rotations.append([block[r:] + block[:r] for r in range(len(block))] or [block])
+    return {relabel(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*rotations)}
+
+
+def _connected(feet: tuple[int, ...], circle: list[int], m: int) -> bool:
+    """Whether the chords join all ``m`` circles; circle ``circle[p]`` owns
+    position p."""
+    ends: dict[int, int] = {}
+    for pos, c in enumerate(feet):
+        ends[c] = ends.get(c, 0) | 1 << circle[pos]
+    everything = (1 << m) - 1
+    reached = 1
+    while reached != everything:
+        grown = reached
+        for mask in ends.values():
+            if mask & grown:
+                grown |= mask
+        if grown == reached:
+            return False
+        reached = grown
+    return True
+
+
+def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool,
+                           budget: Budget) -> list[tuple[int, ...]]:
+    """The canonical feet of every diagram with these ``starts``, one
+    ``canonical_feet`` call per diagram.
+
+    The rotations of the circles act on the matchings; each orbit is one
+    diagram.  The first matching of an orbit marks the whole orbit as
+    seen, so its later members are skipped unexamined.
+    """
+    circle = circle_owners(starts)
+    seen: set[tuple[int, ...]] = set()
+    found = []
+    for feet in _matchings(2 * n):
+        if feet in seen:
             continue
-        found.add((canonical_feet(feet_t, starts), starts))
+        budget.check_time()
+        seen |= _orbit(feet, starts)
+        if connected_only and not _connected(feet, circle, len(starts) - 1):
+            continue
+        found.append(canonical_feet(feet, starts))
     return found
 
 
@@ -179,13 +236,11 @@ def _enumerate(m: int, n: int, connected_only: bool,
     per_starts = _double_factorial_odd(n)
     budget.charge_candidates(per_starts * len(starts_vectors))
 
-    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for starts in starts_vectors:
-        budget.check_time()
-        found |= _candidates_for_starts(starts, n, connected_only)
+    # compositions come in lexicographic order, and so do their starts
     diagrams = tuple(
         ChordDiagram(StringRep(feet, starts))
-        for feet, starts in sorted(found, key=lambda fs: (fs[1], fs[0]))
+        for starts in starts_vectors
+        for feet in sorted(_candidates_for_starts(starts, n, connected_only, budget))
     )
     return DiagramSet(m, n, connected_only, diagrams)
 

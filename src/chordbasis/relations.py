@@ -17,6 +17,12 @@ re-canonicalized before the four terms are merged, so coincidences of
 canonical forms may cancel entries or produce coefficients of +-2; a row may
 merge away entirely and is then kept as an empty audit row.
 
+A canonical form does not depend on the chord labels, so each call of
+:func:`generate_relations` keeps a memo from an edited representation, its
+chords renumbered by first occurrence, to its column: each distinct term
+costs one :func:`canonical_feet` call (at (4,5), 28,097 calls for 134,760
+terms).  The memo is local to the call and freed when it returns.
+
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
 interior and wrap pairs coincide and both are still emitted (the list is
@@ -26,14 +32,16 @@ deliberately redundant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
 from .diagrams import (
     ChordDiagram,
     canonical_feet,
+    circle_owners,
     component_chord_counts,
     components,
+    relabel,
 )
 from .enumeration import DiagramSet
 from .errors import ChordBasisError, DiagramError
@@ -54,25 +62,19 @@ class Relation:
         return not self.coeffs
 
 
-def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...],
+def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...], circle: list[int],
                    moving: int, target: int, after: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Remove the foot at ``moving`` and reinsert it immediately before or
-    after the foot currently at ``target`` (indices into the original feet)."""
-    label = feet[moving]
-    trimmed = feet[:moving] + feet[moving + 1:]
-    starts_after_removal = [s - (1 if s > moving else 0) for s in starts]
-    t2 = target - (1 if target > moving else 0)
-    # circle owning the target foot, in post-removal indexing
-    circle = 0
-    for i in range(len(starts_after_removal) - 1):
-        if starts_after_removal[i] <= t2 < starts_after_removal[i + 1]:
-            circle = i
-            break
-    q = t2 + 1 if after else t2
-    new_feet = trimmed[:q] + (label,) + trimmed[q:]
-    new_starts = tuple(
-        s + 1 if i > circle else s for i, s in enumerate(starts_after_removal)
-    )
+    after the foot currently at ``target`` (indices into the original feet);
+    circle ``circle[p]`` owns position p."""
+    q = target + 1 if after else target
+    label = (feet[moving],)
+    if q > moving:
+        new_feet = feet[:moving] + feet[moving + 1:q] + label + feet[q:]
+    else:
+        new_feet = feet[:q] + label + feet[q:moving] + feet[moving + 1:]
+    lost, gained = circle[moving], circle[target]
+    new_starts = tuple(s - (i > lost) + (i > gained) for i, s in enumerate(starts))
     return new_feet, new_starts
 
 
@@ -90,9 +92,12 @@ def _adjacent_pairs(feet: tuple[int, ...], starts: tuple[int, ...]
             yield i, hi - 1, lo, True
 
 
-def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet) -> list[Relation]:
+def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet,
+                      column: Callable[[tuple[int, ...], tuple[int, ...]], int]
+                      ) -> list[Relation]:
     feet, starts = d.rep.feet, d.rep.starts
     src_idx = ds.index_of_raw(feet, starts)
+    circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
     for pos, c in enumerate(feet):
@@ -105,15 +110,15 @@ def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet) -> list[Relation]:
     for _, pa, pb, _ in _adjacent_pairs(feet, starts):
         swapped = list(feet)
         swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
-        swap_idx = ds.index_of_raw(canonical_feet(tuple(swapped), starts), starts)
+        swap_idx = column(tuple(swapped), starts)
         for moving, target, signs in (
             (pa, partner[pb], (1, -1)),   # family A; before far foot: +, after: -
             (pb, partner[pa], (-1, 1)),   # family B; before far foot: -, after: +
         ):
             terms = [(src_idx, 1), (swap_idx, -1)]
             for after, sign in ((False, signs[0]), (True, signs[1])):
-                ef, es = _remove_insert(feet, starts, moving, target, after)
-                terms.append((ds.index_of_raw(canonical_feet(ef, es), es), sign))
+                terms.append((column(*_remove_insert(feet, starts, circle, moving,
+                                                     target, after)), sign))
             merged: dict[int, int] = {}
             for idx, coef in terms:
                 merged[idx] = merged.get(idx, 0) + coef
@@ -129,10 +134,19 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None) -> list[Rel
     merge to nothing are kept (for auditing) and dropped at matrix assembly.
     """
     budget = ensure_budget(budget)
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def column(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
+        key = (relabel(feet), starts)
+        idx = memo.get(key)
+        if idx is None:
+            idx = memo[key] = ds.index_of_raw(canonical_feet(key[0], starts), starts)
+        return idx
+
     rows: list[Relation] = []
     for d in ds.diagrams:
         budget.check_time()
-        rows.extend(_rows_for_diagram(d, ds))
+        rows.extend(_rows_for_diagram(d, ds, column))
     return rows
 
 

@@ -11,6 +11,7 @@ from chordbasis.diagrams import (
     canonical_feet,
     canonical_feet_bruteforce,
     canonicalize,
+    circle_owners,
     components,
     component_chord_counts,
     diagram,
@@ -20,6 +21,7 @@ from chordbasis.diagrams import (
     is_connected,
     parse,
     permute_circles,
+    relabel,
 )
 from chordbasis.basis import clear_memo, connected_basis, dim_C
 from chordbasis.enumeration import enumerate_all
@@ -167,6 +169,15 @@ def test_production_never_runs_the_bruteforce_oracle(monkeypatch):
     assert str(d) == "00|1122"
     assert str(full_subdiagram(d, [1])) == "0011"
     assert len(tree_basis(3)) == 16
+
+
+@settings(max_examples=100)
+@given(string_reps())
+def test_circle_owners_and_relabel(rep):
+    assert circle_owners(rep.starts) == [rep.circle_of(p) for p in range(len(rep.feet))]
+    # renumbering leaves the diagram, and so its canonical form, unchanged
+    assert canonical_feet(relabel(rep.feet), rep.starts) == canonical_feet(rep.feet, rep.starts)
+    assert relabel((3, 1, 3, 0, 1, 0)) == (0, 1, 0, 2, 1, 2)
 
 
 def test_total_order_key():

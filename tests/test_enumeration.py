@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import pytest
 
+from chordbasis import enumeration
 from chordbasis.budget import Budget
-from chordbasis.diagrams import diagram, is_connected, permute_circles
+from chordbasis.diagrams import canonical_feet, diagram, is_connected, permute_circles
 from chordbasis.enumeration import (
     DiagramSet,
     enumerate_all,
@@ -11,6 +13,7 @@ from chordbasis.enumeration import (
     enumerate_connected,
 )
 from chordbasis.errors import BudgetExceededError, DiagramError
+from chordbasis.util import content_digest
 
 
 def strings(ds):
@@ -64,9 +67,53 @@ def test_closure_under_circle_relabelling():
             assert permute_circles(d, sigma) in members
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
+                                 (3, 2), (3, 3), (4, 2)])
 def test_matches_naive_generator(m, n):
     assert enumerate_all(m, n) == enumerate_all_naive(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (4, 3)])
+def test_connected_set_is_the_connected_part_of_all(m, n):
+    ds = enumerate_connected(m, n)
+    assert ds.diagrams == tuple(d for d in enumerate_all(m, n) if is_connected(d))
+
+
+@pytest.mark.parametrize("enumerate_fn, m, n, digest", [
+    (enumerate_connected, 3, 4,
+     "8bee853765fcc616f79d6f1d44f437b2809e07202f282a5844ff3478d96296d6"),
+    (enumerate_connected, 4, 4,
+     "e823568bb5e51c086c1443ba50c7ba2b8c112a28cd201cd1a051f7e3a3c9b048"),
+    (enumerate_connected, 2, 5,
+     "625f8be3b26afcdbc8f0eba29b36997e94436e7d41337c7cfca0d6779101ea1b"),
+    (enumerate_all, 4, 3,
+     "97068c4af16c75d93a59f7b1e461c7eea1f4a6f5000785918aaf4559966b9bd8"),
+    (enumerate_all, 3, 4,
+     "c9f048ca24ed5bc1edac0160872a3f064ef3cfcfcceca65793feb3a6bba4cdd6"),
+])
+def test_diagram_set_file_bytes_are_pinned(enumerate_fn, m, n, digest):
+    assert content_digest(enumerate_fn(m, n).to_text()) == "sha256:" + digest
+
+
+def test_one_canonical_form_per_diagram(monkeypatch):
+    calls = []
+
+    def counting(feet, starts):
+        calls.append(feet)
+        return canonical_feet(feet, starts)
+
+    monkeypatch.setattr(enumeration, "canonical_feet", counting)
+    ds = enumerate_connected(4, 4)
+    assert len(ds) == 279
+    assert len(calls) == len(ds)
+
+
+def test_time_budget_fires_inside_one_starts_vector():
+    # one circle has a single starts vector with 135135 matchings
+    began = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        enumerate_all(1, 7, budget=Budget(time_budget=0.2))
+    assert time.monotonic() - began < 1.5
 
 
 def test_set_size_factors_over_components():

@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from chordbasis.diagrams import diagram
+from chordbasis import relations
+from chordbasis.diagrams import canonical_feet, diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
 from chordbasis.errors import ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns
@@ -177,10 +178,30 @@ def test_relation_is_its_coefficients_alone():
      "sha256:9ae840181cd2137b00ca28ab3a208aa8eb78ccab6a05f55d944c8bfd9c7d614b"),
     (enumerate_all, 3, 3,
      "sha256:1d0099a3b1566fbdd4458463ef8c8971563156c596d69267c5165d3b9fb91661"),
+    (enumerate_connected, 3, 4,
+     "sha256:875a1ae7f314db33187494860bd70c9c9a082b143912f1b8fe9312e90b2cc1e4"),
+    (enumerate_all, 4, 3,
+     "sha256:2d112d6c7e05d9ed91b7f940c944f9db2969be44e0a5a53b5fc926065991f7a3"),
 ])
 def test_relations_file_bytes_are_pinned(enumerate_fn, m, n, digest):
     ds = enumerate_fn(m, n)
     assert content_digest(relations_to_text(ds, generate_relations(ds))) == digest
+
+
+def test_one_canonical_form_per_distinct_term(monkeypatch):
+    ds = enumerate_connected(4, 4)
+    calls = []
+
+    def counting(feet, starts):
+        calls.append(feet)
+        return canonical_feet(feet, starts)
+
+    monkeypatch.setattr(relations, "canonical_feet", counting)
+    rows = generate_relations(ds)
+    # 1584 adjacent pairs, each with a swapped term and four moved-foot
+    # terms: 7920 edited terms, of which 1697 differ up to chord labels
+    assert len(rows) == 2 * 1584
+    assert len(calls) == 1697
 
 
 def test_writer_rejects_rows_it_did_not_generate():
