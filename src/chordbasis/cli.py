@@ -11,6 +11,7 @@ and a cached file whose header does not match its body is recomputed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -106,14 +107,23 @@ class Settings:
             return default
 
         self.cache_root = pick(args.cache, "cache", None, str)
+        max_candidates = pick(args.max_candidates, "max-candidates",
+                              DEFAULT_MAX_CANDIDATES, int)
+        max_matrix_cells = pick(args.max_matrix_cells, "max-matrix-cells",
+                                DEFAULT_MAX_MATRIX_CELLS, int)
+        time_budget = pick(args.time_budget, "time-budget", 0.0, float)
+        # Zero is a cap of zero for the caps and no limit for the time budget.
+        for key, value in (("max-candidates", max_candidates),
+                           ("max-matrix-cells", max_matrix_cells)):
+            if value < 0:
+                raise DiagramError(f"{key} must be at least 0, not {value}")
+        if not (math.isfinite(time_budget) and time_budget >= 0):
+            raise DiagramError("time-budget must be a finite number of seconds, "
+                               f"at least 0 (0 is unlimited), not {time_budget:g}")
         # One budget for the whole invocation, so a time cap is global.
-        self.budget = Budget(
-            max_candidates=pick(args.max_candidates, "max-candidates",
-                                DEFAULT_MAX_CANDIDATES, int),
-            max_matrix_cells=pick(args.max_matrix_cells, "max-matrix-cells",
-                                  DEFAULT_MAX_MATRIX_CELLS, int),
-            time_budget=pick(args.time_budget, "time-budget", 0.0, float),
-        )
+        self.budget = Budget(max_candidates=max_candidates,
+                             max_matrix_cells=max_matrix_cells,
+                             time_budget=time_budget)
 
     def cache(self) -> DiskCache:
         return DiskCache(self.cache_root)

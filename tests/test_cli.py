@@ -83,6 +83,28 @@ def test_time_budget_exit_code(tmp_path):
     assert run(tmp_path, "--time-budget", "0.000001", "basis", "2", "3") == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--time-budget", "-1"),
+    ("--time-budget", "nan"),
+    ("--time-budget", "inf"),
+    ("--max-candidates", "-3"),
+    ("--max-matrix-cells", "-1"),
+])
+def test_nonsense_budget_is_a_usage_error(tmp_path, capsys, flag, value):
+    assert run(tmp_path, flag, value, "basis", "1", "2") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + flag[2:] + " must be")
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"{flag[2:]} = {value}\n")
+    assert run(tmp_path, "--config", str(config), "basis", "1", "2") == 2
+
+
+def test_zero_budgets_keep_their_meaning(tmp_path, capsys):
+    # a zero time budget is unlimited; a zero cap is a cap of zero
+    assert run(tmp_path, "--time-budget", "0", "basis", "1", "2") == 0
+    assert run(tmp_path, "--max-candidates", "0", "enumerate", "1", "2") == 3
+
+
 def test_matrix_cell_budget_reaches_dimension_table(tmp_path):
     assert run(tmp_path, "--max-matrix-cells", "1", "table", "--family", "C",
                "--nmax", "3", "--mmax", "3") == 3

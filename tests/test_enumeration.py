@@ -68,7 +68,7 @@ def test_closure_under_circle_relabelling():
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
-                                 (3, 2), (3, 3), (4, 2)])
+                                 (3, 2), (3, 3), (4, 2), (5, 2)])
 def test_matches_naive_generator(m, n):
     assert enumerate_all(m, n) == enumerate_all_naive(m, n)
 
@@ -90,6 +90,12 @@ def test_connected_set_is_the_connected_part_of_all(m, n):
      "97068c4af16c75d93a59f7b1e461c7eea1f4a6f5000785918aaf4559966b9bd8"),
     (enumerate_all, 3, 4,
      "c9f048ca24ed5bc1edac0160872a3f064ef3cfcfcceca65793feb3a6bba4cdd6"),
+    (enumerate_all, 5, 3,
+     "ba4e15d2140d7a1e3780996eff6db44a669090dca88bec06bce3ed0f0a6f6a6f"),
+    (enumerate_all, 6, 3,
+     "3c6ab95ce14dbd917eb4f75bf09ee4d98175384ef94f1520c1f7d32a7ada4b32"),
+    (enumerate_all, 4, 4,
+     "6e28971c6b1ed44d2babef975377f02d61fd4e5970a4b3c84090e4485bf327c7"),
 ])
 def test_diagram_set_file_bytes_are_pinned(enumerate_fn, m, n, digest):
     assert content_digest(enumerate_fn(m, n).to_text()) == "sha256:" + digest
@@ -106,6 +112,24 @@ def test_one_canonical_form_per_diagram(monkeypatch):
     ds = enumerate_connected(4, 4)
     assert len(ds) == 279
     assert len(calls) == len(ds)
+
+
+def test_one_canonical_form_per_active_block(monkeypatch):
+    calls = []
+
+    def counting(feet, starts):
+        calls.append(feet)
+        return canonical_feet(feet, starts)
+
+    monkeypatch.setattr(enumeration, "canonical_feet", counting)
+    budget = Budget()
+    ds = enumerate_all(6, 3, budget=budget)
+    assert len(ds) == 2170
+    # bare circles add nothing to a canonical form: one call per diagram
+    # whose feet lie on 1, 2, ..., 6 circles, each with at least one foot
+    assert len(calls) == 5 + 17 + 38 + 56 + 45 + 15
+    # the candidate charge still counts every matching of every starts vector
+    assert budget.candidates_used == 15 * 462
 
 
 def test_time_budget_fires_inside_one_starts_vector():

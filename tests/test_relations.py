@@ -1,11 +1,13 @@
 import dataclasses
+import time
 
 import pytest
 
 from chordbasis import relations
+from chordbasis.budget import Budget
 from chordbasis.diagrams import canonical_feet, diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
-from chordbasis.errors import ChordBasisError, DiagramError
+from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns
 from chordbasis.relations import (
     Relation,
@@ -182,6 +184,10 @@ def test_relation_is_its_coefficients_alone():
      "sha256:875a1ae7f314db33187494860bd70c9c9a082b143912f1b8fe9312e90b2cc1e4"),
     (enumerate_all, 4, 3,
      "sha256:2d112d6c7e05d9ed91b7f940c944f9db2969be44e0a5a53b5fc926065991f7a3"),
+    (enumerate_all, 6, 3,
+     "sha256:c2cadfc107e7daa43ff91495d795a70fcd323de051ff307141ea3971875845cd"),
+    (enumerate_all, 4, 4,
+     "sha256:98761412b88fd1869e8405cd4330c3a2f5800669aa10adc5c99dd43efb6dcc21"),
 ])
 def test_relations_file_bytes_are_pinned(enumerate_fn, m, n, digest):
     ds = enumerate_fn(m, n)
@@ -202,6 +208,31 @@ def test_one_canonical_form_per_distinct_term(monkeypatch):
     # terms: 7920 edited terms, of which 1697 differ up to chord labels
     assert len(rows) == 2 * 1584
     assert len(calls) == 1697
+
+
+def test_rows_built_once_per_active_block(monkeypatch):
+    ds = enumerate_all(6, 3)
+    calls = []
+
+    def counting(feet, starts):
+        calls.append(feet)
+        return canonical_feet(feet, starts)
+
+    monkeypatch.setattr(relations, "canonical_feet", counting)
+    rows = generate_relations(ds)
+    # 2170 diagrams, 176 of them distinct once their bare circles are
+    # dropped; the rows of each of those are built once and placed on
+    # every copy (6340 terms differ up to chord labels over all copies)
+    assert len(rows) == 12828
+    assert len(calls) == 422
+
+
+def test_time_budget_fires_during_generation():
+    ds = enumerate_all(5, 4)
+    began = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        generate_relations(ds, budget=Budget(time_budget=0.05))
+    assert time.monotonic() - began < 0.5
 
 
 def test_writer_rejects_rows_it_did_not_generate():
