@@ -7,10 +7,11 @@ unbounded or returning a truncated (wrong) result.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DiagramError
 
 # Defaults are sized so that every instance with n <= 4 fits with orders of
 # magnitude to spare, and n = 5 with m <= 6 fits comfortably.  The largest
@@ -30,6 +31,15 @@ class Budget:
     _deadline: float = field(default=0.0, init=False)
 
     def __post_init__(self):
+        # A budget that means nothing is refused.  Zero is a cap of zero for
+        # the caps and no limit for the time budget.
+        for key, value in (("max-candidates", self.max_candidates),
+                           ("max-matrix-cells", self.max_matrix_cells)):
+            if value < 0:
+                raise DiagramError(f"{key} must be at least 0, not {value}")
+        if not (math.isfinite(self.time_budget) and self.time_budget >= 0):
+            raise DiagramError("time-budget must be a finite number of seconds, "
+                               f"at least 0 (0 is unlimited), not {self.time_budget:g}")
         if self.time_budget:
             self._deadline = time.monotonic() + self.time_budget
 

@@ -11,7 +11,6 @@ and a cached file whose header does not match its body is recomputed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -112,14 +111,6 @@ class Settings:
         max_matrix_cells = pick(args.max_matrix_cells, "max-matrix-cells",
                                 DEFAULT_MAX_MATRIX_CELLS, int)
         time_budget = pick(args.time_budget, "time-budget", 0.0, float)
-        # Zero is a cap of zero for the caps and no limit for the time budget.
-        for key, value in (("max-candidates", max_candidates),
-                           ("max-matrix-cells", max_matrix_cells)):
-            if value < 0:
-                raise DiagramError(f"{key} must be at least 0, not {value}")
-        if not (math.isfinite(time_budget) and time_budget >= 0):
-            raise DiagramError("time-budget must be a finite number of seconds, "
-                               f"at least 0 (0 is unlimited), not {time_budget:g}")
         # One budget for the whole invocation, so a time cap is global.
         self.budget = Budget(max_candidates=max_candidates,
                              max_matrix_cells=max_matrix_cells,
@@ -230,7 +221,7 @@ def cmd_equivariant(args, settings: Settings) -> int:
             # labelled-tree normal forms; equivariant by construction, and
             # the count is pinned to the tree count without the (possibly
             # large) relation pipeline
-            vectors = [vector_of(d) for d in tree_basis(args.n)]
+            vectors = [vector_of(d) for d in tree_basis(args.n, settings.budget)]
             if len(vectors) != (args.n + 1) ** max(args.n - 1, 0):
                 raise ChordBasisError("tree count mismatch")
             return equivariant_to_text(vectors, args.m, args.n, [0])
@@ -261,7 +252,7 @@ def cmd_equivariant(args, settings: Settings) -> int:
 
 
 def cmd_tree_basis(args, settings: Settings) -> int:
-    diagrams = DiagramSet(args.n + 1, args.n, True, tuple(tree_basis(args.n)))
+    diagrams = DiagramSet(args.n + 1, args.n, True, tuple(tree_basis(args.n, settings.budget)))
     _emit(diagrams.to_text(), args.out)
     return EXIT_OK
 

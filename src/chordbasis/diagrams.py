@@ -111,6 +111,18 @@ def circle_owners(starts: Sequence[int]) -> list[int]:
             for _ in range(lo, hi)]
 
 
+def active_starts(starts: Sequence[int]) -> tuple[int, ...]:
+    """The starts of the active block: ``starts`` without its bare circles.
+
+    A bare circle has no feet and one rotation, so it adds nothing to a
+    canonical form.  A four-term edit neither empties a circle (the moving
+    foot's circle keeps its partner in the pair) nor fills a bare one, so a
+    diagram and its four-term rows are those of its active block placed on
+    its circles.  Enumeration and relation generation work once per block.
+    """
+    return tuple(dict.fromkeys(starts))
+
+
 def canonical_feet_bruteforce(feet: tuple[int, ...],
                               starts: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least feet sequence over all per-circle rotations.

@@ -15,13 +15,12 @@ canonical form of every diagram exactly once, without the quadratic
 retained-list scan of the naive method (which is kept as
 :func:`enumerate_all_naive` for cross-checking).
 
-A bare (chordless) circle has one rotation and adds nothing to a canonical
-form, so the canonical feet of a feet-count vector depend only on its
-nonzero parts, its active block.  Each call walks every distinct active
-block once and places its sorted feet on every vector with those nonzero
-parts: at (6,3), 176 ``canonical_feet`` calls for 2,170 diagrams on 462
-vectors.  The candidate budget is still charged every matching of every
-vector.
+The canonical feet of a feet-count vector depend only on its nonzero
+parts, its active block (see :func:`active_starts`).  Each call walks every
+distinct active block once and places its sorted feet on every vector with
+those nonzero parts: at (6,3), 176 ``canonical_feet`` calls for 2,170
+diagrams on 462 vectors.  The candidate budget is still charged every
+matching of every vector.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .budget import Budget, ensure_budget
 from .diagrams import (
     ChordDiagram,
     StringRep,
+    active_starts,
     canonical_feet,
     canonicalize,
     circle_owners,
@@ -244,14 +244,13 @@ def _enumerate(m: int, n: int, connected_only: bool,
     per_starts = _double_factorial_odd(n)
     budget.charge_candidates(per_starts * len(starts_vectors))
 
-    # The sorted feet of a starts vector are those of its active block.
     # The connectivity test sees only the active circles, which is right
     # because a connected set with m >= 2 has no bare circle.
     by_block: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     diagrams = []
     # compositions come in lexicographic order, and so do their starts
     for starts in starts_vectors:
-        active = tuple(dict.fromkeys(starts))
+        active = active_starts(starts)
         found = by_block.get(active)
         if found is None:
             found = by_block[active] = sorted(

@@ -17,21 +17,16 @@ re-canonicalized before the four terms are merged, so coincidences of
 canonical forms may cancel entries or produce coefficients of +-2; a row may
 merge away entirely and is then kept as an empty audit row.
 
-A canonical form does not depend on the chord labels, so each call of
-:func:`generate_relations` keeps a memo from an edited representation, its
-chords renumbered by first occurrence, to its column: each distinct term
-costs one :func:`canonical_feet` call (at (4,5), 28,097 calls for 134,760
-terms).  The memo is local to the call and freed when it returns.
-
-An edit never empties a circle (the moving foot's circle keeps its partner
-in the pair) nor fills a bare one, so the rows of a diagram with bare
-circles are those of its active block, the diagram with its bare circles
-dropped, placed back on its circles.  Placing keeps diagram-set order, so
-merging and coefficient order carry over unchanged.  Each call builds the
-rows of every distinct active block once and maps each of its terms to a
-column per copy: at (6,3), 422 ``canonical_feet`` calls where renumbered
-terms alone need 6,340.  Diagrams without a bare circle, every connected
-one among them, take the term-by-term path above.
+A diagram's rows are those of its active block (:func:`active_starts`)
+placed on its circles; a diagram without a bare circle is its own block.
+Each call of :func:`generate_relations` builds the rows of every block once
+over term numbers from one memo local to the call, which maps a term's
+active starts and its feet, renumbered by first occurrence or canonical,
+to a number.  A renumbered term costs one :func:`canonical_feet` call when
+first seen unless it is already canonical and numbered: 26,661 calls for
+the 134,760 terms of connected (4,5), 364 for all (6,3).  Distinct numbers
+are distinct diagrams, so each copy of a block maps them to its own columns
+by expanding their starts onto its circles, and sorts each row by column.
 
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
@@ -42,11 +37,12 @@ deliberately redundant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
 from .diagrams import (
-    ChordDiagram,
+    active_starts,
     canonical_feet,
     circle_owners,
     component_chord_counts,
@@ -102,12 +98,12 @@ def _adjacent_pairs(feet: tuple[int, ...], starts: tuple[int, ...]
             yield i, hi - 1, lo, True
 
 
-def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: Hashable,
-                column: Callable[[tuple[int, ...], tuple[int, ...]], Hashable]
-                ) -> list[tuple[tuple[Hashable, int], ...]]:
+def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
+                term: Callable[[tuple[int, ...], tuple[int, ...]], int]
+                ) -> list[tuple[tuple[int, int], ...]]:
     """The merged coefficients of every row of the diagram (feet, starts),
-    whose own column is ``source``; ``column`` maps an edited representation
-    to its column, and columns must sort in diagram-set order."""
+    as (term number, coefficient) pairs; ``source`` is the diagram's own
+    term number and ``term`` numbers an edited representation."""
     circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -121,19 +117,19 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: Hashable
     for _, pa, pb, _ in _adjacent_pairs(feet, starts):
         swapped = list(feet)
         swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
-        swap_idx = column(tuple(swapped), starts)
+        swap_term = term(tuple(swapped), starts)
         for moving, target, signs in (
             (pa, partner[pb], (1, -1)),   # family A; before far foot: +, after: -
             (pb, partner[pa], (-1, 1)),   # family B; before far foot: -, after: +
         ):
-            terms = [(source, 1), (swap_idx, -1)]
+            terms = [(source, 1), (swap_term, -1)]
             for after, sign in ((False, signs[0]), (True, signs[1])):
-                terms.append((column(*_remove_insert(feet, starts, circle, moving,
-                                                     target, after)), sign))
-            merged: dict[Hashable, int] = {}
-            for idx, coef in terms:
-                merged[idx] = merged.get(idx, 0) + coef
-            out.append(tuple(sorted((i, c) for i, c in merged.items() if c)))
+                terms.append((term(*_remove_insert(feet, starts, circle, moving,
+                                                   target, after)), sign))
+            merged: dict[int, int] = {}
+            for t, coef in terms:
+                merged[t] = merged.get(t, 0) + coef
+            out.append(tuple([(t, c) for t, c in merged.items() if c]))
     return out
 
 
@@ -145,52 +141,38 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None) -> list[Rel
     merge to nothing are kept (for auditing) and dropped at matrix assembly.
     """
     budget = ensure_budget(budget)
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    # renumbered or canonical (feet, active starts) -> term number t
+    numbers: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    terms: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # canonical, by t
 
-    def column(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
+    def number(canonical: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        t = numbers.setdefault(canonical, len(terms))
+        if t == len(terms):
+            terms.append(canonical)
+        return t
+
+    def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
         key = (relabel(feet), starts)
-        idx = memo.get(key)
-        if idx is None:
-            idx = memo[key] = ds.index_of_raw(canonical_feet(key[0], starts), starts)
-        return idx
+        t = numbers.get(key)
+        if t is None:
+            t = numbers[key] = number((canonical_feet(key[0], starts), starts))
+        return t
 
-    active_memo: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                      tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def active_term(feet: tuple[int, ...], starts: tuple[int, ...]
-                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # (starts, canonical feet) on an active block, which sorts like the
-        # columns of the block's placements
-        key = (relabel(feet), starts)
-        term = active_memo.get(key)
-        if term is None:
-            term = active_memo[key] = (starts, canonical_feet(key[0], starts))
-        return term
-
-    # (feet, active starts) -> (distinct terms, rows as (term number, coefficient))
-    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list, list]] = {}
-    rows: list[Relation] = []
-    for d in ds.diagrams:
+    copies: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+    for i, d in enumerate(ds.diagrams):
+        copies.setdefault((d.rep.feet, active_starts(d.rep.starts)), []).append(i)
+    placed: list[list[Relation]] = [[] for _ in ds.diagrams]
+    for (feet, active), where in copies.items():
         budget.check_time()
-        feet, starts = d.rep.feet, d.rep.starts
-        active = tuple(dict.fromkeys(starts))
-        if len(active) == len(starts):
-            rows.extend(map(Relation, _row_coeffs(feet, starts,
-                                                  ds.index_of_raw(feet, starts), column)))
-            continue
-        # Edits never empty a circle nor fill a bare one, so a diagram with
-        # bare circles has the rows of its active block, placed on its circles.
-        block = blocks.get((feet, active))
-        if block is None:
-            numbers: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            shape = [tuple((numbers.setdefault(t, len(numbers)), c) for t, c in row)
-                     for row in _row_coeffs(feet, active, (active, feet), active_term)]
-            block = blocks[(feet, active)] = (list(numbers), shape)
-        terms, shape = block
-        place = [active.index(s) for s in starts]
-        cols = [ds.index_of_raw(f, tuple([s[i] for i in place])) for s, f in terms]
-        rows.extend(Relation(tuple([(cols[t], c) for t, c in row])) for row in shape)
-    return rows
+        shape = _row_coeffs(feet, active, number((feet, active)), term)
+        used = dict.fromkeys(t for row in shape for t, _ in row)
+        for i in where:
+            # a copy's starts have at least two entries: expand gives a tuple
+            expand = itemgetter(*map(active.index, ds.diagrams[i].rep.starts))
+            col = {t: ds.index_of_raw(terms[t][0], expand(terms[t][1])) for t in used}
+            placed[i] = [Relation(tuple(sorted([(col[t], c) for t, c in row])))
+                         for row in shape]
+    return [row for rows in placed for row in rows]
 
 
 def check_component_preservation(rel: Relation, ds: DiagramSet) -> bool:

@@ -429,13 +429,13 @@ class LabeledTree:
         return cls(tuple(sorted(edges)))
 
 
-def all_labeled_trees(m: int) -> list[LabeledTree]:
+def all_labeled_trees(m: int) -> Iterator[LabeledTree]:
+    """Every labelled tree on m vertices, one per Prufer sequence, lazily."""
     if m == 1:
-        return [LabeledTree(())]
-    return [
-        LabeledTree.from_prufer(seq, m)
-        for seq in itertools.product(range(m), repeat=m - 2)
-    ]
+        yield LabeledTree(())
+        return
+    for seq in itertools.product(range(m), repeat=m - 2):
+        yield LabeledTree.from_prufer(seq, m)
 
 
 def diagram_from_multigraph(edges: Sequence[tuple[int, int]], m: int) -> ChordDiagram:
@@ -461,17 +461,21 @@ def diagram_from_multigraph(edges: Sequence[tuple[int, int]], m: int) -> ChordDi
     ))
 
 
-def tree_basis(n: int) -> list[ChordDiagram]:
+def tree_basis(n: int, budget: Budget | None = None) -> list[ChordDiagram]:
     """One normal-form diagram per labelled tree on n+1 circles.
 
     By the Cayley-Borchardt count there are (n+1)^(n-1) of them, and they
-    form an equivariant basis of the connected space with m = n + 1.
+    form an equivariant basis of the connected space with m = n + 1.  The
+    time budget is checked once per tree.
     """
     if n < 0:
         raise DiagramError(f"chord count must be nonnegative, got n={n}")
-    return sorted(
-        diagram_from_multigraph(t.edges, n + 1) for t in all_labeled_trees(n + 1)
-    )
+    budget = ensure_budget(budget)
+    diagrams = []
+    for t in all_labeled_trees(n + 1):
+        budget.check_time()
+        diagrams.append(diagram_from_multigraph(t.edges, n + 1))
+    return sorted(diagrams)
 
 
 def underlying_multigraph(d: ChordDiagram) -> tuple[tuple[int, int], ...]:

@@ -206,13 +206,13 @@ def check_tree_basis(verify_n_max: int = 4, budget: Budget | None = None) -> Che
     start = time.time()
     failures = []
     for n in range(1, 6):
-        count = len(tree_basis(n))
+        count = len(tree_basis(n, budget))
         if count != (n + 1) ** (n - 1):
             failures.append(f"|tree_basis({n})| = {count} != {(n + 1) ** (n - 1)}")
     for n in range(1, verify_n_max + 1):
         b = connected_basis(n + 1, n, budget=budget)
-        vectors = [vector_of(d) for d in tree_basis(n)]
-        if not verify_equivariant(vectors, b):
+        vectors = [vector_of(d) for d in tree_basis(n, budget)]
+        if not verify_equivariant(vectors, b, budget):
             failures.append(f"tree_basis({n}) failed equivariance against live basis")
     return _result("tree-basis", start, failures,
                    f"counts n<=5; equivariance verified live n<={verify_n_max}")

@@ -185,6 +185,14 @@ def test_tree_basis_command(tmp_path, capsys):
     assert lines[0].startswith("m=4 n=3 connected=1 count=16")
 
 
+@pytest.mark.parametrize("command", [("tree-basis", "7"), ("equivariant", "8", "7")])
+def test_time_budget_stops_tree_construction(tmp_path, capsys, command):
+    # 8^6 = 262144 labelled trees, far more than half a second of work
+    start = time.monotonic()
+    assert run(tmp_path, "--time-budget", "0.5", *command) == 3
+    assert time.monotonic() - start < 3.0
+
+
 def test_equivariant_command(tmp_path, capsys):
     assert run(tmp_path, "equivariant", "2", "3", "--out", str(tmp_path / "eq.txt")) == 0
     head = (tmp_path / "eq.txt").read_text().splitlines()[0]

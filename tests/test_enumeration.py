@@ -161,6 +161,24 @@ def test_set_size_factors_over_components():
         assert total == len(enumerate_all(m, n))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"time_budget": float("nan")},
+    {"time_budget": -1},
+    {"max_candidates": -1},
+    {"max_matrix_cells": -1},
+])
+def test_budget_refuses_values_that_mean_nothing(kwargs):
+    with pytest.raises(DiagramError):
+        Budget(**kwargs)
+
+
+def test_zero_budget_values_are_accepted():
+    budget = Budget(max_candidates=0, max_matrix_cells=0, time_budget=0)
+    budget.check_time()  # a zero time budget is unlimited
+    with pytest.raises(BudgetExceededError):
+        budget.charge_candidates(1)
+
+
 def test_budget_error_on_tiny_cap():
     with pytest.raises(BudgetExceededError):
         enumerate_connected(2, 4, budget=Budget(max_candidates=10))
