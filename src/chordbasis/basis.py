@@ -1,8 +1,10 @@
 """Bases and dimensions of the diagram spaces modulo the four-term relation.
 
 ``quotient`` is the one pipeline from (m, n) to an eliminated quotient:
-enumerate the diagrams, generate the relation rows, run the forward
-elimination, and memoize the result per (m, n, connected).  Dimensions and
+enumerate the diagrams, generate the family-B relation rows (which span
+every four-term row, see ``relations``), drop the zero rows and the rows
+equal up to sign to an earlier one, run the forward elimination, and
+memoize the result per (m, n, connected).  Dimensions and
 bases derive from it: ``connected_basis`` keeps the non-pivot diagrams as
 the basis, and each pivot diagram carries an expression over the basis.
 Dimensions of the full (not necessarily connected) spaces are computed from
@@ -38,7 +40,7 @@ from .diagrams import ChordDiagram, disjoint_union
 from .enumeration import DiagramSet, _compositions, enumerate_all, enumerate_connected
 from .errors import ChordBasisError, DiagramError
 from .exactla import Echelon, assemble, back_substitute, echelon_form, express_pivots
-from .relations import Relation, generate_relations
+from .relations import generate_relations
 from .util import content_digest
 
 Combination = dict[ChordDiagram, Fraction]
@@ -63,13 +65,13 @@ class BasisResult:
 
 @dataclass
 class Quotient:
-    """The (m, n) diagrams modulo the four-term relation: the diagram set,
-    its relation rows and their forward echelon form, with what building
-    them charged to a budget (enumeration ``candidates``; the relation
-    matrix's rows and columns as ``cells``), which a memo hit charges again."""
+    """The (m, n) diagrams modulo the four-term relation: the diagram set
+    and the forward echelon form of its relation rows, with what building
+    them charged to a budget (enumeration ``candidates``; the distinct
+    relation rows and the columns as ``cells``), which a memo hit charges
+    again.  The rows themselves are not kept."""
 
     diagram_set: DiagramSet
-    rows: list[Relation]
     echelon: Echelon
     candidates: int
     cells: tuple[int, int]
@@ -120,9 +122,9 @@ def quotient(m: int, n: int, connected: bool = True,
     used = budget.candidates_used
     ds = (enumerate_connected if connected else enumerate_all)(m, n, budget=budget)
     candidates = budget.candidates_used - used
-    rows = generate_relations(ds, budget=budget)
-    mat = assemble(rows, len(ds))
-    q = Quotient(ds, rows, echelon_form(mat, budget=budget), candidates,
+    mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds),
+                   distinct=True)
+    q = Quotient(ds, echelon_form(mat, budget=budget), candidates,
                  (mat.nrows, mat.ncols))
     _MEMO[key] = q
     return q

@@ -43,7 +43,7 @@ from .cache import (
 from .diagrams import diagram
 from .enumeration import DiagramSet, enumerate_all, enumerate_connected
 from .errors import BudgetExceededError, ChordBasisError, DiagramError
-from .relations import relations_to_text
+from .relations import generate_relations, relations_to_text
 from .render import render, render_svg
 from .symmetry import (
     equivariant_to_text,
@@ -153,12 +153,18 @@ def cmd_enumerate(args, settings: Settings) -> int:
     return EXIT_OK
 
 
+def _relations_text(ds: DiagramSet, settings: Settings) -> str:
+    """The relations file of ``ds``: every four-term row, both families."""
+    return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
+
+
 def cmd_basis(args, settings: Settings) -> int:
     def compute() -> str:
         q = quotient(args.m, args.n, budget=settings.budget)
-        # persist the relation rows too, so the basis file's inputs are on disk
+        # persist the relation rows too, so the basis file's inputs are on
+        # disk; the quotient keeps none, so the full list is built for it
         _cached_text(settings, relations_name(args.m, args.n),
-                     lambda: relations_to_text(q.diagram_set, q.rows))
+                     lambda: _relations_text(q.diagram_set, settings))
         return basis_to_text(q.basis)
 
     text = _cached_text(settings, basis_name(args.m, args.n), compute)
@@ -191,7 +197,7 @@ def cmd_verify(args, settings: Settings) -> int:
             q = quotient(m, n, budget=settings.budget)
             cache.put_text(diagrams_name(m, n, True), q.diagram_set.to_text())
             cache.put_text(relations_name(m, n),
-                           relations_to_text(q.diagram_set, q.rows))
+                           _relations_text(q.diagram_set, settings))
             cache.put_text(basis_name(m, n), basis_to_text(q.basis))
     results = run_profile(args.profile, budget=settings.budget)
     failed = 0

@@ -50,8 +50,11 @@ class RrefResult:
         return len(self.pivots)
 
 
-def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int) -> ExactMatrix:
-    """Build an integer matrix from relation rows; empty rows are dropped."""
+def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int,
+             distinct: bool = False) -> ExactMatrix:
+    """Build an integer matrix from relation rows; empty rows are dropped,
+    and with ``distinct`` so is every row equal up to sign to an earlier
+    one, which leaves the row space as it is."""
     out: list[Row] = []
     for row in rows:
         items = row.coeffs if isinstance(row, Relation) else sorted(row.items())
@@ -63,6 +66,11 @@ def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int) -> ExactMatr
                 entries.append((col, coef))
         if entries:
             out.append(tuple(entries))
+    if distinct:
+        first: dict[Row, Row] = {}
+        for row in out:
+            first.setdefault(row if row[0][1] > 0 else tuple((c, -v) for c, v in row), row)
+        out = list(first.values())
     return ExactMatrix(tuple(out), ncols)
 
 

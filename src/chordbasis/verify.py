@@ -38,7 +38,7 @@ from .exactla import (
     rref,
     rref_dense,
 )
-from .relations import check_component_preservation
+from .relations import check_component_preservation, generate_relations
 from .symmetry import (
     equivariantize_m2,
     graph_form_basis,
@@ -278,11 +278,12 @@ def check_component_rows(n_max: int = 4, budget: Budget | None = None) -> CheckR
     rows_checked = 0
     for n in range(2, n_max + 1):
         for m in range(1, n + 2):
-            q = quotient(m, n, budget=budget)
-            for i, rel in enumerate(q.rows):
-                if not check_component_preservation(rel, q.diagram_set):
+            ds = quotient(m, n, budget=budget).diagram_set
+            rows = generate_relations(ds, budget=budget)  # both families
+            for i, rel in enumerate(rows):
+                if not check_component_preservation(rel, ds):
                     failures.append(f"(m={m}, n={n}) row {i} mixes components")
-            rows_checked += len(q.rows)
+            rows_checked += len(rows)
     return _result("component-preservation", start, failures,
                    f"{rows_checked} rows checked for n<={n_max}")
 

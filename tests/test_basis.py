@@ -288,13 +288,40 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
 
 
 def test_relation_rows_generated_once_per_instance(monkeypatch, tmp_path):
-    calls = _count_calls(monkeypatch, [B, cli], "generate_relations",
-                         relations.generate_relations)
+    calls = []
+    real = relations.generate_relations
+
+    def counting(ds, *args, **kwargs):
+        calls.append((ds.m, ds.n, kwargs.get("b_only", False)))
+        return real(ds, *args, **kwargs)
+
+    for module in (B, cli):
+        monkeypatch.setattr(module, "generate_relations", counting)
     clear_memo()
     assert cli.main(["--cache", str(tmp_path / "cache"), "basis", "3", "4"]) == 0
-    assert [(ds.m, ds.n) for ds, *_ in calls] == [(3, 4)]
+    # the quotient eliminates the family-B rows; the relations file records
+    # the full list, built once more for it
+    assert calls == [(3, 4, True), (3, 4, False)]
     calls.clear()
     clear_memo()
     assert dim_C(2, 4, budget=Budget()) == 22
+    assert calls == [(2, 4, True)]
+    calls.clear()
+    assert dim_C(2, 4, budget=Budget()) == 22
     assert connected_basis(2, 4).dimension == 22
-    assert [(ds.m, ds.n) for ds, *_ in calls] == [(2, 4)]
+    assert calls == []  # a memo hit builds no rows
+
+
+def test_cell_cap_counts_distinct_rows():
+    # connected (2,5): 533 diagrams, 8540 nonzero four-term rows of which
+    # 1858 are distinct up to sign; 2e6 cells lie between the two
+    assert 1858 * 533 < 2_000_000 < 8540 * 533
+    clear_memo()
+    for _ in ("cold", "memo hit"):
+        assert dim_C(2, 5, budget=Budget(max_matrix_cells=2_000_000)) == 55
+        assert B.quotient(2, 5).cells == (1858, 533)
+    clear_memo()
+    for _ in ("cold", "memo hit"):
+        with pytest.raises(BudgetExceededError):
+            dim_C(2, 5, budget=Budget(max_matrix_cells=1))
+        assert B.quotient(2, 5).dimension == 55

@@ -73,6 +73,13 @@ def test_assemble_keeps_duplicates():
     assert rref(mat).rank == 1
 
 
+def test_assemble_distinct_keeps_the_first_row_up_to_sign():
+    rows = [{}, {0: -1, 1: 1}, {0: 1, 1: -1}, {0: 1, 2: 2}, {0: -1, 1: 1}]
+    mat = assemble(rows, 3, distinct=True)
+    assert mat.rows == (((0, -1), (1, 1)), ((0, 1), (2, 2)))
+    assert rref(mat) == rref(assemble(rows, 3))
+
+
 def test_express_pivots_identity():
     res = rref(matrix_from_dense([[1, 0], [0, 1]]))
     exprs = express_pivots(res)

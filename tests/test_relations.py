@@ -8,7 +8,7 @@ from chordbasis.budget import Budget
 from chordbasis.diagrams import canonical_feet, diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
-from chordbasis.exactla import assemble, pivot_columns
+from chordbasis.exactla import assemble, pivot_columns, rref
 from chordbasis.relations import (
     Relation,
     check_component_preservation,
@@ -266,6 +266,38 @@ def test_rows_do_not_depend_on_the_set(m, n):
         assert rows == [{_put_back(d, circles): c for d, c in row.items()}
                         for row in blocks[k][active]]
     assert bare
+
+
+def _up_to_sign(rows):
+    """The nonzero rows, each scaled so that its first coefficient is
+    positive, as a set."""
+    return {r.coeffs if r.coeffs[0][1] > 0 else tuple((c, -v) for c, v in r.coeffs)
+            for r in rows if r.coeffs}
+
+
+@pytest.mark.parametrize("enumerate_fn, m, n", [
+    (enumerate_connected, 2, 3), (enumerate_connected, 3, 3),
+    (enumerate_connected, 2, 4), (enumerate_connected, 3, 4),
+    (enumerate_connected, 1, 5), (enumerate_connected, 2, 5),
+    (enumerate_all, 4, 3), (enumerate_all, 4, 4),
+])
+def test_family_a_is_minus_family_b(enumerate_fn, m, n):
+    ds = enumerate_fn(m, n)
+    rows = generate_relations(ds)
+    b_rows = generate_relations(ds, b_only=True)
+    assert b_rows == rows[1::2]
+    # every A row of S is minus the B row of S with the pair swapped, and
+    # every B row arises so: as sets up to sign the families coincide
+    assert _up_to_sign(rows[0::2]) == _up_to_sign(b_rows)
+
+
+@pytest.mark.parametrize("m, n, distinct", [(3, 4, 294), (2, 5, 1858)])
+def test_distinct_b_rows_have_the_rref_of_all_rows(m, n, distinct):
+    ds = enumerate_connected(m, n)
+    reduced = assemble(generate_relations(ds, b_only=True), len(ds), distinct=True)
+    assert reduced.nrows == distinct
+    assert set(reduced.rows) <= {r.coeffs for r in generate_relations(ds)}
+    assert rref(reduced) == rref(assemble(generate_relations(ds), len(ds)))
 
 
 def test_time_budget_fires_during_generation():
