@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .budget import Budget, ensure_budget
 from .diagrams import ChordDiagram, disjoint_union
-from .enumeration import DiagramSet, _compositions, enumerate_all, enumerate_connected
+from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connected
 from .errors import ChordBasisError, DiagramError
 from .exactla import Echelon, assemble, back_substitute, echelon_form, express_pivots
 from .relations import generate_relations
@@ -105,8 +105,11 @@ def clear_memo() -> None:
 
 def quotient(m: int, n: int, connected: bool = True,
              budget: Budget | None = None) -> Quotient:
-    """Enumerate, relate and forward-eliminate the (m, n) diagrams, or only
-    the connected ones; memoized per (m, n, connected).
+    """Enumerate, relate and forward-eliminate the connected (m, n)
+    diagrams, or with ``connected=False`` the active ones, which carry a
+    foot on every circle (``diagrams.active_starts``: every (m, n) diagram
+    is an active one on some k <= m circles, placed among m - k bare ones);
+    memoized per (m, n, connected).
 
     A memo hit charges ``budget`` what the cold computation charged, so a
     cap too small for the instance fails the same way warm or cold.
@@ -120,7 +123,8 @@ def quotient(m: int, n: int, connected: bool = True,
         return q
     budget = ensure_budget(budget)
     used = budget.candidates_used
-    ds = (enumerate_connected if connected else enumerate_all)(m, n, budget=budget)
+    ds = (enumerate_connected(m, n, budget=budget) if connected
+          else _enumerate(m, n, False, budget, active_only=True))
     candidates = budget.candidates_used - used
     mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds),
                    distinct=True)
@@ -176,10 +180,11 @@ REFERENCE_A_DIMS: dict[tuple[int, int], int] = {
 }
 
 # Cells of REFERENCE_A_DIMS that disagree with the component-decomposition
-# formula.  A direct rank over all diagrams (enumerate_all, every relation
-# row, exact rank) sides with the formula wherever it has been computed:
-# A(4,3) = 270, A(5,3) = 770, A(6,3) = 1918, A(4,4) = 1063, A(5,4) = 3930
-# and A(4,5) = 3793; verify.check_full_dims recomputes these.
+# formula.  A direct rank over all diagrams (the exact ranks of the active
+# sets, summed over the placements of the bare circles) sides with the
+# formula at every one: A(4,3) = 270, A(5,3) = 770, A(6,3) = 1918,
+# A(4,4) = 1063, A(5,4) = 3930, A(6,4) = 12521, A(4,5) = 3793,
+# A(5,5) = 17648 and A(6,5) = 70274; verify.check_full_dims recomputes these.
 PUBLISHED_A_ERRATA: frozenset[tuple[int, int]] = frozenset(
     (m, n) for m in (4, 5, 6) for n in (3, 4, 5)
 )

@@ -15,8 +15,9 @@ from .errors import BudgetExceededError, DiagramError
 
 # Defaults are sized so that every instance with n <= 4 fits with orders of
 # magnitude to spare, and n = 5 with m <= 6 fits comfortably.  The largest
-# matrix verify builds, the direct rank over all (4, 5) diagrams, has
-# 238328 x 17554 (about 4.2e9) cells.
+# matrix verify builds, the distinct rows of the active set on six circles
+# with five chords (a direct-rank block of A(6, 5)), has 13560 x 14724
+# (about 2.0e8) cells.
 DEFAULT_MAX_CANDIDATES = 10**9
 DEFAULT_MAX_MATRIX_CELLS = 10**10
 DEFAULT_TIME_BUDGET = 0.0  # seconds; 0 means unlimited

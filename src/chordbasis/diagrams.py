@@ -118,7 +118,17 @@ def active_starts(starts: Sequence[int]) -> tuple[int, ...]:
     canonical form.  A four-term edit neither empties a circle (the moving
     foot's circle keeps its partner in the pair) nor fills a bare one, so a
     diagram and its four-term rows are those of its active block placed on
-    its circles.  Enumeration and relation generation work once per block.
+    its circles: bare circles are only a placement.  The (m, n) relation
+    matrix therefore splits into one block per bare-circle pattern, each a
+    copy of the active set on the k circles that are not bare (the diagrams
+    with a foot on every circle), and
+
+        A(m, n) = sum over k of binom(m, k) * D_k(n),
+
+    where D_k(n) is the dimension of the active set on k circles modulo
+    the four-term relation, zero for k > 2n.  Enumeration walks each active
+    block once, relation generation builds the rows of each active list
+    once, and the direct rank in ``verify`` sums the D_k.
     """
     return tuple(dict.fromkeys(starts))
 

@@ -78,12 +78,6 @@ class DiagramSet:
         except KeyError:
             raise DiagramError(f"{d} is not in the enumerated set") from None
 
-    def index_of_raw(self, feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
-        try:
-            return self._index[(feet, starts)]
-        except KeyError:
-            raise DiagramError("canonical form not in the enumerated set") from None
-
     @cached_property
     def digest(self) -> str:
         """The ``digest=`` of the diagram-set file, which the relations and
@@ -218,23 +212,28 @@ def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool
     return found
 
 
-def _enumerate(m: int, n: int, connected_only: bool,
-               budget: Budget | None) -> DiagramSet:
+def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
+               active_only: bool = False) -> DiagramSet:
+    """The (m, n) diagrams, or the connected ones; with ``active_only``
+    only those with a foot on every circle, the active set of
+    :func:`active_starts`."""
     if m < 1:
         raise DiagramError("need at least one circle")
     if n < 0:
         raise DiagramError("chord count must be nonnegative")
     budget = ensure_budget(budget)
+    # a connected diagram on two or more circles has a foot on every circle
+    active_only = active_only or (connected_only and m >= 2)
     if n == 0:
         starts = (0,) * (m + 1)
-        if connected_only and m >= 2:
+        if active_only:
             return DiagramSet(m, n, connected_only, ())
         empty = canonicalize(StringRep((), starts))
         return DiagramSet(m, n, connected_only, (empty,))
     if connected_only and n < m - 1:
         # Fewer chords than a spanning tree needs: nothing to enumerate.
         return DiagramSet(m, n, connected_only, ())
-    minimum = 1 if (connected_only and m >= 2) else 0
+    minimum = 1 if active_only else 0
     starts_vectors = []
     for comp in _compositions(2 * n, m, minimum):
         starts = [0]

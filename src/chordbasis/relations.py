@@ -17,16 +17,23 @@ re-canonicalized before the four terms are merged, so coincidences of
 canonical forms may cancel entries or produce coefficients of +-2; a row may
 merge away entirely and is then kept as an empty audit row.
 
-A diagram's rows are those of its active block (:func:`active_starts`)
-placed on its circles; a diagram without a bare circle is its own block.
-Each call of :func:`generate_relations` builds the rows of every block once
-over term numbers from one memo local to the call, which maps a term's
-active starts and its feet, renumbered by first occurrence or canonical,
-to a number.  A renumbered term costs one :func:`canonical_feet` call when
-first seen unless it is already canonical and numbered: 26,661 calls for
-the 134,760 terms of connected (4,5), 364 for all (6,3).  Distinct numbers
-are distinct diagrams, so each copy of a block maps them to its own columns
-by expanding their starts onto its circles, and sorts each row by column.
+Bare circles are only a placement (:func:`active_starts`).  The diagrams
+of a set that share one bare-circle pattern are the terms of their active
+list, each diagram's feet with its active starts, in set order, placed on
+the pattern's circles, and so are their rows.  Each call of
+:func:`generate_relations` builds the rows of every distinct active list
+once, with the list's positions as columns, through one memo per list
+that maps a term's feet, renumbered by first occurrence, and its active
+starts to a column.  The list's own terms seed the memo, so a renumbered
+term costs one :func:`canonical_feet` call when first seen unless it is
+already canonical: 24,617 calls for the 134,760 terms of connected (4,5),
+and 283 for all (6,3), whose 63 patterns share six lists.  A term the list
+lacks raises :class:`DiagramError`.  Every diagram of a pattern receives
+its rows through the pattern's diagram indices, local column c becoming
+``where[c]``; those indices increase with c, so every row stays sorted by
+column.  Placing bare circles at fixed positions keeps the (starts, feet)
+order, so in an enumerated set all patterns with k active circles share
+one list.  A connected set has one pattern, and its list is the whole set.
 
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
@@ -53,7 +60,6 @@ of a row space in a fixed column order is unique, so the result is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
@@ -68,6 +74,10 @@ from .diagrams import (
 from .enumeration import DiagramSet
 from .errors import ChordBasisError, DiagramError
 from .util import content_digest
+
+
+# a diagram's feet with the starts of its active block
+Term = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,9 +128,9 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
                 term: Callable[[tuple[int, ...], tuple[int, ...]], int],
                 b_only: bool) -> list[tuple[tuple[int, int], ...]]:
     """The merged coefficients of every row of the diagram (feet, starts),
-    or of its family-B rows with ``b_only``, as (term number, coefficient)
-    pairs; ``source`` is the diagram's own term number and ``term`` numbers
-    an edited representation."""
+    or of its family-B rows with ``b_only``, as (column, coefficient) pairs
+    sorted by column; ``source`` is the diagram's own column and ``term``
+    gives an edited representation's column."""
     circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -147,7 +157,32 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
             merged: dict[int, int] = {}
             for t, coef in terms:
                 merged[t] = merged.get(t, 0) + coef
-            out.append(tuple([(t, c) for t, c in merged.items() if c]))
+            out.append(tuple(sorted([(t, c) for t, c in merged.items() if c])))
+    return out
+
+
+def _active_rows(active: tuple[Term, ...], budget: Budget,
+                 b_only: bool) -> list[list[tuple[tuple[int, int], ...]]]:
+    """The rows of every active term (feet, active starts) of ``active``,
+    over the positions in ``active`` as columns; a term that ``active``
+    lacks raises :class:`DiagramError`."""
+    # relabelled (feet, active starts) -> column, the canonical ones first
+    column = {key: c for c, key in enumerate(active)}
+
+    def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
+        key = (relabel(feet), starts)
+        c = column.get(key)
+        if c is None:
+            c = column.get((canonical_feet(key[0], starts), starts))
+            if c is None:
+                raise DiagramError("canonical form not in the enumerated set")
+            column[key] = c
+        return c
+
+    out = []
+    for c, (feet, starts) in enumerate(active):
+        budget.check_time()
+        out.append(_row_coeffs(feet, starts, c, term, b_only))
     return out
 
 
@@ -161,37 +196,24 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
     merge to nothing are kept (for auditing) and dropped at matrix assembly.
     """
     budget = ensure_budget(budget)
-    # renumbered or canonical (feet, active starts) -> term number t
-    numbers: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    terms: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # canonical, by t
-
-    def number(canonical: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
-        t = numbers.setdefault(canonical, len(terms))
-        if t == len(terms):
-            terms.append(canonical)
-        return t
-
-    def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
-        key = (relabel(feet), starts)
-        t = numbers.get(key)
-        if t is None:
-            t = numbers[key] = number((canonical_feet(key[0], starts), starts))
-        return t
-
-    copies: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+    # bare-circle pattern -> the indices of its diagrams, in set order
+    patterns: dict[tuple[bool, ...], list[int]] = {}
     for i, d in enumerate(ds.diagrams):
-        copies.setdefault((d.rep.feet, active_starts(d.rep.starts)), []).append(i)
+        starts = d.rep.starts
+        patterns.setdefault(tuple([lo == hi for lo, hi in zip(starts, starts[1:])]),
+                            []).append(i)
+    built: dict[tuple[Term, ...], list[list[tuple[tuple[int, int], ...]]]] = {}
     placed: list[list[Relation]] = [[] for _ in ds.diagrams]
-    for (feet, active), where in copies.items():
+    for where in patterns.values():
         budget.check_time()
-        shape = _row_coeffs(feet, active, number((feet, active)), term, b_only)
-        used = dict.fromkeys(t for row in shape for t, _ in row)
-        for i in where:
-            # a copy's starts have at least two entries: expand gives a tuple
-            expand = itemgetter(*map(active.index, ds.diagrams[i].rep.starts))
-            col = {t: ds.index_of_raw(terms[t][0], expand(terms[t][1])) for t in used}
-            placed[i] = [Relation(tuple(sorted([(col[t], c) for t, c in row])))
-                         for row in shape]
+        reps = [ds.diagrams[i].rep for i in where]
+        active = tuple([(rep.feet, active_starts(rep.starts)) for rep in reps])
+        if active not in built:
+            built[active] = _active_rows(active, budget, b_only)
+        # where is increasing, so a row sorted by local column stays sorted
+        for i, rows in zip(where, built[active]):
+            placed[i] = [Relation(tuple([(where[c], v) for c, v in row]))
+                         for row in rows]
     return [row for rows in placed for row in rows]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from math import comb
 
 from .basis import (
     PUBLISHED_A_ERRATA,
@@ -87,12 +88,15 @@ def check_connected_dims(n_max: int = 4, budget: Budget | None = None) -> CheckR
                    f"{count} entries reproduced live")
 
 
-def check_order5_connected(live: bool = True, time_budget: float = 3600.0,
+ORDER5_TIME_BUDGET = 3600.0  # seconds, for a live n = 5 row without a budget
+
+
+def check_order5_connected(live: bool = True,
                            budget: Budget | None = None) -> CheckResult:
     """The n = 5 connected dimensions, with the tree-count cross-check.
 
     With ``live`` the whole row is recomputed end to end under ``budget``,
-    or under a fresh ``time_budget`` when none is passed (a
+    or under a fresh ``ORDER5_TIME_BUDGET`` when none is passed (a
     BudgetExceededError propagates rather than reporting a wrong number);
     otherwise only the independent tree-count cross-check runs.
     """
@@ -104,7 +108,7 @@ def check_order5_connected(live: bool = True, time_budget: float = 3600.0,
     detail = "tree-count cross-check only (fast profile)"
     if live:
         if budget is None:
-            budget = Budget(time_budget=time_budget)
+            budget = Budget(time_budget=ORDER5_TIME_BUDGET)
         for m in range(1, 7):
             value = dim_C(m, 5, budget=budget)
             ref = REFERENCE_C_DIMS[(m, 5)]
@@ -115,25 +119,31 @@ def check_order5_connected(live: bool = True, time_budget: float = 3600.0,
 
 
 # Published-table errata whose full dimension is recomputed by direct rank,
-# by profile.  (5,5) and (6,5) stay unarbitrated because of their relation
-# matrices, not their enumeration: their 63,973 and 206,937 diagrams
-# enumerate in about 3 and 5 s, but their 958,500 and 2,941,008 rows span
-# about 6e10 and 6e11 cells, beyond the default matrix-cell budget.
-DIRECT_RANK_FAST = ((4, 3), (5, 3), (6, 3), (4, 4))
-DIRECT_RANK_FULL = DIRECT_RANK_FAST + ((5, 4), (6, 4), (4, 5))
+# by profile: on a 2-vCPU x86 VM the six with n <= 4 take under 1 s
+# together, and the three with n = 5 about 13 s more.
+DIRECT_RANK_FAST = ((4, 3), (5, 3), (6, 3), (4, 4), (5, 4), (6, 4))
+DIRECT_RANK_FULL = DIRECT_RANK_FAST + ((4, 5), (5, 5), (6, 5))
 
 
 def _direct_dim_A(m: int, n: int, budget: Budget | None = None) -> int:
     """Full dimension by exact rank over every diagram, connected or not;
-    independent of the connected table and of the formula."""
-    return quotient(m, n, connected=False, budget=budget).dimension
+    independent of the connected table and of the formula.
+
+    It sums the dimensions D_k(n) of the active sets on k <= m circles, one
+    per placement of the m - k bare circles (``diagrams.active_starts``).
+    """
+    if n == 0:
+        return 1  # the one diagram, every circle bare
+    return sum(comb(m, k) * quotient(k, n, connected=False, budget=budget).dimension
+               for k in range(1, min(m, 2 * n) + 1))
 
 
-def check_full_dims(live_n5: bool = False, budget: Budget | None = None,
+def check_full_dims(budget: Budget | None = None,
                     direct_cells: tuple[tuple[int, int], ...] = DIRECT_RANK_FAST
                     ) -> CheckResult:
     """Full-space dimensions from the component-decomposition formula
-    against the published table, m <= 6, n <= 5.
+    against the published table, m <= 6, n <= 5, with the n = 5 connected
+    row taken from the published values.
 
     Passes when the formula equals the published value outside
     ``PUBLISHED_A_ERRATA``, differs from it at every erratum, and equals
@@ -141,8 +151,7 @@ def check_full_dims(live_n5: bool = False, budget: Budget | None = None,
     every erratum with both values and its direct rank where computed.
     """
     start = time.time()
-    bundled = () if live_n5 else (5,)
-    table = dim_table_C(5, 6, budget=budget, bundled_n=bundled)
+    table = dim_table_C(5, 6, budget=budget, bundled_n=(5,))
     direct = {(m, n): _direct_dim_A(m, n, budget=budget)
               for m, n in direct_cells}
     failures = []
@@ -378,7 +387,7 @@ def run_profile(profile: str, budget: Budget | None = None) -> list[CheckResult]
     results = [
         check_connected_dims(n_max=4 if full else 3, budget=budget),
         check_order5_connected(live=full, budget=budget),
-        check_full_dims(live_n5=False, budget=budget,
+        check_full_dims(budget=budget,
                         direct_cells=DIRECT_RANK_FULL if full else DIRECT_RANK_FAST),
         check_polynomials(budget=budget),
         check_tree_basis(verify_n_max=4 if full else 3, budget=budget),

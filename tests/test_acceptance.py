@@ -37,11 +37,11 @@ def test_criterion_02_order5_row():
     with pytest.raises(BudgetExceededError):
         dim_C(2, 5, budget=Budget(max_candidates=10))
     live = PROFILE != "fast"
-    _report(V.check_order5_connected(live=live, time_budget=3600.0))
+    _report(V.check_order5_connected(live=live))
 
 
 def test_criterion_03_full_dimension_table():
-    _report(V.check_full_dims(live_n5=False))
+    _report(V.check_full_dims())
 
 
 def test_criterion_04_closed_form_polynomials():

@@ -239,16 +239,20 @@ def test_partition_compositions_structure():
 def test_full_dimension_by_direct_rank_computation():
     # fully independent route for the full space: enumerate every diagram
     # (connected or not), generate all relation rows, take the exact rank;
-    # this arbitrates the published-table mismatch at (4, 3)
+    # this arbitrates the published-table mismatch at (4, 3), and is the
+    # oracle of the block sum verify ranks by
     from chordbasis.enumeration import enumerate_all
     from chordbasis.exactla import assemble, pivot_columns
     from chordbasis.relations import generate_relations
+    from chordbasis.verify import _direct_dim_A
 
-    for m, n, expected in [(2, 2, 8), (3, 3, 80), (4, 3, 270)]:
+    for m, n, expected in [(2, 2, 8), (3, 3, 80), (4, 3, 270), (3, 4, 241)]:
         ds = enumerate_all(m, n)
         rank = len(pivot_columns(assemble(generate_relations(ds), len(ds))))
         assert len(ds) - rank == expected
         assert len(ds) - rank == dim_A(m, n, REFERENCE_C_DIMS)
+        if (m, n) in ((4, 3), (3, 4)):
+            assert _direct_dim_A(m, n) == expected
 
 
 def test_full_dimension_dominates_connected_dimension():

@@ -6,7 +6,7 @@ import pytest
 from chordbasis import relations
 from chordbasis.budget import Budget
 from chordbasis.diagrams import canonical_feet, diagram
-from chordbasis.enumeration import enumerate_all, enumerate_connected
+from chordbasis.enumeration import DiagramSet, enumerate_all, enumerate_connected
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns, rref
 from chordbasis.relations import (
@@ -206,10 +206,9 @@ def test_one_canonical_form_per_distinct_term(monkeypatch):
     rows = generate_relations(ds)
     # 1584 adjacent pairs, each with a swapped term and four moved-foot
     # terms: 7920 edited terms, of which 1697 differ up to chord labels and
-    # 106 of those are already the canonical form of an earlier term or
-    # of a source diagram
+    # 279 of those, every diagram of the set, are already canonical
     assert len(rows) == 2 * 1584
-    assert len(calls) == 1591
+    assert len(calls) == 1418
 
 
 def test_rows_built_once_per_active_block(monkeypatch):
@@ -222,11 +221,12 @@ def test_rows_built_once_per_active_block(monkeypatch):
 
     monkeypatch.setattr(relations, "canonical_feet", counting)
     rows = generate_relations(ds)
-    # 2170 diagrams, 176 of them distinct once their bare circles are
-    # dropped; the rows of each of those are built once and placed on
-    # every copy (6340 terms differ up to chord labels over all copies)
+    # 2170 diagrams on 63 bare-circle patterns, which share 6 active lists
+    # (one per active circle count) of 176 diagrams in all; the rows of
+    # each list are built once, and of their 2170 edited terms 422 differ
+    # up to chord labels and 139 of those are already canonical
     assert len(rows) == 12828
-    assert len(calls) == 364
+    assert len(calls) == 283
 
 
 def _rows_by_source(ds):
@@ -266,6 +266,20 @@ def test_rows_do_not_depend_on_the_set(m, n):
         assert rows == [{_put_back(d, circles): c for d, c in row.items()}
                         for row in blocks[k][active]]
     assert bare
+
+
+def test_a_set_without_a_used_term_is_refused():
+    full = enumerate_all(3, 3)
+    # on the last of the three patterns with one bare circle, so that the
+    # two before it have the whole list and it must not share their rows
+    gone = full.index_of(diagram("0102|12|"))
+    # another diagram with the same bare circle has a row on it
+    assert any(label["source"] != "0102|12|" and gone in dict(row.coeffs)
+               for label, row in _labelled(full))
+    ds = DiagramSet(3, 3, False, full.diagrams[:gone] + full.diagrams[gone + 1:])
+    for b_only in (False, True):
+        with pytest.raises(DiagramError):
+            generate_relations(ds, b_only=b_only)
 
 
 def _up_to_sign(rows):

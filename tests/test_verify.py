@@ -84,7 +84,7 @@ def test_verify_fast_lists_errata(tmp_path, capsys):
         published = REFERENCE_A_DIMS[(m, n)]
         assert f"A[m={m},n={n}] formula={formula} published={published} " in line
     for (m, n), rank in (((4, 3), 270), ((5, 3), 770), ((6, 3), 1918),
-                         ((4, 4), 1063)):
+                         ((4, 4), 1063), ((5, 4), 3930), ((6, 4), 12521)):
         published = REFERENCE_A_DIMS[(m, n)]
         assert (f"A[m={m},n={n}] formula={rank} published={published} "
                 f"direct-rank={rank}") in line
