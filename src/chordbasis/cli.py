@@ -105,6 +105,7 @@ class Settings:
                                        f"valid {cast.__name__}: {config[key]!r}") from None
             return default
 
+        pick(args.threads, "threads", None, int)  # checked, has no effect
         self.cache_root = pick(args.cache, "cache", None, str)
         max_candidates = pick(args.max_candidates, "max-candidates",
                               DEFAULT_MAX_CANDIDATES, int)

@@ -14,10 +14,13 @@ per-circle rotations, with chords renumbered by first occurrence; it is the
 identity of a diagram and the total order on diagrams is lexicographic on
 (m, n, starts, feet).
 
-:func:`canonical_feet` computes it by a branch-and-bound search over the
-circles and is the only canonicalizer production code runs.  The brute
-force over every combination of rotations is kept as the defining oracle
-that the ``canonical-roundtrips`` check and the tests compare it against.
+The set pipeline (enumeration, then relation generation) walks each
+diagram's :func:`orbit` and takes its least member.  A single diagram has
+no orbit at hand, so :func:`canonical_feet` finds its canonical form by a
+branch-and-bound search over the circles, which prunes what the orbit
+would list in full.  The brute force over every combination of rotations
+is kept as the defining oracle that the ``canonical-roundtrips`` check and
+the tests compare both against.
 """
 
 from __future__ import annotations
@@ -104,6 +107,19 @@ def relabel(feet: Iterable[int]) -> tuple[int, ...]:
     return tuple([labels.setdefault(c, len(labels)) for c in feet])
 
 
+def orbit(feet: tuple[int, ...], starts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every rotation of every circle of ``feet``, relabelled by first
+    occurrence: the feet sequences with these ``starts`` that are the same
+    diagram.  Its least member is the canonical form, and ``relabel`` maps
+    every representation of the diagram with these ``starts`` into it."""
+    rotations = []
+    for lo, hi in zip(starts, starts[1:]):
+        block = feet[lo:hi]
+        rotations.append([block[r:] + block[:r] for r in range(len(block))] or [block])
+    return {relabel(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*rotations)}
+
+
 def circle_owners(starts: Sequence[int]) -> list[int]:
     """The circle owning each feet position: ``circle_owners(starts)[p]``
     is ``StringRep.circle_of(p)`` for every rep with these ``starts``."""
@@ -141,7 +157,7 @@ def canonical_feet_bruteforce(feet: tuple[int, ...],
     string, so the chosen labelling never matters.  This is the defining
     oracle: it tries every combination of rotations, and only the
     ``canonical-roundtrips`` check and the tests call it, to guard
-    :func:`canonical_feet`.
+    :func:`canonical_feet` and the least member of :func:`orbit`.
     """
     n = len(feet) // 2
     m = len(starts) - 1

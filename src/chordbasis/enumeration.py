@@ -6,21 +6,21 @@ numbered by first occurrence.  Rotating each circle's block and numbering
 the chords afresh maps a matching to another matching of the same diagram,
 so the matchings fall into orbits, one per diagram (orbit marking, the
 first step of isomorph-free generation; McKay, J. Algorithms 26, 1998).
-The matchings are walked in order.  The first matching of an orbit marks
-all of its images as seen, is tested for connectivity straight from its
-feet, and is canonicalized once by :func:`canonical_feet`; the orbit's
-later members are skipped unexamined.  The seen set holds at most
-(2n-1)!! matchings and is dropped after each vector.  This yields the
-canonical form of every diagram exactly once, without the quadratic
-retained-list scan of the naive method (which is kept as
-:func:`enumerate_all_naive` for cross-checking).
+The matchings are walked in order.  The first matching of an orbit builds
+the whole :func:`orbit`, marks it as seen, and is tested for connectivity
+straight from its feet; the orbit's least member is the diagram's
+canonical form, and its later members are skipped unexamined.  The seen
+set holds at most (2n-1)!! matchings and is dropped after each vector.
+This yields the canonical form of every diagram exactly once, without a
+canonicalizer call and without the quadratic retained-list scan of the
+naive method (which is kept as :func:`enumerate_all_naive` for
+cross-checking).
 
 The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
 distinct active block once and places its sorted feet on every vector with
-those nonzero parts: at (6,3), 176 ``canonical_feet`` calls for 2,170
-diagrams on 462 vectors.  The candidate budget is still charged every
-matching of every vector.
+those nonzero parts.  The candidate budget is still charged every matching
+of every vector.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .diagrams import (
     ChordDiagram,
     StringRep,
     active_starts,
-    canonical_feet,
     canonicalize,
     circle_owners,
+    orbit,
     parse,
-    relabel,
 )
 from .errors import DiagramError
 from .util import content_digest
@@ -159,17 +158,6 @@ def _double_factorial_odd(n: int) -> int:
     return out
 
 
-def _orbit(feet: tuple[int, ...], starts: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Every rotation of every circle of ``feet``, relabelled by first
-    occurrence: the matchings that are the same diagram."""
-    rotations = []
-    for lo, hi in zip(starts, starts[1:]):
-        block = feet[lo:hi]
-        rotations.append([block[r:] + block[:r] for r in range(len(block))] or [block])
-    return {relabel(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*rotations)}
-
-
 def _connected(feet: tuple[int, ...], circle: list[int], m: int) -> bool:
     """Whether the chords join all ``m`` circles; circle ``circle[p]`` owns
     position p."""
@@ -191,12 +179,12 @@ def _connected(feet: tuple[int, ...], circle: list[int], m: int) -> bool:
 
 def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool,
                            budget: Budget) -> list[tuple[int, ...]]:
-    """The canonical feet of every diagram with these ``starts``, one
-    ``canonical_feet`` call per diagram.
+    """The canonical feet of every diagram with these ``starts``.
 
     The rotations of the circles act on the matchings; each orbit is one
     diagram.  The first matching of an orbit marks the whole orbit as
-    seen, so its later members are skipped unexamined.
+    seen, so its later members are skipped unexamined, and the orbit's
+    least member is the diagram's canonical feet.
     """
     circle = circle_owners(starts)
     seen: set[tuple[int, ...]] = set()
@@ -205,10 +193,11 @@ def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool
         if feet in seen:
             continue
         budget.check_time()
-        seen |= _orbit(feet, starts)
+        images = orbit(feet, starts)
+        seen |= images
         if connected_only and not _connected(feet, circle, len(starts) - 1):
             continue
-        found.append(canonical_feet(feet, starts))
+        found.append(min(images))
     return found
 
 

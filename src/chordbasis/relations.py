@@ -13,22 +13,24 @@ the other chord produces differences that cancel:
 
 "before"/"after" mean immediately preceding/following in clockwise reading
 order on the target foot's circle.  Every edited representation is
-re-canonicalized before the four terms are merged, so coincidences of
-canonical forms may cancel entries or produce coefficients of +-2; a row may
-merge away entirely and is then kept as an empty audit row.
+replaced by its diagram's column before the four terms are merged, so
+coincidences of canonical forms may cancel entries or produce coefficients
+of +-2; a row may merge away entirely and is then kept as an empty audit
+row.
 
 Bare circles are only a placement (:func:`active_starts`).  The diagrams
 of a set that share one bare-circle pattern are the terms of their active
 list, each diagram's feet with its active starts, in set order, placed on
 the pattern's circles, and so are their rows.  Each call of
 :func:`generate_relations` builds the rows of every distinct active list
-once, with the list's positions as columns, through one memo per list
-that maps a term's feet, renumbered by first occurrence, and its active
-starts to a column.  The list's own terms seed the memo, so a renumbered
-term costs one :func:`canonical_feet` call when first seen unless it is
-already canonical: 24,617 calls for the 134,760 terms of connected (4,5),
-and 283 for all (6,3), whose 63 patterns share six lists.  A term the list
-lacks raises :class:`DiagramError`.  Every diagram of a pattern receives
+once, with the list's positions as columns.  A term's column is found
+through one map per list, built before any row from the :func:`orbit` of
+each of the list's diagrams: its active starts, then every orbit image,
+give the diagram's column.  An edited term, renumbered by first
+occurrence, is one of those images, so it costs one lookup and no
+canonical form is searched.  All (6,3) builds 176 orbits for its 2,170
+diagrams, as its 63 patterns share six lists.  A term the list lacks
+raises :class:`DiagramError`.  Every diagram of a pattern receives
 its rows through the pattern's diagram indices, local column c becoming
 ``where[c]``; those indices increase with c, so every row stays sorted by
 column.  Placing bare circles at fixed positions keeps the (starts, feet)
@@ -52,7 +54,7 @@ S', has the same rows on the matching pair, so every family-A row is minus
 a family-B row.  The B rows
 also repeat many times over: at connected (2,5) the 4,594 B rows hold 1,858
 distinct rows up to sign.  ``b_only`` makes :func:`generate_relations`
-build family B alone, which canonicalizes three terms per pair instead of
+build family B alone, which looks up three terms per pair instead of
 five; :func:`basis.quotient` eliminates those rows, deduplicated.  The RREF
 of a row space in a fixed column order is unique, so the result is the same.
 """
@@ -65,10 +67,10 @@ from typing import Callable, Iterator
 from .budget import Budget, ensure_budget
 from .diagrams import (
     active_starts,
-    canonical_feet,
     circle_owners,
     component_chord_counts,
     components,
+    orbit,
     relabel,
 )
 from .enumeration import DiagramSet
@@ -166,18 +168,17 @@ def _active_rows(active: tuple[Term, ...], budget: Budget,
     """The rows of every active term (feet, active starts) of ``active``,
     over the positions in ``active`` as columns; a term that ``active``
     lacks raises :class:`DiagramError`."""
-    # relabelled (feet, active starts) -> column, the canonical ones first
-    column = {key: c for c, key in enumerate(active)}
+    # active starts -> every orbit image of the list's diagrams -> column
+    column: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for c, (feet, starts) in enumerate(active):
+        budget.check_time()
+        column.setdefault(starts, {}).update(dict.fromkeys(orbit(feet, starts), c))
 
     def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
-        key = (relabel(feet), starts)
-        c = column.get(key)
-        if c is None:
-            c = column.get((canonical_feet(key[0], starts), starts))
-            if c is None:
-                raise DiagramError("canonical form not in the enumerated set")
-            column[key] = c
-        return c
+        try:
+            return column[starts][relabel(feet)]
+        except KeyError:
+            raise DiagramError("canonical form not in the enumerated set") from None
 
     out = []
     for c, (feet, starts) in enumerate(active):

@@ -277,11 +277,12 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_value_that_does_not_parse_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "cfg.txt"
-    config.write_text("max-candidates = lots\n")
-    assert main(["--config", str(config), "enumerate", "1", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "max-candidates" in err and "lots" in err
+    for key in ("max-candidates", "threads"):
+        config.write_text(f"{key} = lots\n")
+        assert main(["--config", str(config), "enumerate", "1", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err and "lots" in err
 
 
 def test_env_cache_dir_is_used(tmp_path, monkeypatch, capsys):

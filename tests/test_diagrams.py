@@ -19,6 +19,7 @@ from chordbasis.diagrams import (
     format_rep,
     full_subdiagram,
     is_connected,
+    orbit,
     parse,
     permute_circles,
     relabel,
@@ -144,6 +145,7 @@ def test_canonicalize_matches_bruteforce_oracle(rep):
     oracle = canonical_feet_bruteforce(rep.feet, rep.starts)
     assert canonical_feet(rep.feet, rep.starts) == oracle
     assert canonicalize(rep).rep.feet == oracle
+    assert min(orbit(rep.feet, rep.starts)) == oracle
 
 
 def test_production_never_runs_the_bruteforce_oracle(monkeypatch):

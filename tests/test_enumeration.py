@@ -5,7 +5,7 @@ import pytest
 
 from chordbasis import enumeration
 from chordbasis.budget import Budget
-from chordbasis.diagrams import canonical_feet, diagram, is_connected, permute_circles
+from chordbasis.diagrams import diagram, is_connected, orbit, permute_circles
 from chordbasis.enumeration import (
     DiagramSet,
     enumerate_all,
@@ -106,12 +106,14 @@ def test_one_canonical_form_per_diagram(monkeypatch):
 
     def counting(feet, starts):
         calls.append(feet)
-        return canonical_feet(feet, starts)
+        return orbit(feet, starts)
 
-    monkeypatch.setattr(enumeration, "canonical_feet", counting)
+    monkeypatch.setattr(enumeration, "orbit", counting)
     ds = enumerate_connected(4, 4)
     assert len(ds) == 279
-    assert len(calls) == len(ds)
+    # one orbit per diagram on the walked starts, connected or not: the
+    # 279 connected diagrams and 260 disconnected orbits, marked as seen
+    assert len(calls) == 279 + 260
 
 
 def test_one_canonical_form_per_active_block(monkeypatch):
@@ -119,13 +121,13 @@ def test_one_canonical_form_per_active_block(monkeypatch):
 
     def counting(feet, starts):
         calls.append(feet)
-        return canonical_feet(feet, starts)
+        return orbit(feet, starts)
 
-    monkeypatch.setattr(enumeration, "canonical_feet", counting)
+    monkeypatch.setattr(enumeration, "orbit", counting)
     budget = Budget()
     ds = enumerate_all(6, 3, budget=budget)
     assert len(ds) == 2170
-    # bare circles add nothing to a canonical form: one call per diagram
+    # bare circles add nothing to a canonical form: one orbit per diagram
     # whose feet lie on 1, 2, ..., 6 circles, each with at least one foot
     assert len(calls) == 5 + 17 + 38 + 56 + 45 + 15
     # the candidate charge still counts every matching of every starts vector

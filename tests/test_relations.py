@@ -1,11 +1,12 @@
 import dataclasses
+import sys
 import time
 
 import pytest
 
-from chordbasis import relations
+from chordbasis import enumeration, relations
 from chordbasis.budget import Budget
-from chordbasis.diagrams import canonical_feet, diagram
+from chordbasis.diagrams import canonical_feet, diagram, orbit
 from chordbasis.enumeration import DiagramSet, enumerate_all, enumerate_connected
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns, rref
@@ -200,15 +201,15 @@ def test_one_canonical_form_per_distinct_term(monkeypatch):
 
     def counting(feet, starts):
         calls.append(feet)
-        return canonical_feet(feet, starts)
+        return orbit(feet, starts)
 
-    monkeypatch.setattr(relations, "canonical_feet", counting)
+    monkeypatch.setattr(relations, "orbit", counting)
     rows = generate_relations(ds)
     # 1584 adjacent pairs, each with a swapped term and four moved-foot
-    # terms: 7920 edited terms, of which 1697 differ up to chord labels and
-    # 279 of those, every diagram of the set, are already canonical
+    # terms: 7920 edited terms, each found among the orbit images of the
+    # set's 279 diagrams, one orbit per diagram
     assert len(rows) == 2 * 1584
-    assert len(calls) == 1418
+    assert len(calls) == len(ds) == 279
 
 
 def test_rows_built_once_per_active_block(monkeypatch):
@@ -217,16 +218,32 @@ def test_rows_built_once_per_active_block(monkeypatch):
 
     def counting(feet, starts):
         calls.append(feet)
-        return canonical_feet(feet, starts)
+        return orbit(feet, starts)
 
-    monkeypatch.setattr(relations, "canonical_feet", counting)
+    monkeypatch.setattr(relations, "orbit", counting)
     rows = generate_relations(ds)
     # 2170 diagrams on 63 bare-circle patterns, which share 6 active lists
     # (one per active circle count) of 176 diagrams in all; the rows of
-    # each list are built once, and of their 2170 edited terms 422 differ
-    # up to chord labels and 139 of those are already canonical
+    # each list are built once, from one orbit per diagram of the list
     assert len(rows) == 12828
-    assert len(calls) == 283
+    assert len(calls) == 176
+
+
+def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):
+    def refuse(feet, starts):
+        raise AssertionError("the set pipeline takes canonical forms from orbits")
+
+    # every binding of the function object, under whatever name
+    for module in list(sys.modules.values()):
+        if not module.__name__.startswith("chordbasis"):
+            continue
+        for name, value in list(vars(module).items()):
+            if value is canonical_feet:
+                monkeypatch.setattr(module, name, refuse)
+    assert "canonical_feet" not in vars(enumeration)
+    assert "canonical_feet" not in vars(relations)
+    ds = enumerate_connected(4, 4)
+    assert len(generate_relations(ds)) == 2 * 1584
 
 
 def _rows_by_source(ds):
