@@ -6,11 +6,18 @@ beats built-in defaults.  All generated files are UTF-8 with LF line
 endings and carry a content digest in their header; the on-disk cache
 (``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical,
 and a cached file whose header does not match its body is recomputed.
+
+``enumerate``, ``basis``, ``orbits``, ``equivariant`` and ``express`` are
+cached commands.  ``express`` prints a line of the basis file: its cache
+miss computes and writes the relations and basis files, as ``basis`` does,
+and charges the budget only then.  One argument parser serves every
+``main`` call of a process; it is built on the first call, not on import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -21,7 +28,6 @@ from .basis import (
     connected_bases_for_full,
     dim_table_A,
     dim_table_C,
-    express,
     format_dimension_table,
     full_basis,
     quotient,
@@ -159,16 +165,30 @@ def _relations_text(ds: DiagramSet, settings: Settings) -> str:
     return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
 
 
-def cmd_basis(args, settings: Settings) -> int:
+def _basis_text(settings: Settings, m: int, n: int) -> str:
+    """The basis file of the connected (m, n) space, from the cache or
+    computed; a miss also writes the relations file it was built from."""
     def compute() -> str:
-        q = quotient(args.m, args.n, budget=settings.budget)
+        q = quotient(m, n, budget=settings.budget)
         # persist the relation rows too, so the basis file's inputs are on
         # disk; the quotient keeps none, so the full list is built for it
-        _cached_text(settings, relations_name(args.m, args.n),
+        _cached_text(settings, relations_name(m, n),
                      lambda: _relations_text(q.diagram_set, settings))
         return basis_to_text(q.basis)
 
-    text = _cached_text(settings, basis_name(args.m, args.n), compute)
+    return _cached_text(settings, basis_name(m, n), compute)
+
+
+def _basis_sections(text: str) -> tuple[list[str], list[str]]:
+    """The basis lines and the pivot-expression lines of an intact basis
+    file.  Every line counts: the bare one-circle diagram is the empty line."""
+    lines = text.split("\n")[1:]
+    cut = lines.index("pivot-expressions")
+    return lines[:cut], lines[cut + 1:]
+
+
+def cmd_basis(args, settings: Settings) -> int:
+    text = _basis_text(settings, args.m, args.n)
     if args.out:
         _emit(text, args.out)
     fields = dict(item.split("=", 1) for item in text.split("\n", 1)[0].split()[1:])
@@ -265,15 +285,21 @@ def cmd_tree_basis(args, settings: Settings) -> int:
 
 
 def cmd_express(args, settings: Settings) -> int:
+    # The basis file holds every answer: a basis diagram is itself, and a
+    # pivot diagram's line is its basis.express expansion (terms in column
+    # order, which is sorted diagram order, no zero coefficient, "0" when
+    # the expansion is empty).
     d = diagram(args.diagram)
-    b = connected_basis(d.m, d.n, budget=settings.budget)
-    combo = express(d, b)
-    terms = " + ".join(
-        f"{coef}*{diag}" for diag, coef in sorted(combo.items(), key=lambda t: t[0])
-        if coef
-    )
-    print(f"{d} = {terms if terms else '0'}")
-    return EXIT_OK
+    basis, expressions = _basis_sections(_basis_text(settings, d.m, d.n))
+    if str(d) in basis:
+        print(f"{d} = 1*{d}")
+        return EXIT_OK
+    prefix = f"{d} = "
+    for line in expressions:
+        if line.startswith(prefix):
+            print(line)
+            return EXIT_OK
+    raise DiagramError(f"{d} is not in the enumerated set")
 
 
 def cmd_render(args, settings: Settings) -> int:
@@ -282,13 +308,7 @@ def cmd_render(args, settings: Settings) -> int:
         text = _read_user_text(args.basis_file)
         if text.split(maxsplit=1)[:1] != ["basis"] or not artifact_intact(text):
             raise DiagramError(f"{args.basis_file} is not an intact basis file")
-        lines = text.splitlines()
-        texts = []
-        for line in lines[1:]:
-            if line == "pivot-expressions":
-                break
-            if line:
-                texts.append(line)
+        texts = _basis_sections(text)[0]
     else:
         if not args.diagram:
             raise DiagramError("render needs a diagram string or --basis-file")
@@ -400,9 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         settings = Settings(args)
         return args.func(args, settings)

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from chordbasis.basis import clear_memo
+from chordbasis import cli
+from chordbasis.basis import clear_memo, connected_basis, express
 from chordbasis.cli import main
+from chordbasis.diagrams import diagram
+from chordbasis.enumeration import enumerate_all, enumerate_connected
 
 
 def run(tmp_path, *argv, cache=None):
@@ -179,6 +182,19 @@ def test_render_basis_file(tmp_path, capsys):
     assert len(list(svg_dir.iterdir())) == 2  # dimension of the (1,2) space
 
 
+def test_render_basis_file_keeps_the_bare_circle(tmp_path, capsys):
+    # the (1,0) basis is the bare circle, whose basis line is empty
+    out = tmp_path / "b.txt"
+    assert run(tmp_path, "basis", "1", "0", "--out", str(out)) == 0
+    assert capsys.readouterr().out == "1\n"
+    svg_dir = tmp_path / "svgs"
+    assert run(tmp_path, "render", "--basis-file", str(out), "--svg", str(svg_dir)) == 0
+    assert [p.name for p in svg_dir.iterdir()] == ["0000_.svg"]
+    assert capsys.readouterr().out == f"wrote 1 file(s) to {svg_dir}\n"
+    assert run(tmp_path, "render", "--basis-file", str(out)) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_tree_basis_command(tmp_path, capsys):
     assert run(tmp_path, "tree-basis", "3", "--out", str(tmp_path / "t.txt")) == 0
     lines = (tmp_path / "t.txt").read_text().splitlines()
@@ -255,6 +271,110 @@ def test_warm_cache_is_byte_identical(tmp_path, capsys):
                "--out", str(out2), cache=cache) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (cache / "diagrams-m2-n3-conn.txt").read_bytes() == out1.read_bytes()
+
+
+def test_repeated_main_calls_share_one_parser_and_no_state(tmp_path, capsys,
+                                                          monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        conn = tmp_path / "conn.txt"
+        assert run(tmp_path, "enumerate", "1", "3", "--connected", "--out", str(conn)) == 0
+        assert run(tmp_path, "enumerate", "1", "3") == 0
+        # neither --connected nor --out carried over to the second call
+        assert capsys.readouterr().out == enumerate_all(1, 3).to_text()
+        assert conn.read_text() == enumerate_connected(1, 3).to_text()
+        assert run(tmp_path, "--max-candidates", "10", "enumerate", "2", "4") == 3
+        assert run(tmp_path, "enumerate", "2", "4") == 0
+        assert capsys.readouterr().out == enumerate_all(2, 4).to_text()
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "enumerate", "one", "3")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(tmp_path, "enumerate", "1", "3", "--connected") == 0
+        assert capsys.readouterr().out == enumerate_connected(1, 3).to_text()
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def _rotated(d):
+    """``d`` with every circle turned by one foot and the chord labels
+    reversed: the same diagram, mostly not in its canonical form."""
+    flip = {str(k): str(d.n - 1 - k) for k in range(d.n)}
+    return "|".join("".join(flip[c] for c in block[1:] + block[:1])
+                    for block in str(d).split("|"))
+
+
+def _library_line(d, b):
+    combo = express(d, b)
+    terms = " + ".join(f"{coef}*{diag}"
+                       for diag, coef in sorted(combo.items(), key=lambda t: t[0])
+                       if coef)
+    return f"{d} = {terms if terms else '0'}\n"
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_express_prints_the_library_expression(tmp_path, capsys, monkeypatch, m, n):
+    b = connected_basis(m, n)
+    texts = {d: _rotated(d) for d in b.diagram_set.diagrams}
+    assert all(diagram(t) == d for d, t in texts.items())
+    assert sum(t != str(d) for d, t in texts.items()) > len(texts) // 2
+    warm = tmp_path / "warm"
+    for i, (d, text) in enumerate(texts.items()):
+        expected = _library_line(d, b)
+        assert run(tmp_path, "express", text, cache=tmp_path / f"cold{i}") == 0
+        assert capsys.readouterr().out == expected
+        assert run(tmp_path, "express", text, cache=warm) == 0
+        assert run(tmp_path, "express", text, cache=warm) == 0
+        assert capsys.readouterr().out == expected * 2
+    answers = {d: _library_line(d, b) for d in texts}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm express computed the quotient")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("chordbasis.cli.quotient", refuse)
+        for d, text in texts.items():
+            assert run(tmp_path, "express", text, cache=warm) == 0
+            assert capsys.readouterr().out == answers[d]
+    path = warm / f"basis-m{m}-n{n}.txt"
+    intact = path.read_bytes()
+    path.write_text(_edit_body_line(intact.decode("utf-8")), encoding="utf-8")
+    d = b.diagram_set.diagrams[-1]
+    assert run(tmp_path, "express", texts[d], cache=warm) == 0
+    out, err = capsys.readouterr()
+    assert out == answers[d]
+    assert str(path) in err and len(err.splitlines()) == 1
+    assert path.read_bytes() == intact
+
+
+def test_warm_cache_computes_nothing(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    commands = [("enumerate", "3", "3", "--connected"), ("basis", "2", "3"),
+                ("orbits", "2", "3"), ("equivariant", "2", "3"),
+                ("express", "1020|21")]
+    cold = []
+    for argv in commands:
+        assert run(tmp_path, *argv, cache=cache) == 0
+        cold.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm command computed")
+
+    for name in ("quotient", "connected_basis", "enumerate_connected", "enumerate_all",
+                 "generate_relations", "orbit_report", "equivariantize_m2"):
+        monkeypatch.setattr(f"chordbasis.cli.{name}", refuse)
+    for argv, expected in zip(commands, cold):
+        assert run(tmp_path, *argv, cache=cache) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_config_file_precedence(tmp_path):
