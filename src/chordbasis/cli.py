@@ -9,15 +9,14 @@ and a cached file whose header does not match its body is recomputed.
 
 ``enumerate``, ``basis``, ``orbits``, ``equivariant`` and ``express`` are
 cached commands.  ``express`` prints a line of the basis file: its cache
-miss computes and writes the relations and basis files, as ``basis`` does,
-and charges the budget only then.  One argument parser serves every
-``main`` call of a process; it is built on the first call, not on import.
+miss computes and writes the basis file alone (``basis`` also writes the
+relations file) and charges the budget only then.  A diagram outside the
+connected set is refused before the cache is touched.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .cache import (
     orbits_name,
     relations_name,
 )
-from .diagrams import diagram
+from .diagrams import diagram, is_connected
 from .enumeration import DiagramSet, enumerate_all, enumerate_connected
 from .errors import BudgetExceededError, ChordBasisError, DiagramError
 from .relations import generate_relations, relations_to_text
@@ -165,15 +164,18 @@ def _relations_text(ds: DiagramSet, settings: Settings) -> str:
     return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
 
 
-def _basis_text(settings: Settings, m: int, n: int) -> str:
+def _basis_text(settings: Settings, m: int, n: int, *, relations: bool) -> str:
     """The basis file of the connected (m, n) space, from the cache or
-    computed; a miss also writes the relations file it was built from."""
+    computed; with ``relations``, a miss also writes the relations file it
+    was built from."""
     def compute() -> str:
         q = quotient(m, n, budget=settings.budget)
-        # persist the relation rows too, so the basis file's inputs are on
-        # disk; the quotient keeps none, so the full list is built for it
-        _cached_text(settings, relations_name(m, n),
-                     lambda: _relations_text(q.diagram_set, settings))
+        if relations:
+            # persist the relation rows too, so the basis file's inputs are
+            # on disk; the quotient keeps none, so the full list is built
+            # for it, which nearly doubles the time and memory of a miss
+            _cached_text(settings, relations_name(m, n),
+                         lambda: _relations_text(q.diagram_set, settings))
         return basis_to_text(q.basis)
 
     return _cached_text(settings, basis_name(m, n), compute)
@@ -188,7 +190,7 @@ def _basis_sections(text: str) -> tuple[list[str], list[str]]:
 
 
 def cmd_basis(args, settings: Settings) -> int:
-    text = _basis_text(settings, args.m, args.n)
+    text = _basis_text(settings, args.m, args.n, relations=True)
     if args.out:
         _emit(text, args.out)
     fields = dict(item.split("=", 1) for item in text.split("\n", 1)[0].split()[1:])
@@ -290,7 +292,9 @@ def cmd_express(args, settings: Settings) -> int:
     # order, which is sorted diagram order, no zero coefficient, "0" when
     # the expansion is empty).
     d = diagram(args.diagram)
-    basis, expressions = _basis_sections(_basis_text(settings, d.m, d.n))
+    if not is_connected(d):
+        raise DiagramError(f"{d} is not in the enumerated set")
+    basis, expressions = _basis_sections(_basis_text(settings, d.m, d.n, relations=False))
     if str(d) in basis:
         print(f"{d} = 1*{d}")
         return EXIT_OK
@@ -420,14 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call in this process."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         settings = Settings(args)
         return args.func(args, settings)

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from chordbasis import cli
 from chordbasis.basis import clear_memo, connected_basis, express
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
@@ -70,8 +69,28 @@ def test_express_pivot_diagram(tmp_path, capsys):
     assert out.startswith("0011 = ")
 
 
-def test_express_rejects_disconnected(tmp_path, capsys):
-    assert run(tmp_path, "express", "00|11") == 2
+def test_express_rejects_disconnected(tmp_path, capsys, monkeypatch):
+    # refused at once: nothing is computed and the cache stays empty
+    def refuse(*args, **kwargs):
+        raise AssertionError("a disconnected express computed the quotient")
+
+    monkeypatch.setattr("chordbasis.cli.quotient", refuse)
+    cache = tmp_path / "cache"
+    for text in ("00|11", "0011223344|", "|"):
+        assert run(tmp_path, "express", text, cache=cache) == 2
+        assert capsys.readouterr().err.endswith(" is not in the enumerated set\n")
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_express_miss_writes_only_the_basis_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert run(tmp_path, "express", "1020|21", cache=cache) == 0
+    assert [p.name for p in cache.iterdir()] == ["basis-m2-n3.txt"]
+    # a later basis command hits that file and prints the same dimension
+    assert run(tmp_path, "basis", "2", "3", cache=cache) == 0
+    assert run(tmp_path, "basis", "2", "3", cache=tmp_path / "fresh") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == out[2]
 
 
 def test_usage_error_on_bad_diagram(tmp_path):
@@ -273,36 +292,22 @@ def test_warm_cache_is_byte_identical(tmp_path, capsys):
     assert (cache / "diagrams-m2-n3-conn.txt").read_bytes() == out1.read_bytes()
 
 
-def test_repeated_main_calls_share_one_parser_and_no_state(tmp_path, capsys,
-                                                          monkeypatch):
-    built = []
-    real = cli.build_parser
-
-    def counted():
-        built.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    try:
-        conn = tmp_path / "conn.txt"
-        assert run(tmp_path, "enumerate", "1", "3", "--connected", "--out", str(conn)) == 0
-        assert run(tmp_path, "enumerate", "1", "3") == 0
-        # neither --connected nor --out carried over to the second call
-        assert capsys.readouterr().out == enumerate_all(1, 3).to_text()
-        assert conn.read_text() == enumerate_connected(1, 3).to_text()
-        assert run(tmp_path, "--max-candidates", "10", "enumerate", "2", "4") == 3
-        assert run(tmp_path, "enumerate", "2", "4") == 0
-        assert capsys.readouterr().out == enumerate_all(2, 4).to_text()
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, "enumerate", "one", "3")
-        assert exc.value.code == 2
-        capsys.readouterr()
-        assert run(tmp_path, "enumerate", "1", "3", "--connected") == 0
-        assert capsys.readouterr().out == enumerate_connected(1, 3).to_text()
-        assert built == [1]
-    finally:
-        cli._parser.cache_clear()
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    conn = tmp_path / "conn.txt"
+    assert run(tmp_path, "enumerate", "1", "3", "--connected", "--out", str(conn)) == 0
+    assert run(tmp_path, "enumerate", "1", "3") == 0
+    # neither --connected nor --out carried over to the second call
+    assert capsys.readouterr().out == enumerate_all(1, 3).to_text()
+    assert conn.read_text() == enumerate_connected(1, 3).to_text()
+    assert run(tmp_path, "--max-candidates", "10", "enumerate", "2", "4") == 3
+    assert run(tmp_path, "enumerate", "2", "4") == 0
+    assert capsys.readouterr().out == enumerate_all(2, 4).to_text()
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "enumerate", "one", "3")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(tmp_path, "enumerate", "1", "3", "--connected") == 0
+    assert capsys.readouterr().out == enumerate_connected(1, 3).to_text()
 
 
 def _rotated(d):
