@@ -36,6 +36,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .budget import Budget, ensure_budget
+from .cache import artifact_intact
 from .diagrams import ChordDiagram, disjoint_union
 from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connected
 from .errors import ChordBasisError, DiagramError
@@ -452,3 +453,21 @@ def basis_to_text(b: BasisResult) -> str:
         f"diagrams-digest={ds.digest} digest={content_digest(body)}"
     )
     return header + "\n" + body
+
+
+def basis_sections(text: str, name: str = "text") -> tuple[list[str], list[str]]:
+    """The basis lines and the pivot-expression lines of a file laid out as
+    :func:`basis_to_text` writes it: header word ``basis``, the body's
+    ``digest=``, then ``dim=`` basis lines, ``pivot-expressions`` and the
+    rest of the ``count=`` lines.  The bare one-circle diagram is the empty
+    line.  Raises DiagramError, naming the file ``name``, on other text."""
+    words = text.split("\n", 1)[0].split()
+    lines = text.split("\n")[1:-1]  # the body ends with a newline
+    if (words[:1] == ["basis"] and all("=" in w for w in words[1:])
+            and text.endswith("\n") and "pivot-expressions" in lines
+            and artifact_intact(text)):
+        fields = dict(w.split("=", 1) for w in words[1:])
+        cut = lines.index("pivot-expressions")
+        if fields.get("dim") == str(cut) and fields.get("count") == str(len(lines) - 1):
+            return lines[:cut], lines[cut + 1:]
+    raise DiagramError(f"{name} is not an intact basis file")

@@ -3,6 +3,10 @@
 Every artifact is deterministic plain text whose header carries a content
 digest, and headers of derived artifacts embed the digest of what they were
 built from, so caches chain and hits are byte-identical with cold runs.
+A cached file is a hit only when its header starts as its writer starts the
+file of that name (:func:`header_prefix`) and its ``digest=`` is the digest
+of its body (:func:`artifact_intact`); the layout of a basis file is checked
+by ``basis.basis_sections``.
 The directory comes from (in order) an explicit path, the
 ``CHORDBASIS_CACHE`` environment variable, or ``~/.cache/chordbasis``.
 """
@@ -50,25 +54,11 @@ class DiskCache:
 
 
 def artifact_intact(text: str) -> bool:
-    """True when the header's ``digest=`` field is the digest of the body
-    and, in a basis file, ``dim=`` and ``count=`` agree with the body."""
+    """True when the header's one ``digest=`` field is the digest of the
+    body, the framing every artifact file shares."""
     header, newline, body = text.partition("\n")
-    words = header.split()
-    digests = [w[len("digest="):] for w in words if w.startswith("digest=")]
-    if not newline or digests != [content_digest(body)]:
-        return False
-    return words[:1] != ["basis"] or _basis_counts_match(words[1:], body)
-
-
-def _basis_counts_match(fields: list[str], body: str) -> bool:
-    """``dim=`` counts the basis lines before ``pivot-expressions`` and
-    ``count=`` adds the expression lines after it."""
-    lines = body.split("\n")  # the last item is the empty tail after "\n"
-    if "pivot-expressions" not in lines or not all("=" in f for f in fields):
-        return False
-    dim = lines.index("pivot-expressions")
-    header = dict(f.split("=", 1) for f in fields)
-    return header.get("dim") == str(dim) and header.get("count") == str(len(lines) - 2)
+    digests = [w[len("digest="):] for w in header.split() if w.startswith("digest=")]
+    return bool(newline) and digests == [content_digest(body)]
 
 
 def diagrams_name(m: int, n: int, connected: bool) -> str:
@@ -89,3 +79,17 @@ def orbits_name(m: int, n: int) -> str:
 
 def equivariant_name(m: int, n: int) -> str:
     return f"equivariant-m{m}-n{n}.txt"
+
+
+def header_prefix(name: str) -> str:
+    """How the writer of the file named ``name`` by the functions above
+    starts its header: the kind word (a diagram set has none), then the
+    (m, n) the name promises and, for a diagram set, whether it is
+    connected.  A cached file that starts otherwise was written for another
+    name and is a miss."""
+    kind, m, n, *which = name.removesuffix(".txt").split("-")
+    where = f"m={m[1:]} n={n[1:]} "
+    if kind == "diagrams":
+        return f"{where}connected={int(which == ['conn'])} "
+    words = {"orbits": "orbit-report", "equivariant": "equivariant-basis"}
+    return f"{words.get(kind, kind)} {where}"

@@ -4,8 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 budget exceeded.  Flags beat the optional plain-text config file, which
 beats built-in defaults.  All generated files are UTF-8 with LF line
 endings and carry a content digest in their header; the on-disk cache
-(``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical,
-and a cached file whose header does not match its body is recomputed.
+(``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical.
+A cached file is recomputed when its digest does not match its body, when
+its header does not start as its writer starts the file of that name
+(``cache.header_prefix``), or, for a basis file, when
+``basis.basis_sections`` refuses it; ``basis``, ``express`` and
+``render --basis-file`` read a basis file only through that function.
 
 ``enumerate``, ``basis``, ``orbits``, ``equivariant`` and ``express`` are
 cached commands.  ``express`` prints a line of the basis file: its cache
@@ -22,6 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .basis import (
+    basis_sections,
     basis_to_text,
     connected_basis,
     connected_bases_for_full,
@@ -42,6 +47,7 @@ from .cache import (
     basis_name,
     diagrams_name,
     equivariant_name,
+    header_prefix,
     orbits_name,
     relations_name,
 )
@@ -134,12 +140,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cached_text(settings: Settings, name: str, compute) -> str:
+def _cached_text(settings: Settings, name: str, compute, intact=artifact_intact) -> str:
+    """The artifact file ``name``: the cached file when its header starts as
+    its writer starts that file and ``intact`` accepts it (``intact``
+    returns false or raises DiagramError on a file that is not intact),
+    else the text ``compute`` returns, written to the cache."""
     cache = settings.cache()
     hit = cache.get_text(name)
     if hit is not None:
-        if artifact_intact(hit):
-            return hit
+        try:
+            if hit.startswith(header_prefix(name)) and intact(hit):
+                return hit
+        except DiagramError:
+            pass
         print(f"warning: {cache.root / name} does not match its header; "
               "recomputing it", file=sys.stderr)
     text = compute()
@@ -178,23 +191,14 @@ def _basis_text(settings: Settings, m: int, n: int, *, relations: bool) -> str:
                          lambda: _relations_text(q.diagram_set, settings))
         return basis_to_text(q.basis)
 
-    return _cached_text(settings, basis_name(m, n), compute)
-
-
-def _basis_sections(text: str) -> tuple[list[str], list[str]]:
-    """The basis lines and the pivot-expression lines of an intact basis
-    file.  Every line counts: the bare one-circle diagram is the empty line."""
-    lines = text.split("\n")[1:]
-    cut = lines.index("pivot-expressions")
-    return lines[:cut], lines[cut + 1:]
+    return _cached_text(settings, basis_name(m, n), compute, basis_sections)
 
 
 def cmd_basis(args, settings: Settings) -> int:
     text = _basis_text(settings, args.m, args.n, relations=True)
     if args.out:
         _emit(text, args.out)
-    fields = dict(item.split("=", 1) for item in text.split("\n", 1)[0].split()[1:])
-    print(fields["dim"])
+    print(len(basis_sections(text)[0]))
     return EXIT_OK
 
 
@@ -294,7 +298,7 @@ def cmd_express(args, settings: Settings) -> int:
     d = diagram(args.diagram)
     if not is_connected(d):
         raise DiagramError(f"{d} is not in the enumerated set")
-    basis, expressions = _basis_sections(_basis_text(settings, d.m, d.n, relations=False))
+    basis, expressions = basis_sections(_basis_text(settings, d.m, d.n, relations=False))
     if str(d) in basis:
         print(f"{d} = 1*{d}")
         return EXIT_OK
@@ -309,10 +313,7 @@ def cmd_express(args, settings: Settings) -> int:
 def cmd_render(args, settings: Settings) -> int:
     texts: list[str]
     if args.basis_file:
-        text = _read_user_text(args.basis_file)
-        if text.split(maxsplit=1)[:1] != ["basis"] or not artifact_intact(text):
-            raise DiagramError(f"{args.basis_file} is not an intact basis file")
-        texts = _basis_sections(text)[0]
+        texts = basis_sections(_read_user_text(args.basis_file), args.basis_file)[0]
     else:
         if not args.diagram:
             raise DiagramError("render needs a diagram string or --basis-file")

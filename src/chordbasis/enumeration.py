@@ -36,6 +36,7 @@ from .diagrams import (
     active_starts,
     canonicalize,
     circle_owners,
+    is_connected,
     orbit,
     parse,
 )
@@ -95,25 +96,24 @@ class DiagramSet:
 
     @classmethod
     def from_text(cls, text: str) -> "DiagramSet":
-        lines = text.split("\n")
+        """The set a diagram-set file names; the file must be exactly the
+        text :meth:`to_text` writes for the sorted set of the canonical
+        diagrams its body names, each of the header's (m, n) and connected
+        when the header says so."""
+        header, _, body = text.partition("\n")
         try:
-            fields = dict(item.split("=", 1) for item in lines[0].split())
+            fields = dict(item.split("=", 1) for item in header.split())
             m, n = int(fields["m"]), int(fields["n"])
             connected = bool(int(fields["connected"]))
-            count = int(fields["count"])
         except (KeyError, ValueError) as exc:
-            raise DiagramError(f"malformed diagram file header {lines[0]!r}") from exc
-        body_lines = lines[1:]
-        if body_lines and body_lines[-1] == "":
-            body_lines.pop()  # trailing-newline artifact; "" is a real
-            # diagram line only for the bare one-circle diagram
-        if len(body_lines) != count:
-            raise DiagramError(
-                f"diagram file count mismatch: header says {count}, "
-                f"found {len(body_lines)}"
-            )
-        diagrams = tuple(canonicalize(parse(ln)) for ln in body_lines)
-        return cls(m, n, connected, diagrams)
+            raise DiagramError(f"malformed diagram file header {header!r}") from exc
+        # "" is a real body line: the bare one-circle diagram
+        diagrams = sorted({canonicalize(parse(ln)) for ln in body.split("\n")[:-1]})
+        ds = cls(m, n, connected, tuple(diagrams))
+        if ds.to_text() != text or any((d.m, d.n) != (m, n) or connected and not is_connected(d)
+                                       for d in diagrams):
+            raise DiagramError("diagram file is not the text written for the set it names")
+        return ds
 
 
 def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:

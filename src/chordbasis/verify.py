@@ -120,7 +120,7 @@ def check_order5_connected(live: bool = True,
 
 # Published-table errata whose full dimension is recomputed by direct rank,
 # by profile: on a 2-vCPU x86 VM the six with n <= 4 take under 1 s
-# together, and the three with n = 5 about 13 s more.
+# together, and the three with n = 5 about 10 s more (single runs).
 DIRECT_RANK_FAST = ((4, 3), (5, 3), (6, 3), (4, 4), (5, 4), (6, 4))
 DIRECT_RANK_FULL = DIRECT_RANK_FAST + ((4, 5), (5, 5), (6, 5))
 

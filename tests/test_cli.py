@@ -1,4 +1,5 @@
 import os
+import shutil
 import time
 from pathlib import Path
 
@@ -174,6 +175,57 @@ def test_corrupt_cache_file_is_recomputed(tmp_path, capsys, corrupt):
     assert out.strip() == "9"
     assert str(path) in err and len(err.splitlines()) == 1
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("corrupt", [_garbage, _edit_body_line, _inflate_dim,
+                                     _inflate_count, None],
+                         ids=["garbage", "edit-body-line", "inflate-dim", "inflate-count",
+                              "relations-file"])
+def test_render_refuses_what_is_not_an_intact_basis_file(tmp_path, capsys, corrupt):
+    cold = tmp_path / "cold"
+    assert run(tmp_path, "basis", "2", "3", cache=cold) == 0
+    if corrupt is None:
+        text = (cold / "relations-m2-n3.txt").read_text(encoding="utf-8")
+    else:
+        text = corrupt((cold / "basis-m2-n3.txt").read_text(encoding="utf-8"))
+    path, svg_dir = tmp_path / "b.txt", tmp_path / "svgs"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(tmp_path, "render", "--basis-file", str(path), "--svg", str(svg_dir)) == 2
+    assert run(tmp_path, "render", "--basis-file", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not svg_dir.exists()
+    assert err.splitlines() == [f"error: {path} is not an intact basis file"] * 2
+
+
+@pytest.mark.parametrize("source, target, copied", [
+    (["basis", "2", "3"], ["basis", "3", "3"], ("basis-m2-n3.txt", "basis-m3-n3.txt")),
+    (["basis", "2", "3"], ["basis", "3", "3"], ("relations-m2-n3.txt", "relations-m3-n3.txt")),
+    (["basis", "2", "3"], ["express", "0102|1|2"], ("basis-m2-n3.txt", "basis-m3-n3.txt")),
+    (["enumerate", "2", "3", "--connected"], ["enumerate", "3", "3", "--connected"],
+     ("diagrams-m2-n3-conn.txt", "diagrams-m3-n3-conn.txt")),
+    (["enumerate", "2", "3"], ["enumerate", "2", "3", "--connected"],
+     ("diagrams-m2-n3-all.txt", "diagrams-m2-n3-conn.txt")),
+    (["orbits", "2", "3"], ["orbits", "3", "3"], ("orbits-m2-n3.txt", "orbits-m3-n3.txt")),
+    (["equivariant", "2", "3"], ["equivariant", "3", "3"],
+     ("equivariant-m2-n3.txt", "equivariant-m3-n3.txt")),
+], ids=["basis", "relations", "express", "enumerate-connected", "enumerate-all-as-connected",
+        "orbits", "equivariant"])
+def test_cached_file_written_for_another_name_is_recomputed(tmp_path, capsys, source,
+                                                            target, copied):
+    # an intact file copied to another artifact's name is a miss: its
+    # header does not start as that name's writer starts it
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    assert run(tmp_path, *target, cache=fresh) == 0
+    expected = capsys.readouterr().out
+    assert run(tmp_path, *source, cache=cache) == 0
+    shutil.copyfile(cache / copied[0], cache / copied[1])
+    capsys.readouterr()
+    assert run(tmp_path, *target, cache=cache) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert str(cache / copied[1]) in err and len(err.splitlines()) == 1
+    assert (cache / copied[1]).read_bytes() == (fresh / copied[1]).read_bytes()
 
 
 def test_render_text(tmp_path, capsys):

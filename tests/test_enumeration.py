@@ -201,6 +201,42 @@ def test_serialization_detects_truncation():
         DiagramSet.from_text(clipped)
 
 
+def _swap_two_lines(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+
+
+def _repeat_a_line(lines):
+    lines[2] = lines[1]  # a 13-line "set" of 12 distinct diagrams
+
+
+def _rotate_a_line(lines):
+    # the same diagram, not in its canonical form
+    lines[1] = "|".join(block[1:] + block[:1] for block in lines[1].split("|"))
+    assert diagram(lines[1]) == enumerate_connected(2, 3).diagrams[0]
+    assert lines[1] != str(enumerate_connected(2, 3).diagrams[0])
+
+
+@pytest.mark.parametrize("redigest", [False, True], ids=["stale-digest", "fresh-digest"])
+@pytest.mark.parametrize("edit", [_swap_two_lines, _repeat_a_line, _rotate_a_line])
+def test_serialization_accepts_only_the_written_text(edit, redigest):
+    lines = enumerate_connected(2, 3).to_text().split("\n")
+    edit(lines)
+    if redigest:
+        body = "".join(line + "\n" for line in lines[1:-1])
+        lines[0] = lines[0].rsplit(" digest=", 1)[0] + f" digest={content_digest(body)}"
+    with pytest.raises(DiagramError):
+        DiagramSet.from_text("\n".join(lines))
+
+
+def test_serialization_refuses_diagrams_the_header_rules_out():
+    disconnected, other_n = diagram("001122|"), diagram("0011|")
+    for ds in (DiagramSet(2, 3, True, (disconnected,)), DiagramSet(2, 3, False, (other_n,))):
+        with pytest.raises(DiagramError):
+            DiagramSet.from_text(ds.to_text())
+    ds = DiagramSet(2, 3, False, (disconnected,))
+    assert DiagramSet.from_text(ds.to_text()) == ds
+
+
 def test_index_lookup():
     ds = enumerate_connected(2, 2)
     d = ds.diagrams[1]
