@@ -1,12 +1,13 @@
 """Bases and dimensions of the diagram spaces modulo the four-term relation.
 
 ``quotient`` is the one pipeline from (m, n) to an eliminated quotient:
-enumerate the diagrams, generate the family-B relation rows (which span
-every four-term row, see ``relations``), drop the zero rows and the rows
-equal up to sign to an earlier one, run the forward elimination, and
-memoize the result per (m, n, connected).  Dimensions and
-bases derive from it: ``connected_basis`` keeps the non-pivot diagrams as
-the basis, and each pivot diagram carries an expression over the basis.
+enumerate the diagrams, generate the family-B relation rows, each twin
+pair once (they span every four-term row, see ``relations``), drop the
+zero rows and the rows equal up to sign to an earlier one, run the
+forward elimination, and memoize the result per (m, n, connected).
+Dimensions and bases derive from it: ``connected_basis`` keeps the
+non-pivot diagrams as the basis, and each pivot diagram carries an
+expression over the basis.
 Dimensions of the full (not necessarily connected) spaces are computed from
 connected dimensions by the component-decomposition formula: every diagram
 splits into connected components, so
@@ -110,7 +111,10 @@ def quotient(m: int, n: int, connected: bool = True,
     diagrams, or with ``connected=False`` the active ones, which carry a
     foot on every circle (``diagrams.active_starts``: every (m, n) diagram
     is an active one on some k <= m circles, placed among m - k bare ones);
-    memoized per (m, n, connected).
+    memoized per (m, n, connected).  The rows eliminated are the distinct
+    ones among the family-B rows built once per twin pair
+    (``generate_relations(..., b_only=True)``); the pivots, the basis and
+    every expression depend on their row space alone.
 
     A memo hit charges ``budget`` what the cold computation charged, so a
     cap too small for the instance fails the same way warm or cold.
@@ -159,6 +163,23 @@ def dim_C(m: int, n: int, budget: Budget | None = None) -> int:
     if m == 1 and n == 0:
         return 1
     return quotient(m, n, budget=budget).dimension
+
+
+def block_dims(n: int, k_max: int | None = None,
+               budget: Budget | None = None) -> list[int]:
+    """D_0(n), D_1(n), ..., D_2n(n), or only up to D_k_max(n) when k_max is
+    smaller: D_k(n) is the dimension of the active diagrams on k circles,
+    each circle carrying a foot (``quotient(k, n, connected=False)``).
+
+    The four-term relation never moves a foot to a bare circle, so
+    A(m, n) = sum over k of binom(m, k) * D_k(n), and D_k(n) = 0 for
+    k > 2n; D_0(0) = 1 (the diagram without chords) and D_0(n) = 0 else.
+    """
+    if n < 0:
+        raise DiagramError(f"bad chord count n={n}")
+    top = 2 * n if k_max is None else min(k_max, 2 * n)
+    return [int(n == 0)] + [quotient(k, n, connected=False, budget=budget).dimension
+                            for k in range(1, top + 1)]
 
 
 # Published connected dimensions (columns m = 1.., rows n = 1..5); used for

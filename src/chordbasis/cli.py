@@ -177,10 +177,12 @@ def _relations_text(ds: DiagramSet, settings: Settings) -> str:
     return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
 
 
-def _basis_text(settings: Settings, m: int, n: int, *, relations: bool) -> str:
+def _basis_text(settings: Settings, m: int, n: int, *,
+                relations: bool) -> tuple[str, list[str], list[str]]:
     """The basis file of the connected (m, n) space, from the cache or
-    computed; with ``relations``, a miss also writes the relations file it
-    was built from."""
+    computed, with its basis lines and pivot-expression lines, from one
+    ``basis_sections`` call; with ``relations``, a miss also writes the
+    relations file it was built from."""
     def compute() -> str:
         q = quotient(m, n, budget=settings.budget)
         if relations:
@@ -191,14 +193,24 @@ def _basis_text(settings: Settings, m: int, n: int, *, relations: bool) -> str:
                          lambda: _relations_text(q.diagram_set, settings))
         return basis_to_text(q.basis)
 
-    return _cached_text(settings, basis_name(m, n), compute, basis_sections)
+    sections = None
+
+    def intact(text: str) -> bool:
+        nonlocal sections
+        sections = basis_sections(text)
+        return True
+
+    text = _cached_text(settings, basis_name(m, n), compute, intact)
+    # set only when the hit was accepted; a computed file is split here
+    basis, pivots = sections if sections is not None else basis_sections(text)
+    return text, basis, pivots
 
 
 def cmd_basis(args, settings: Settings) -> int:
-    text = _basis_text(settings, args.m, args.n, relations=True)
+    text, basis, _ = _basis_text(settings, args.m, args.n, relations=True)
     if args.out:
         _emit(text, args.out)
-    print(len(basis_sections(text)[0]))
+    print(len(basis))
     return EXIT_OK
 
 
@@ -298,7 +310,7 @@ def cmd_express(args, settings: Settings) -> int:
     d = diagram(args.diagram)
     if not is_connected(d):
         raise DiagramError(f"{d} is not in the enumerated set")
-    basis, expressions = basis_sections(_basis_text(settings, d.m, d.n, relations=False))
+    _, basis, expressions = _basis_text(settings, d.m, d.n, relations=False)
     if str(d) in basis:
         print(f"{d} = 1*{d}")
         return EXIT_OK

@@ -51,12 +51,29 @@ far foot of b (now first); removing a's foot leaves S and S' equal, so its
 terms are  S' - S - X_before + X_after, minus the A row of S.  S' is a
 diagram of the set, and its canonical form, a rotation and relabelling of
 S', has the same rows on the matching pair, so every family-A row is minus
-a family-B row.  The B rows
-also repeat many times over: at connected (2,5) the 4,594 B rows hold 1,858
-distinct rows up to sign.  ``b_only`` makes :func:`generate_relations`
-build family B alone, which looks up three terms per pair instead of
-five; :func:`basis.quotient` eliminates those rows, deduplicated.  The RREF
-of a row space in a fixed column order is unique, so the result is the same.
+a family-B row.
+
+The family-B rows come in twins.  The B row of S on (a, b) is
+S - S' - Y_before + Y_after, where Y_before and Y_after are S with b's
+foot moved immediately before and after a's far foot.  In Y_after, a's
+far foot and b's foot are an adjacent pair (a then b).  Its B row moves
+b's foot around a's other foot, where it lands as S' (before) and S
+(after), and its swap term is Y_before; so it is
+Y_after - Y_before - S' + S, the same row with the same signs.  ``b_only``
+builds each twin pair once: it looks up Y_after's column first and skips
+the pair when that column is smaller than the diagram's own, since the
+twin is then built from Y_after's column, whose own Y_after is S.
+Otherwise it looks up S' and Y_before and emits the row.  That is one
+lookup for a skipped pair and three for a kept one, against five per pair
+for the full list.  The ``b_only`` rows are the family-B rows in
+generation order with one row of each twin pair left out, and as a set
+they are exactly the family-B rows: at connected (2,5) 2,304 of the 4,594
+B rows, holding 1,858 distinct rows up to sign.  A term missing from the
+set is still refused: a skipped pair's Y_after is looked up, and the kept
+twin looks up all four terms.
+:func:`basis.quotient` eliminates the ``b_only`` rows, deduplicated.  The
+RREF of a row space in a fixed column order is unique, so the result is
+the same.
 """
 
 from __future__ import annotations
@@ -130,9 +147,10 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
                 term: Callable[[tuple[int, ...], tuple[int, ...]], int],
                 b_only: bool) -> list[tuple[tuple[int, int], ...]]:
     """The merged coefficients of every row of the diagram (feet, starts),
-    or of its family-B rows with ``b_only``, as (column, coefficient) pairs
-    sorted by column; ``source`` is the diagram's own column and ``term``
-    gives an edited representation's column."""
+    or with ``b_only`` of its family-B rows whose twin it does not leave to
+    a smaller column, as (column, coefficient) pairs sorted by column;
+    ``source`` is the diagram's own column and ``term`` gives an edited
+    representation's column."""
     circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -142,25 +160,33 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
             partner[first_pos[c]] = pos
         else:
             first_pos[c] = pos
+
+    def moved(moving: int, target: int, after: bool) -> int:
+        return term(*_remove_insert(feet, starts, circle, moving, target, after))
+
     out = []
     for _, pa, pb, _ in _adjacent_pairs(feet, starts):
+        # family B moves b's foot to just before / after a's far foot
+        y_after = moved(pb, partner[pa], True)
+        if b_only and y_after < source:
+            continue  # the same row is built, as its twin, from y_after's column
         swapped = list(feet)
         swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
-        swap_term = term(tuple(swapped), starts)
-        families = (
-            (pa, partner[pb], (1, -1)),   # family A; before far foot: +, after: -
-            (pb, partner[pa], (-1, 1)),   # family B; before far foot: -, after: +
-        )
-        for moving, target, signs in families[b_only:]:
-            terms = [(source, 1), (swap_term, -1)]
-            for after, sign in ((False, signs[0]), (True, signs[1])):
-                terms.append((term(*_remove_insert(feet, starts, circle, moving,
-                                                   target, after)), sign))
-            merged: dict[int, int] = {}
-            for t, coef in terms:
-                merged[t] = merged.get(t, 0) + coef
-            out.append(tuple(sorted([(t, c) for t, c in merged.items() if c])))
+        head = [(source, 1), (term(tuple(swapped), starts), -1)]
+        if not b_only:
+            # family A moves a's foot to just before / after b's far foot
+            out.append(_merged(head + [(moved(pa, partner[pb], False), 1),
+                                       (moved(pa, partner[pb], True), -1)]))
+        out.append(_merged(head + [(moved(pb, partner[pa], False), -1), (y_after, 1)]))
     return out
+
+
+def _merged(terms: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The terms with equal columns summed and zeros dropped, by column."""
+    merged: dict[int, int] = {}
+    for t, coef in terms:
+        merged[t] = merged.get(t, 0) + coef
+    return tuple(sorted([(t, c) for t, c in merged.items() if c]))
 
 
 def _active_rows(active: tuple[Term, ...], budget: Budget,
@@ -190,7 +216,8 @@ def _active_rows(active: tuple[Term, ...], budget: Budget,
 def generate_relations(ds: DiagramSet, budget: Budget | None = None,
                        b_only: bool = False) -> list[Relation]:
     """All four-term rows over ``ds``, in a fixed documented order, or with
-    ``b_only`` the family-B rows alone, which span the same row space.
+    ``b_only`` the family-B rows alone with one row of each twin pair left
+    out (module docstring), which span the same row space.
 
     Iteration order: diagrams in set order, circles ascending, interior
     pairs by position then the wrap pair, family A before B.  Rows that

@@ -17,6 +17,7 @@ from .basis import (
     PUBLISHED_A_ERRATA,
     REFERENCE_A_DIMS,
     REFERENCE_C_DIMS,
+    block_dims,
     connected_basis,
     dim_A,
     dim_C,
@@ -120,7 +121,7 @@ def check_order5_connected(live: bool = True,
 
 # Published-table errata whose full dimension is recomputed by direct rank,
 # by profile: on a 2-vCPU x86 VM the six with n <= 4 take under 1 s
-# together, and the three with n = 5 about 10 s more (single runs).
+# together, and the three with n = 5 about 7 s more (single runs).
 DIRECT_RANK_FAST = ((4, 3), (5, 3), (6, 3), (4, 4), (5, 4), (6, 4))
 DIRECT_RANK_FULL = DIRECT_RANK_FAST + ((4, 5), (5, 5), (6, 5))
 
@@ -129,13 +130,11 @@ def _direct_dim_A(m: int, n: int, budget: Budget | None = None) -> int:
     """Full dimension by exact rank over every diagram, connected or not;
     independent of the connected table and of the formula.
 
-    It sums the dimensions D_k(n) of the active sets on k <= m circles, one
-    per placement of the m - k bare circles (``diagrams.active_starts``).
+    It sums the block dimensions D_k(n) of the active sets on k <= m
+    circles (``basis.block_dims``), one per placement of the m - k bare
+    circles (``diagrams.active_starts``).
     """
-    if n == 0:
-        return 1  # the one diagram, every circle bare
-    return sum(comb(m, k) * quotient(k, n, connected=False, budget=budget).dimension
-               for k in range(1, min(m, 2 * n) + 1))
+    return sum(comb(m, k) * d for k, d in enumerate(block_dims(n, m, budget)))
 
 
 def check_full_dims(budget: Budget | None = None,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from chordbasis.basis import (
     REFERENCE_A_DIMS,
     REFERENCE_C_DIMS,
     basis_to_text,
+    block_dims,
     clear_memo,
     connected_basis,
     connected_bases_for_full,
@@ -24,6 +26,7 @@ from chordbasis.basis import (
 from chordbasis.budget import Budget
 from chordbasis.diagrams import diagram
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
+from chordbasis.util import content_digest
 
 
 def test_connected_dimensions_small():
@@ -253,6 +256,31 @@ def test_full_dimension_by_direct_rank_computation():
         assert len(ds) - rank == dim_A(m, n, REFERENCE_C_DIMS)
         if (m, n) in ((4, 3), (3, 4)):
             assert _direct_dim_A(m, n) == expected
+
+
+def test_block_dims_are_the_binomial_coefficients_of_the_full_dimension():
+    assert block_dims(0) == [1]
+    assert block_dims(3) == [0, 3, 13, 32, 52, 45, 15]
+    assert block_dims(4) == [0, 6, 32, 127, 339, 615, 690, 420, 105]
+    assert block_dims(4, 3) == [0, 6, 32, 127]
+    for n in range(5):
+        dims = block_dims(n)
+        assert len(dims) == 2 * n + 1
+        for m in range(1, 2 * n + 4):
+            assert (sum(comb(m, k) * d for k, d in enumerate(dims))
+                    == dim_A(m, n, REFERENCE_C_DIMS))
+    with pytest.raises(DiagramError):
+        block_dims(-1)
+
+
+@pytest.mark.parametrize("m, n, digest", [
+    (3, 5, "d1d2b6e2a935cf89124ea727e65fe4184f9443c52c6f4247b585e06d0fd3550c"),
+    (1, 6, "0f3e06437a34f8a547c37f362cf8829b9c5334fc56cd2e7539bd150bb3e9ffff"),
+])
+def test_basis_file_bytes_are_pinned(m, n, digest):
+    # the basis, its pivots and every expression are a function of the row
+    # space alone, whichever spanning rows the elimination is given
+    assert content_digest(basis_to_text(connected_basis(m, n))) == "sha256:" + digest
 
 
 def test_full_dimension_dominates_connected_dimension():

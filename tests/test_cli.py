@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chordbasis.basis import clear_memo, connected_basis, express
+from chordbasis.basis import basis_sections, clear_memo, connected_basis, express
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
@@ -432,6 +432,27 @@ def test_warm_cache_computes_nothing(tmp_path, capsys, monkeypatch):
     for argv, expected in zip(commands, cold):
         assert run(tmp_path, *argv, cache=cache) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_warm_basis_file_is_parsed_once(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    commands = [("basis", "2", "3"), ("express", "1020|21"), ("express", "0102|12")]
+    cold = []
+    for argv in commands:
+        assert run(tmp_path, *argv, cache=cache) == 0
+        cold.append(capsys.readouterr())
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return basis_sections(*args, **kwargs)
+
+    monkeypatch.setattr("chordbasis.cli.basis_sections", counting)
+    for argv, expected in zip(commands, cold):
+        calls.clear()
+        assert run(tmp_path, *argv, cache=cache) == 0
+        assert capsys.readouterr() == expected
+        assert len(calls) == 1, argv
 
 
 def test_config_file_precedence(tmp_path):
