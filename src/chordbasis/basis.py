@@ -37,13 +37,12 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .budget import Budget, ensure_budget
-from .cache import artifact_intact
+from .cache import artifact_intact, artifact_text, basis_name
 from .diagrams import ChordDiagram, disjoint_union
 from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connected
 from .errors import ChordBasisError, DiagramError
 from .exactla import Echelon, assemble, back_substitute, echelon_form, express_pivots
 from .relations import generate_relations
-from .util import content_digest
 
 Combination = dict[ChordDiagram, Fraction]
 
@@ -469,11 +468,8 @@ def basis_to_text(b: BasisResult) -> str:
             terms = "0"
         body_lines.append(f"{pivot} = {terms}")
     body = "".join(line + "\n" for line in body_lines)
-    header = (
-        f"basis m={ds.m} n={ds.n} dim={b.dimension} count={len(ds)} "
-        f"diagrams-digest={ds.digest} digest={content_digest(body)}"
-    )
-    return header + "\n" + body
+    return artifact_text(basis_name(ds.m, ds.n), f"dim={b.dimension} count={len(ds)} "
+                         f"diagrams-digest={ds.digest}", body)
 
 
 def basis_sections(text: str, name: str = "text") -> tuple[list[str], list[str]]:

@@ -3,10 +3,11 @@
 Every artifact is deterministic plain text whose header carries a content
 digest, and headers of derived artifacts embed the digest of what they were
 built from, so caches chain and hits are byte-identical with cold runs.
-A cached file is a hit only when its header starts as its writer starts the
-file of that name (:func:`header_prefix`) and its ``digest=`` is the digest
-of its body (:func:`artifact_intact`); the layout of a basis file is checked
-by ``basis.basis_sections``.
+:func:`artifact_text` alone writes a header's identity and digest.
+A cached file is a hit only when its header starts as :func:`artifact_text`
+starts the file of that name (:func:`header_prefix`) and its ``digest=`` is
+the digest of its body (:func:`artifact_intact`); the layout of a basis file
+is checked by ``basis.basis_sections``.
 The directory comes from (in order) an explicit path, the
 ``CHORDBASIS_CACHE`` environment variable, or ``~/.cache/chordbasis``.
 """
@@ -82,9 +83,9 @@ def equivariant_name(m: int, n: int) -> str:
 
 
 def header_prefix(name: str) -> str:
-    """How the writer of the file named ``name`` by the functions above
-    starts its header: the kind word (a diagram set has none), then the
-    (m, n) the name promises and, for a diagram set, whether it is
+    """How :func:`artifact_text` starts the header of the file named
+    ``name`` by the functions above: the kind word (a diagram set has none),
+    then the (m, n) the name promises and, for a diagram set, whether it is
     connected.  A cached file that starts otherwise was written for another
     name and is a miss."""
     kind, m, n, *which = name.removesuffix(".txt").split("-")
@@ -93,3 +94,9 @@ def header_prefix(name: str) -> str:
         return f"{where}connected={int(which == ['conn'])} "
     words = {"orbits": "orbit-report", "equivariant": "equivariant-basis"}
     return f"{words.get(kind, kind)} {where}"
+
+
+def artifact_text(name: str, fields: str, body: str) -> str:
+    """The artifact file ``name``: a header of :func:`header_prefix`, the
+    writer's own ``fields`` and the ``digest=`` of ``body``, then ``body``."""
+    return f"{header_prefix(name)}{fields} digest={content_digest(body)}\n{body}"

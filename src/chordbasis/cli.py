@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 budget exceeded.  Flags beat the optional plain-text config file, which
 beats built-in defaults.  All generated files are UTF-8 with LF line
-endings and carry a content digest in their header; the on-disk cache
-(``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs byte-identical.
-A cached file is recomputed when its digest does not match its body, when
-its header does not start as its writer starts the file of that name
-(``cache.header_prefix``), or, for a basis file, when
+endings and carry a content digest in their header (``cache.artifact_text``);
+the on-disk cache (``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs
+byte-identical.  Every artifact file, ``verify``'s included, is a hit or a
+miss of ``_cached_text``: a cached file is recomputed when its digest does
+not match its body, when its header does not start as its writer starts the
+file of that name (``cache.header_prefix``), or, for a basis file, when
 ``basis.basis_sections`` refuses it; ``basis``, ``express`` and
 ``render --basis-file`` read a basis file only through that function.
 
@@ -140,24 +141,25 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cached_text(settings: Settings, name: str, compute, intact=artifact_intact) -> str:
-    """The artifact file ``name``: the cached file when its header starts as
-    its writer starts that file and ``intact`` accepts it (``intact``
-    returns false or raises DiagramError on a file that is not intact),
-    else the text ``compute`` returns, written to the cache."""
+def _cached_text(settings: Settings, name: str, compute, read=artifact_intact):
+    """The artifact file ``name`` and what ``read`` makes of it: the cached
+    file when its header starts as its writer starts that file and ``read``
+    accepts it (``read`` returns a false value or raises DiagramError on a
+    file that is not intact), else the text ``compute`` returns, written to
+    the cache."""
     cache = settings.cache()
     hit = cache.get_text(name)
     if hit is not None:
         try:
-            if hit.startswith(header_prefix(name)) and intact(hit):
-                return hit
+            if hit.startswith(header_prefix(name)) and (parsed := read(hit)):
+                return hit, parsed
         except DiagramError:
             pass
         print(f"warning: {cache.root / name} does not match its header; "
               "recomputing it", file=sys.stderr)
     text = compute()
     cache.put_text(name, text)
-    return text
+    return text, read(text)
 
 
 def cmd_enumerate(args, settings: Settings) -> int:
@@ -168,13 +170,8 @@ def cmd_enumerate(args, settings: Settings) -> int:
         ds = fn(args.m, args.n, budget=settings.budget)
         return ds.to_text()
 
-    _emit(_cached_text(settings, name, compute), args.out)
+    _emit(_cached_text(settings, name, compute)[0], args.out)
     return EXIT_OK
-
-
-def _relations_text(ds: DiagramSet, settings: Settings) -> str:
-    """The relations file of ``ds``: every four-term row, both families."""
-    return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
 
 
 def _basis_text(settings: Settings, m: int, n: int, *,
@@ -189,20 +186,12 @@ def _basis_text(settings: Settings, m: int, n: int, *,
             # persist the relation rows too, so the basis file's inputs are
             # on disk; the quotient keeps none, so the full list is built
             # for it, which nearly doubles the time and memory of a miss
-            _cached_text(settings, relations_name(m, n),
-                         lambda: _relations_text(q.diagram_set, settings))
+            _cached_text(settings, relations_name(m, n), lambda: relations_to_text(
+                q.diagram_set, generate_relations(q.diagram_set, budget=settings.budget)))
         return basis_to_text(q.basis)
 
-    sections = None
-
-    def intact(text: str) -> bool:
-        nonlocal sections
-        sections = basis_sections(text)
-        return True
-
-    text = _cached_text(settings, basis_name(m, n), compute, intact)
-    # set only when the hit was accepted; a computed file is split here
-    basis, pivots = sections if sections is not None else basis_sections(text)
+    text, (basis, pivots) = _cached_text(settings, basis_name(m, n), compute,
+                                         basis_sections)
     return text, basis, pivots
 
 
@@ -229,15 +218,12 @@ def cmd_table(args, settings: Settings) -> int:
 def cmd_verify(args, settings: Settings) -> int:
     # Materialize the artifact files for the profile scope first; the
     # determinism acceptance run compares these across processes.
-    cache = settings.cache()
     n_scope = 3 if args.profile == "fast" else 4
     for n in range(1, n_scope + 1):
         for m in range(1, n + 2):
-            q = quotient(m, n, budget=settings.budget)
-            cache.put_text(diagrams_name(m, n, True), q.diagram_set.to_text())
-            cache.put_text(relations_name(m, n),
-                           _relations_text(q.diagram_set, settings))
-            cache.put_text(basis_name(m, n), basis_to_text(q.basis))
+            _cached_text(settings, diagrams_name(m, n, True),
+                         lambda: quotient(m, n, budget=settings.budget).diagram_set.to_text())
+            _basis_text(settings, m, n, relations=True)
     results = run_profile(args.profile, budget=settings.budget)
     failed = 0
     for r in results:
@@ -255,7 +241,7 @@ def cmd_orbits(args, settings: Settings) -> int:
         b = connected_basis(args.m, args.n, budget=settings.budget)
         return orbit_report_to_text(orbit_report(b, budget=settings.budget))
 
-    text = _cached_text(settings, orbits_name(args.m, args.n), compute)
+    text, _ = _cached_text(settings, orbits_name(args.m, args.n), compute)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -264,11 +250,12 @@ def cmd_equivariant(args, settings: Settings) -> int:
     def compute() -> str:
         if args.m == args.n + 1:
             # labelled-tree normal forms; equivariant by construction, and
-            # the count is pinned to the tree count without the (possibly
-            # large) relation pipeline
-            vectors = [vector_of(d) for d in tree_basis(args.n, settings.budget)]
-            if len(vectors) != (args.n + 1) ** max(args.n - 1, 0):
+            # the count of distinct diagrams is pinned to the tree count
+            # without the (possibly large) relation pipeline
+            trees = tree_basis(args.n, settings.budget)
+            if len(set(trees)) != (args.n + 1) ** max(args.n - 1, 0):
                 raise ChordBasisError("tree count mismatch")
+            vectors = [vector_of(d) for d in trees]
             return equivariant_to_text(vectors, args.m, args.n, [0])
         b = connected_basis(args.m, args.n, budget=settings.budget)
         finished = True
@@ -291,7 +278,7 @@ def cmd_equivariant(args, settings: Settings) -> int:
                   "orbits remaining; emitting the partial basis", file=sys.stderr)
         return equivariant_to_text(vectors, args.m, args.n, rounds)
 
-    text = _cached_text(settings, equivariant_name(args.m, args.n), compute)
+    text, _ = _cached_text(settings, equivariant_name(args.m, args.n), compute)
     _emit(text, args.out)
     return EXIT_OK
 

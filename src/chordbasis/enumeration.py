@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
+from .cache import artifact_text, diagrams_name
 from .diagrams import (
     ChordDiagram,
     StringRep,
@@ -88,11 +89,8 @@ class DiagramSet:
         return "".join(str(d) + "\n" for d in self.diagrams)
 
     def to_text(self) -> str:
-        header = (
-            f"m={self.m} n={self.n} connected={int(self.connected_only)} "
-            f"count={len(self.diagrams)} digest={self.digest}"
-        )
-        return header + "\n" + self._body()
+        return artifact_text(diagrams_name(self.m, self.n, self.connected_only),
+                             f"count={len(self.diagrams)}", self._body())
 
     @classmethod
     def from_text(cls, text: str) -> "DiagramSet":

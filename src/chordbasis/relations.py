@@ -82,6 +82,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
+from .cache import artifact_text, relations_name
 from .diagrams import (
     active_starts,
     circle_owners,
@@ -92,7 +93,6 @@ from .diagrams import (
 )
 from .enumeration import DiagramSet
 from .errors import ChordBasisError, DiagramError
-from .util import content_digest
 
 
 # a diagram's feet with the starts of its active block
@@ -283,12 +283,10 @@ def relations_to_text(ds: DiagramSet, rows: list[Relation]) -> str:
                               f"(m={ds.m}, n={ds.n}) diagram set yields another count")
     body = "".join(body_lines)
     nonzero = sum(1 for r in rows if not r.is_zero())
-    header = (
-        f"relations m={ds.m} n={ds.n} connected={int(ds.connected_only)} "
-        f"rows={len(rows)} nonzero={nonzero} count={len(ds)} "
-        f"diagrams-digest={ds.digest} digest={content_digest(body)}"
-    )
-    return header + "\n" + body
+    return artifact_text(relations_name(ds.m, ds.n),
+                         f"connected={int(ds.connected_only)} rows={len(rows)} "
+                         f"nonzero={nonzero} count={len(ds)} diagrams-digest={ds.digest}",
+                         body)
 
 
 def relations_from_text(text: str, ds: DiagramSet) -> list[Relation]:

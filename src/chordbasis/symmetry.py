@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .basis import BasisResult, express
 from .budget import Budget, ensure_budget
+from .cache import artifact_text, equivariant_name, orbits_name
 from .diagrams import (
     ChordDiagram,
     StringRep,
@@ -44,7 +45,6 @@ from .diagrams import (
 )
 from .errors import ChordBasisError, DiagramError
 from .exactla import ExactMatrix, pivot_columns, rref
-from .util import content_digest
 
 Coords = tuple[tuple[int, Fraction], ...]  # sparse, index-sorted, no zeros
 
@@ -527,11 +527,9 @@ def orbit_report_to_text(report: OrbitReport) -> str:
             f"types={types} basis=[{basis_members}] members=[{members}]"
         )
     body = "".join(line + "\n" for line in body_lines)
-    header = (
-        f"orbit-report m={report.m} n={report.n} orbits={len(report.orbits)} "
-        f"incomplete={report.incomplete_count} digest={content_digest(body)}"
-    )
-    return header + "\n" + body
+    return artifact_text(orbits_name(report.m, report.n),
+                         f"orbits={len(report.orbits)} incomplete={report.incomplete_count}",
+                         body)
 
 
 def _member_text(v: GeneralizedBasisVector) -> str:
@@ -543,8 +541,5 @@ def _member_text(v: GeneralizedBasisVector) -> str:
 def equivariant_to_text(vectors: Sequence[GeneralizedBasisVector], m: int, n: int,
                         rounds: Sequence[int]) -> str:
     body = "".join(str(v) + "\n" for v in sorted(vectors, key=str))
-    header = (
-        f"equivariant-basis m={m} n={n} vectors={len(vectors)} "
-        f"rounds={','.join(str(r) for r in rounds)} digest={content_digest(body)}"
-    )
-    return header + "\n" + body
+    return artifact_text(equivariant_name(m, n), f"vectors={len(vectors)} "
+                         f"rounds={','.join(str(r) for r in rounds)}", body)

@@ -547,3 +547,28 @@ def test_unusable_user_named_file_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_warm_verify_reuses_every_file_and_mends_a_corrupt_one(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    code = run(tmp_path, "verify", "--profile", "fast", cache=cache)
+    statuses = [ln.split(" [")[0] for ln in capsys.readouterr().out.splitlines()]
+    files = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
+    assert len(files) == 27
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm verify built a relation list")
+
+    monkeypatch.setattr("chordbasis.cli.generate_relations", refuse)
+    assert run(tmp_path, "verify", "--profile", "fast", cache=cache) == code
+    out, err = capsys.readouterr()
+    assert [ln.split(" [")[0] for ln in out.splitlines()] == statuses and err == ""
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} == files
+
+    path = cache / "basis-m2-n3.txt"
+    path.write_text(_edit_body_line(files[path.name][0].decode("utf-8")), encoding="utf-8")
+    assert run(tmp_path, "verify", "--profile", "fast", cache=cache) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and len(err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == {
+        name: data for name, (data, _) in files.items()}

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from chordbasis import basis as B
+from chordbasis import symmetry as S
 from chordbasis import verify as V
 from chordbasis.basis import (
     PUBLISHED_A_ERRATA,
@@ -18,6 +19,7 @@ from chordbasis.basis import (
 from chordbasis.budget import Budget
 from chordbasis.cli import main
 from chordbasis.errors import BudgetExceededError
+from chordbasis.relations import Relation
 
 
 def _shift_dim_A(monkeypatch, cell, change):
@@ -113,3 +115,39 @@ def test_verify_full_stops_promptly_on_the_invocation_time_budget(tmp_path):
     assert main(["--cache", str(tmp_path / "cache"), "--time-budget", "3",
                  "verify", "--profile", "full"]) == 3
     assert time.monotonic() - start < 15
+
+
+def test_component_rows_fail_on_a_row_that_mixes_components(monkeypatch):
+    # a row joining the first and last diagram of each set: every connected
+    # set has one component profile, so only the active sets can catch it
+    real = V.generate_relations
+
+    def with_mixed_row(ds, **kwargs):
+        return real(ds, **kwargs) + [Relation(((0, 1), (len(ds) - 1, -1)))]
+
+    monkeypatch.setattr(V, "generate_relations", with_mixed_row)
+    result = V.check_component_rows(n_max=3)
+    assert not result.passed
+    assert "(m=3, n=3) row" in result.detail
+
+
+def test_tree_count_guards_count_distinct_diagrams(tmp_path, capsys, monkeypatch):
+    # the second tree built on m circles collides with the first, so one
+    # Pruefer sequence's diagram is missing while the list keeps its length
+    real = S.diagram_from_multigraph
+    made = {}
+
+    def collide(edges, m):
+        trees = made.setdefault(m, [])
+        trees.append(real(edges, m))
+        return trees[0] if len(trees) == 2 else trees[-1]
+
+    monkeypatch.setattr(S, "diagram_from_multigraph", collide)
+    assert main(["--cache", str(tmp_path / "cache"), "equivariant", "3", "2"]) == 1
+    assert "tree count mismatch" in capsys.readouterr().err
+    made.clear()
+    result = V.check_order5_connected(live=False)
+    assert not result.passed and "tree count 1295" in result.detail
+    made.clear()
+    result = V.check_tree_basis(verify_n_max=0)
+    assert not result.passed and "|tree_basis(2)| = 2" in result.detail
