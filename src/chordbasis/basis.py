@@ -2,9 +2,9 @@
 
 ``quotient`` is the one pipeline from (m, n) to an eliminated quotient:
 enumerate the diagrams, generate the family-B relation rows, each twin
-pair once (they span every four-term row, see ``relations``), drop the
-zero rows and the rows equal up to sign to an earlier one, run the
-forward elimination, and memoize the result per (m, n, connected).
+pair once (they span every four-term row, see ``relations``), assemble
+them, which keeps each row once (``exactla.assemble``), run the forward
+elimination, and memoize the result per (m, n, connected).
 Dimensions and bases derive from it: ``connected_basis`` keeps the
 non-pivot diagrams as the basis, and each pivot diagram carries an
 expression over the basis.
@@ -68,9 +68,9 @@ class BasisResult:
 class Quotient:
     """The (m, n) diagrams modulo the four-term relation: the diagram set
     and the forward echelon form of its relation rows, with what building
-    them charged to a budget (enumeration ``candidates``; the distinct
-    relation rows and the columns as ``cells``), which a memo hit charges
-    again.  The rows themselves are not kept."""
+    them charged to a budget (enumeration ``candidates``; the relation rows
+    ``assemble`` kept, each row once, and the columns as ``cells``), which
+    a memo hit charges again.  The rows themselves are not kept."""
 
     diagram_set: DiagramSet
     echelon: Echelon
@@ -110,10 +110,10 @@ def quotient(m: int, n: int, connected: bool = True,
     diagrams, or with ``connected=False`` the active ones, which carry a
     foot on every circle (``diagrams.active_starts``: every (m, n) diagram
     is an active one on some k <= m circles, placed among m - k bare ones);
-    memoized per (m, n, connected).  The rows eliminated are the distinct
-    ones among the family-B rows built once per twin pair
-    (``generate_relations(..., b_only=True)``); the pivots, the basis and
-    every expression depend on their row space alone.
+    memoized per (m, n, connected).  The rows eliminated are the family-B
+    rows built once per twin pair (``generate_relations(..., b_only=True)``),
+    each kept once by ``assemble``, as in every assembled matrix; the
+    pivots, the basis and every expression depend on their row space alone.
 
     A memo hit charges ``budget`` what the cold computation charged, so a
     cap too small for the instance fails the same way warm or cold.
@@ -130,8 +130,7 @@ def quotient(m: int, n: int, connected: bool = True,
     ds = (enumerate_connected(m, n, budget=budget) if connected
           else _enumerate(m, n, False, budget, active_only=True))
     candidates = budget.candidates_used - used
-    mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds),
-                   distinct=True)
+    mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds))
     q = Quotient(ds, echelon_form(mat, budget=budget), candidates,
                  (mat.nrows, mat.ncols))
     _MEMO[key] = q
@@ -344,12 +343,15 @@ def partition_compositions(m: int, n: int) -> Iterator[PartitionComposition]:
                 )
 
 
-def full_basis(m: int, n: int,
-               connected: Mapping[tuple[int, int], BasisResult]) -> list[ChordDiagram]:
+def full_basis(m: int, n: int, connected: Mapping[tuple[int, int], BasisResult],
+               budget: Budget | None = None) -> list[ChordDiagram]:
     """Basis of the full space: disjoint unions of one connected basis
-    element per component, over all (partition, composition) pairs."""
+    element per component, over all (partition, composition) pairs; the
+    time budget is checked per pair and per union."""
+    budget = ensure_budget(budget)
     out: list[ChordDiagram] = []
     for pc in partition_compositions(m, n):
+        budget.check_time()
         factors: list[tuple[BasisResult, tuple[int, ...]]] = []
         ok = True
         for part, ni in zip(pc.parts, pc.chords):
@@ -365,6 +367,7 @@ def full_basis(m: int, n: int,
         if not ok:
             continue
         for combo in itertools.product(*(b.basis for b, _ in factors)):
+            budget.check_time()
             out.append(disjoint_union(
                 (diag, part) for diag, (_, part) in zip(combo, factors)
             ))

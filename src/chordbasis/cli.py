@@ -6,22 +6,24 @@ beats built-in defaults.  All generated files are UTF-8 with LF line
 endings and carry a content digest in their header (``cache.artifact_text``);
 the on-disk cache (``--cache`` / ``CHORDBASIS_CACHE``) makes repeated runs
 byte-identical.  Every artifact file, ``verify``'s included, is a hit or a
-miss of ``_cached_text``: a cached file is recomputed when its digest does
-not match its body, when its header does not start as its writer starts the
-file of that name (``cache.header_prefix``), or, for a basis file, when
-``basis.basis_sections`` refuses it; ``basis``, ``express`` and
-``render --basis-file`` read a basis file only through that function.
+miss of its own ``_cached_text`` call: a cached file is recomputed when its
+digest does not match its body, when its header does not start as its
+writer starts the file of that name (``cache.header_prefix``), or, for a
+basis file, when ``basis.basis_sections`` refuses it; ``basis``, ``express``
+and ``render --basis-file`` read a basis file only through it.  Every
+assembled matrix keeps each row once (``exactla.assemble``).
 
 ``enumerate``, ``basis``, ``orbits``, ``equivariant`` and ``express`` are
 cached commands.  ``express`` prints a line of the basis file: its cache
-miss computes and writes the basis file alone (``basis`` also writes the
-relations file) and charges the budget only then.  A diagram outside the
-connected set is refused before the cache is touched.
+miss computes and writes the basis file alone (``basis`` and ``verify`` also
+make the relations file) and charges the budget only then.  A diagram
+outside the connected set is refused before the cache is touched.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -128,6 +130,8 @@ class Settings:
         self.budget = Budget(max_candidates=max_candidates,
                              max_matrix_cells=max_matrix_cells,
                              time_budget=time_budget)
+        # each connected quotient once, so its files charge the budget once
+        self.quotient = functools.cache(lambda m, n: quotient(m, n, budget=self.budget))
 
     def cache(self) -> DiskCache:
         return DiskCache(self.cache_root)
@@ -174,29 +178,28 @@ def cmd_enumerate(args, settings: Settings) -> int:
     return EXIT_OK
 
 
-def _basis_text(settings: Settings, m: int, n: int, *,
-                relations: bool) -> tuple[str, list[str], list[str]]:
+def _basis_text(settings: Settings, m: int, n: int) -> tuple[str, list[str], list[str]]:
     """The basis file of the connected (m, n) space, from the cache or
     computed, with its basis lines and pivot-expression lines, from one
-    ``basis_sections`` call; with ``relations``, a miss also writes the
-    relations file it was built from."""
-    def compute() -> str:
-        q = quotient(m, n, budget=settings.budget)
-        if relations:
-            # persist the relation rows too, so the basis file's inputs are
-            # on disk; the quotient keeps none, so the full list is built
-            # for it, which nearly doubles the time and memory of a miss
-            _cached_text(settings, relations_name(m, n), lambda: relations_to_text(
-                q.diagram_set, generate_relations(q.diagram_set, budget=settings.budget)))
-        return basis_to_text(q.basis)
-
-    text, (basis, pivots) = _cached_text(settings, basis_name(m, n), compute,
-                                         basis_sections)
+    ``basis_sections`` call."""
+    text, (basis, pivots) = _cached_text(settings, basis_name(m, n), lambda: basis_to_text(
+        settings.quotient(m, n).basis), basis_sections)
     return text, basis, pivots
 
 
+def _cache_relations(settings: Settings, m: int, n: int) -> None:
+    """Cache the relations file of the connected (m, n) space, the basis file's
+    inputs; the quotient keeps no rows, so a miss builds the full list."""
+    def compute() -> str:
+        ds = settings.quotient(m, n).diagram_set
+        return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
+
+    _cached_text(settings, relations_name(m, n), compute)
+
+
 def cmd_basis(args, settings: Settings) -> int:
-    text, basis, _ = _basis_text(settings, args.m, args.n, relations=True)
+    text, basis, _ = _basis_text(settings, args.m, args.n)
+    _cache_relations(settings, args.m, args.n)
     if args.out:
         _emit(text, args.out)
     print(len(basis))
@@ -222,8 +225,9 @@ def cmd_verify(args, settings: Settings) -> int:
     for n in range(1, n_scope + 1):
         for m in range(1, n + 2):
             _cached_text(settings, diagrams_name(m, n, True),
-                         lambda: quotient(m, n, budget=settings.budget).diagram_set.to_text())
-            _basis_text(settings, m, n, relations=True)
+                         lambda: settings.quotient(m, n).diagram_set.to_text())
+            _cache_relations(settings, m, n)
+            _basis_text(settings, m, n)
     results = run_profile(args.profile, budget=settings.budget)
     failed = 0
     for r in results:
@@ -297,7 +301,7 @@ def cmd_express(args, settings: Settings) -> int:
     d = diagram(args.diagram)
     if not is_connected(d):
         raise DiagramError(f"{d} is not in the enumerated set")
-    _, basis, expressions = _basis_text(settings, d.m, d.n, relations=False)
+    _, basis, expressions = _basis_text(settings, d.m, d.n)
     if str(d) in basis:
         print(f"{d} = 1*{d}")
         return EXIT_OK
@@ -314,7 +318,7 @@ def cmd_render(args, settings: Settings) -> int:
     if args.basis_file:
         texts = basis_sections(_read_user_text(args.basis_file), args.basis_file)[0]
     else:
-        if not args.diagram:
+        if args.diagram is None:
             raise DiagramError("render needs a diagram string or --basis-file")
         texts = [args.diagram]
     if args.svg:
@@ -333,7 +337,8 @@ def cmd_render(args, settings: Settings) -> int:
 
 def cmd_full_basis(args, settings: Settings) -> int:
     bases = connected_bases_for_full(args.m, args.n, budget=settings.budget)
-    diagrams = DiagramSet(args.m, args.n, False, tuple(full_basis(args.m, args.n, bases)))
+    diagrams = DiagramSet(args.m, args.n, False,
+                          tuple(full_basis(args.m, args.n, bases, settings.budget)))
     _emit(diagrams.to_text(), args.out)
     return EXIT_OK
 

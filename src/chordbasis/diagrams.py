@@ -191,17 +191,23 @@ def canonical_feet(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int,
     positions achieving that label are tried (tie branching), so the result
     provably equals the brute-force oracle.  Circles with no earlier chord
     fall back to trying every rotation.
+
+    Every branch kept after a circle has the same prefix and the same next
+    label, so those are kept once and a branch is its chord numbering.  When
+    branches tie, the chords with no foot on a later circle are forgotten and
+    equal numberings merge, since they have the same future: ties on
+    symmetric circles (``0101|2323|...``, ``00|11|...``) stay one branch.
     """
     n = len(feet) // 2
-    m = len(starts) - 1
-    blocks = [feet[starts[i]:starts[i + 1]] for i in range(m)]
-    # state: (prefix, labmap tuple, next unused label)
-    states = [((), (-1,) * n, 0)]
-    for b in blocks:
+    prefix: list[int] = []
+    nxt = 0
+    # the chord numberings of the kept branches; -1 is not numbered
+    states: Iterable[Sequence[int]] = [(-1,) * n]
+    for lo, hi in zip(starts, starts[1:]):
+        b = feet[lo:hi]
         size = len(b)
-        nxt_states = []
-        best_prefix = None
-        for prefix, labmap, nxt in states:
+        best = None
+        for labmap in states:
             assigned = [labmap[c] for c in b if labmap[c] >= 0]
             if assigned:
                 mu = min(assigned)
@@ -219,14 +225,24 @@ def canonical_feet(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int,
                         v = lm[c] = k
                         k += 1
                     ext.append(v)
-                cand = prefix + tuple(ext)
-                if best_prefix is None or cand < best_prefix:
-                    best_prefix = cand
-                    nxt_states = [(cand, tuple(lm), k)]
-                elif cand == best_prefix:
-                    nxt_states.append((cand, tuple(lm), k))
-        states = nxt_states
-    return states[0][0]
+                if best is None or ext < best:
+                    best, nxt_after, kept = ext, k, [lm]
+                elif ext == best:
+                    kept.append(lm)
+        prefix += best
+        nxt = nxt_after
+        if len(kept) > 1:
+            # a lone branch needs no forgetting: its closed chords are numbered
+            # alike in every branch it leads to
+            rest = feet[hi:]
+            for lm in kept:
+                for c in b:
+                    if c not in rest:
+                        lm[c] = -1
+            states = set(map(tuple, kept))
+        else:
+            states = kept
+    return tuple(prefix)
 
 
 @total_ordering

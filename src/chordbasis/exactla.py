@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows stay integer end to end: ``assemble`` stores the integer relation
-coefficients as given, the sparse eliminator combines rows by integer
-cross-multiplication and divides each result by its gcd, and rationals
-appear only when the final RREF is normalized.  Every production solve
+Rows stay integer end to end: every assembled matrix keeps each row once
+and ``assemble`` stores its integer coefficients as given, the sparse
+eliminator combines rows by integer cross-multiplication and divides each
+result by its gcd, and rationals appear only when the final RREF is
+normalized.  Every production solve
 (rank and RREF) runs this eliminator.  A naive dense Fraction eliminator
 and a modular rank are independent oracles only; the RREF of a row space
 is unique, so all routes must agree exactly.
@@ -50,12 +51,11 @@ class RrefResult:
         return len(self.pivots)
 
 
-def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int,
-             distinct: bool = False) -> ExactMatrix:
-    """Build an integer matrix from relation rows; empty rows are dropped,
-    and with ``distinct`` so is every row equal up to sign to an earlier
-    one, which leaves the row space as it is."""
-    out: list[Row] = []
+def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int) -> ExactMatrix:
+    """Build an integer matrix from relation rows, each row once: empty rows
+    and rows equal up to sign to an earlier one are dropped, which leaves
+    the row space, its RREF and its pivots as they are."""
+    first: dict[Row, Row] = {}  # kept rows by their form with a positive lead
     for row in rows:
         items = row.coeffs if isinstance(row, Relation) else sorted(row.items())
         entries = []
@@ -65,13 +65,9 @@ def assemble(rows: Iterable[Relation | dict[int, int]], ncols: int,
             if coef:
                 entries.append((col, coef))
         if entries:
-            out.append(tuple(entries))
-    if distinct:
-        first: dict[Row, Row] = {}
-        for row in out:
-            first.setdefault(row if row[0][1] > 0 else tuple((c, -v) for c, v in row), row)
-        out = list(first.values())
-    return ExactMatrix(tuple(out), ncols)
+            kept = tuple(entries)
+            first.setdefault(kept if kept[0][1] > 0 else tuple((c, -v) for c, v in kept), kept)
+    return ExactMatrix(tuple(first.values()), ncols)
 
 
 def _integer_rows(mat: ExactMatrix) -> list[dict[int, int]]:

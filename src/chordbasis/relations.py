@@ -40,7 +40,8 @@ one list.  A connected set has one pattern, and its list is the whole set.
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
 interior and wrap pairs coincide and both are still emitted.  The full list
-is what the relations file records; it is deliberately redundant.
+is what the relations file records; it is deliberately redundant, and its
+repeats never reach an eliminator, since assembly keeps each row once.
 
 Family B alone spans the row space.  Take a diagram S, an adjacent pair
 (a then b) of it, and S' = S with the pair swapped.  Let X_before and
@@ -71,9 +72,10 @@ they are exactly the family-B rows: at connected (2,5) 2,304 of the 4,594
 B rows, holding 1,858 distinct rows up to sign.  A term missing from the
 set is still refused: a skipped pair's Y_after is looked up, and the kept
 twin looks up all four terms.
-:func:`basis.quotient` eliminates the ``b_only`` rows, deduplicated.  The
-RREF of a row space in a fixed column order is unique, so the result is
-the same.
+:func:`basis.quotient` eliminates the ``b_only`` rows.  Like every
+assembled matrix, theirs keeps each row once (``exactla.assemble`` drops
+zero rows and rows equal up to sign to an earlier one).  The RREF of a row
+space in a fixed column order is unique, so the result is the same.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
 
     Iteration order: diagrams in set order, circles ascending, interior
     pairs by position then the wrap pair, family A before B.  Rows that
-    merge to nothing are kept (for auditing) and dropped at matrix assembly.
+    merge to nothing are kept (for auditing); matrix assembly drops them
+    and keeps every other row once.
     """
     budget = ensure_budget(budget)
     # bare-circle pattern -> the indices of its diagrams, in set order

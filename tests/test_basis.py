@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -154,6 +155,14 @@ def test_full_basis_count_equals_dimension(m, n):
     out = full_basis(m, n, bases)
     assert len(out) == dim_A(m, n, table)
     assert len(set(out)) == len(out)
+
+
+def test_full_basis_stops_on_a_spent_time_budget():
+    bases = connected_bases_for_full(6, 4)
+    budget = Budget(time_budget=1e-9)
+    time.sleep(0.01)
+    with pytest.raises(BudgetExceededError):
+        full_basis(6, 4, bases, budget=budget)
 
 
 def test_polynomials_low_order():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chordbasis.basis import basis_sections, clear_memo, connected_basis, express
+from chordbasis.basis import basis_sections, clear_memo, connected_basis, express, quotient
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
@@ -92,6 +92,44 @@ def test_express_miss_writes_only_the_basis_file(tmp_path, capsys):
     assert run(tmp_path, "basis", "2", "3", cache=tmp_path / "fresh") == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == out[2]
+
+
+def test_express_then_basis_leaves_the_cold_file_set(tmp_path, capsys):
+    cold, cache = tmp_path / "cold", tmp_path / "cache"
+    assert run(tmp_path, "basis", "2", "3", cache=cold) == 0
+    assert run(tmp_path, "express", "1020|21", cache=cache) == 0
+    assert run(tmp_path, "basis", "2", "3", cache=cache) == 0
+    assert capsys.readouterr().err == ""
+    assert ({p.name: p.read_bytes() for p in cache.iterdir()}
+            == {p.name: p.read_bytes() for p in cold.iterdir()})
+
+
+def test_warm_basis_mends_an_edited_relations_file(tmp_path, capsys):
+    cold, cache = tmp_path / "cold", tmp_path / "cache"
+    assert run(tmp_path, "basis", "2", "3", cache=cold) == 0
+    assert run(tmp_path, "basis", "2", "3", cache=cache) == 0
+    path = cache / "relations-m2-n3.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = lines[4]  # a row replaced by the next one
+    path.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(tmp_path, "basis", "2", "3", cache=cache) == 0
+    out, err = capsys.readouterr()
+    assert out == "9\n"
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert path.read_bytes() == (cold / path.name).read_bytes()
+
+
+def test_basis_charges_its_quotient_once_for_both_files(tmp_path, capsys):
+    # the basis and relations files share one quotient, so a candidate cap
+    # that fits the instance once lets a cold basis write both
+    cap = str(quotient(3, 4).candidates)
+    assert run(tmp_path, "--max-candidates", cap, "basis", "3", "4") == 0
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "basis-m3-n4.txt", "relations-m3-n4.txt"]
+    # and the cap is tight
+    assert run(tmp_path, "--max-candidates", str(int(cap) - 1), "basis", "3", "4",
+               cache=tmp_path / "other") == 3
 
 
 def test_usage_error_on_bad_diagram(tmp_path):
@@ -264,6 +302,18 @@ def test_render_basis_file_keeps_the_bare_circle(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote 1 file(s) to {svg_dir}\n"
     assert run(tmp_path, "render", "--basis-file", str(out)) == 0
     assert capsys.readouterr().out == "\n"
+
+
+def test_render_bare_circle(tmp_path, capsys):
+    # "" is the one-circle diagram without chords
+    assert run(tmp_path, "render", "") == 0
+    assert capsys.readouterr().out == "\n"
+    svg_dir = tmp_path / "svgs"
+    assert run(tmp_path, "render", "", "--svg", str(svg_dir)) == 0
+    assert [p.name for p in svg_dir.iterdir()] == ["0000_.svg"]
+    capsys.readouterr()
+    assert run(tmp_path, "render") == 2
+    assert capsys.readouterr().err == "error: render needs a diagram string or --basis-file\n"
 
 
 def test_tree_basis_command(tmp_path, capsys):
@@ -500,9 +550,10 @@ def test_table_without_a_published_row_to_bundle_is_a_usage_error(tmp_path, caps
 
 
 def test_table_computes_rows_beyond_the_published_ones_live(tmp_path):
-    # the live n = 6 row starts, and the one-second budget stops it
+    # the live n = 6 row starts, and the one-second budget stops it; C(1, 6)
+    # alone takes about a second, so the row also asks for C(2, 6)
     assert run(tmp_path, "--time-budget", "1", "table", "--family", "C",
-               "--nmax", "6", "--mmax", "1") == 3
+               "--nmax", "6", "--mmax", "2") == 3
 
 
 def _undecodable(tmp_path):
@@ -572,3 +623,15 @@ def test_warm_verify_reuses_every_file_and_mends_a_corrupt_one(tmp_path, capsys,
     assert str(path) in err and len(err.splitlines()) == 1
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == {
         name: data for name, (data, _) in files.items()}
+
+
+
+def test_warm_verify_restores_a_deleted_relations_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code = run(tmp_path, "verify", "--profile", "fast", cache=cache)
+    files = {p.name: p.read_bytes() for p in cache.iterdir()}
+    (cache / "relations-m2-n3.txt").unlink()
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--profile", "fast", cache=cache) == code
+    assert capsys.readouterr().err == ""
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == files

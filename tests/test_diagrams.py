@@ -1,4 +1,5 @@
 import random
+import subprocess
 import sys
 
 import pytest
@@ -146,6 +147,27 @@ def test_canonicalize_matches_bruteforce_oracle(rep):
     assert canonical_feet(rep.feet, rep.starts) == oracle
     assert canonicalize(rep).rep.feet == oracle
     assert min(orbit(rep.feet, rep.starts)) == oracle
+
+
+TIE_HEAVY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chordbasis.diagrams import diagram
+print(diagram(sys.argv[1]))
+"""
+
+
+@pytest.mark.parametrize("text", [
+    "|".join(f"{2 * i},{2 * i + 1},{2 * i},{2 * i + 1}" for i in range(40)),
+    "|".join(f"{i},{i}" for i in range(40)),
+], ids=["abab-circles", "self-chord-circles"])
+def test_canonical_form_of_tie_heavy_circles_is_cheap(text):
+    # every rotation of every circle ties; kept branches that agree on the
+    # chords still open merge, so 40 circles stay one branch
+    proc = subprocess.run([sys.executable, "-c", TIE_HEAVY_CHILD, text],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text + "\n"  # already canonical
 
 
 def test_production_never_runs_the_bruteforce_oracle(monkeypatch):

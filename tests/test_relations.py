@@ -335,13 +335,13 @@ def test_b_rows_are_built_once_per_twin_pair(m, n, b_rows, distinct):
     ds = enumerate_connected(m, n)
     rows = generate_relations(ds, b_only=True)
     assert len(rows) == b_rows  # of 4594 and 13596 family-B rows in all
-    assert assemble(rows, len(ds), distinct=True).nrows == distinct
+    assert assemble(rows, len(ds)).nrows == distinct
 
 
 @pytest.mark.parametrize("m, n, distinct", [(3, 4, 294), (2, 5, 1858)])
 def test_distinct_b_rows_have_the_rref_of_all_rows(m, n, distinct):
     ds = enumerate_connected(m, n)
-    reduced = assemble(generate_relations(ds, b_only=True), len(ds), distinct=True)
+    reduced = assemble(generate_relations(ds, b_only=True), len(ds))
     assert reduced.nrows == distinct
     assert set(reduced.rows) <= {r.coeffs for r in generate_relations(ds)}
     assert rref(reduced) == rref(assemble(generate_relations(ds), len(ds)))
