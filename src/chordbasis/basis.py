@@ -30,7 +30,7 @@ above, never as ground truth.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -70,30 +70,33 @@ class Quotient:
     and the forward echelon form of its relation rows, with what building
     them charged to a budget (enumeration ``candidates``; the relation rows
     ``assemble`` kept, each row once, and the columns as ``cells``), which
-    a memo hit charges again.  The rows themselves are not kept."""
+    a budget pays once.  The rows themselves are not kept."""
 
     diagram_set: DiagramSet
     echelon: Echelon
     candidates: int
     cells: tuple[int, int]
+    _basis: BasisResult | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.diagram_set) - len(self.echelon)
 
-    @cached_property
-    def basis(self) -> BasisResult:
+    def basis(self, budget: Budget | None = None) -> BasisResult:
         """The non-pivot diagrams, and every pivot diagram expressed over
-        them; back-substitution runs on first use only."""
-        ds = self.diagram_set
-        result = back_substitute(self.echelon, len(ds))
-        pivot_set = set(result.pivots)
-        basis = tuple(d for i, d in enumerate(ds.diagrams) if i not in pivot_set)
-        expressions = {
-            ds.diagrams[pcol]: tuple((ds.diagrams[c], coef) for c, coef in expr)
-            for pcol, expr in express_pivots(result).items()
-        }
-        return BasisResult(ds, result.pivots, basis, expressions)
+        them; back-substitution runs on first use only, under the budget of
+        that first caller."""
+        if self._basis is None:
+            ds = self.diagram_set
+            result = back_substitute(self.echelon, len(ds), budget)
+            pivot_set = set(result.pivots)
+            basis = tuple(d for i, d in enumerate(ds.diagrams) if i not in pivot_set)
+            expressions = {
+                ds.diagrams[pcol]: tuple((ds.diagrams[c], coef) for c, coef in expr)
+                for pcol, expr in express_pivots(result).items()
+            }
+            self._basis = BasisResult(ds, result.pivots, basis, expressions)
+        return self._basis
 
 
 _MEMO: dict[tuple[int, int, bool], Quotient] = {}
@@ -115,32 +118,31 @@ def quotient(m: int, n: int, connected: bool = True,
     each kept once by ``assemble``, as in every assembled matrix; the
     pivots, the basis and every expression depend on their row space alone.
 
-    A memo hit charges ``budget`` what the cold computation charged, so a
-    cap too small for the instance fails the same way warm or cold.
+    A budget pays for each key once: a memo hit charges what the cold build
+    did unless it has paid, so a cap too small fails the same warm or cold.
     """
     key = (m, n, connected)
-    q = _MEMO.get(key)
-    if q is not None:
-        if budget is not None:
-            budget.charge_candidates(q.candidates)
-            budget.check_cells(*q.cells)
-        return q
     budget = ensure_budget(budget)
-    used = budget.candidates_used
-    ds = (enumerate_connected(m, n, budget=budget) if connected
-          else _enumerate(m, n, False, budget, active_only=True))
-    candidates = budget.candidates_used - used
-    mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds))
-    q = Quotient(ds, echelon_form(mat, budget=budget), candidates,
-                 (mat.nrows, mat.ncols))
-    _MEMO[key] = q
+    q = _MEMO.get(key)
+    if q is None:
+        used = budget.candidates_used
+        ds = (enumerate_connected(m, n, budget=budget) if connected
+              else _enumerate(m, n, False, budget, active_only=True))
+        candidates = budget.candidates_used - used
+        mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds))
+        q = _MEMO[key] = Quotient(ds, echelon_form(mat, budget=budget), candidates,
+                                  (mat.nrows, mat.ncols))
+    elif key not in budget.paid:
+        budget.charge_candidates(q.candidates)
+        budget.check_cells(*q.cells)
+    budget.paid.add(key)
     return q
 
 
 def connected_basis(m: int, n: int, budget: Budget | None = None) -> BasisResult:
     """Basis of the connected space: the non-pivot diagrams, plus an
     expression for every pivot diagram over the basis."""
-    return quotient(m, n, budget=budget).basis
+    return quotient(m, n, budget=budget).basis(budget)
 
 
 def express(d: ChordDiagram, b: BasisResult) -> Combination:

@@ -2,7 +2,8 @@
 
 Budgets make "too big" a first-class, reported outcome: when a cap is hit
 the computation stops with :class:`BudgetExceededError` rather than running
-unbounded or returning a truncated (wrong) result.
+unbounded or returning a truncated (wrong) result.  A budget pays for each
+quotient (m, n, connected) once, warm or cold (``Budget.paid``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class Budget:
     max_matrix_cells: int = DEFAULT_MAX_MATRIX_CELLS
     time_budget: float = DEFAULT_TIME_BUDGET
     candidates_used: int = field(default=0, init=False)
+    paid: set[tuple[int, int, bool]] = field(default_factory=set, init=False)  # quotient keys
     _deadline: float = field(default=0.0, init=False)
 
     def __post_init__(self):

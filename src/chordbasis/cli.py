@@ -17,13 +17,13 @@ assembled matrix keeps each row once (``exactla.assemble``).
 cached commands.  ``express`` prints a line of the basis file: its cache
 miss computes and writes the basis file alone (``basis`` and ``verify`` also
 make the relations file) and charges the budget only then.  A diagram
-outside the connected set is refused before the cache is touched.
+outside the connected set is refused before the cache is touched.  Every
+quotient comes from ``basis.quotient``, paid for once by the one budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -58,7 +58,7 @@ from .diagrams import diagram, is_connected
 from .enumeration import DiagramSet, enumerate_all, enumerate_connected
 from .errors import BudgetExceededError, ChordBasisError, DiagramError
 from .relations import generate_relations, relations_to_text
-from .render import render, render_svg
+from .render import render_svg
 from .symmetry import (
     equivariant_to_text,
     equivariantize_greedy,
@@ -130,8 +130,6 @@ class Settings:
         self.budget = Budget(max_candidates=max_candidates,
                              max_matrix_cells=max_matrix_cells,
                              time_budget=time_budget)
-        # each connected quotient once, so its files charge the budget once
-        self.quotient = functools.cache(lambda m, n: quotient(m, n, budget=self.budget))
 
     def cache(self) -> DiskCache:
         return DiskCache(self.cache_root)
@@ -183,7 +181,7 @@ def _basis_text(settings: Settings, m: int, n: int) -> tuple[str, list[str], lis
     computed, with its basis lines and pivot-expression lines, from one
     ``basis_sections`` call."""
     text, (basis, pivots) = _cached_text(settings, basis_name(m, n), lambda: basis_to_text(
-        settings.quotient(m, n).basis), basis_sections)
+        connected_basis(m, n, settings.budget)), basis_sections)
     return text, basis, pivots
 
 
@@ -191,7 +189,7 @@ def _cache_relations(settings: Settings, m: int, n: int) -> None:
     """Cache the relations file of the connected (m, n) space, the basis file's
     inputs; the quotient keeps no rows, so a miss builds the full list."""
     def compute() -> str:
-        ds = settings.quotient(m, n).diagram_set
+        ds = quotient(m, n, budget=settings.budget).diagram_set
         return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
 
     _cached_text(settings, relations_name(m, n), compute)
@@ -225,7 +223,7 @@ def cmd_verify(args, settings: Settings) -> int:
     for n in range(1, n_scope + 1):
         for m in range(1, n + 2):
             _cached_text(settings, diagrams_name(m, n, True),
-                         lambda: settings.quotient(m, n).diagram_set.to_text())
+                         lambda: quotient(m, n, budget=settings.budget).diagram_set.to_text())
             _cache_relations(settings, m, n)
             _basis_text(settings, m, n)
     results = run_profile(args.profile, budget=settings.budget)
@@ -273,7 +271,7 @@ def cmd_equivariant(args, settings: Settings) -> int:
         # An unfinished greedy run is a reported outcome, not an error: its
         # vectors need only form a basis, and rounds= ends in the count left.
         if not (verify_equivariant(vectors, b, settings.budget) if finished
-                else is_basis(vectors, b)):
+                else is_basis(vectors, b, settings.budget)):
             raise ChordBasisError(
                 "produced vectors failed the equivariance verification"
             )
@@ -331,7 +329,7 @@ def cmd_render(args, settings: Settings) -> int:
         print(f"wrote {len(texts)} file(s) to {outdir}")
     else:
         for text in texts:
-            print(render(diagram(text), "text"))
+            print(diagram(text))
     return EXIT_OK
 
 

@@ -143,11 +143,15 @@ def pivot_columns(mat: ExactMatrix, budget: Budget | None = None) -> tuple[int, 
     return tuple(col for col, _ in echelon_form(mat, budget))
 
 
-def back_substitute(echelon: Echelon, ncols: int) -> RrefResult:
+def back_substitute(echelon: Echelon, ncols: int,
+                    budget: Budget | None = None) -> RrefResult:
     """The RREF from a forward echelon form, right to left, staying in
-    integers until the rows are normalized; ``echelon`` is not modified."""
+    integers until the rows are normalized; ``echelon`` is not modified.
+    The time budget is checked once per echelon row."""
+    budget = ensure_budget(budget)
     echelon = list(echelon)
     for i in range(len(echelon) - 1, -1, -1):
+        budget.check_time()
         _, row = echelon[i]
         for j in range(i + 1, len(echelon)):
             pcol, prow = echelon[j]
@@ -164,7 +168,7 @@ def back_substitute(echelon: Echelon, ncols: int) -> RrefResult:
 
 def rref(mat: ExactMatrix, budget: Budget | None = None) -> RrefResult:
     """The unique reduced row echelon form of the row space of ``mat``."""
-    return back_substitute(echelon_form(mat, budget), mat.ncols)
+    return back_substitute(echelon_form(mat, budget), mat.ncols, budget)
 
 
 def rref_dense(mat: ExactMatrix) -> RrefResult:

@@ -1,4 +1,5 @@
-"""Deterministic text/SVG rendering of chord diagrams.
+"""Deterministic SVG rendering of chord diagrams (the text form of a
+diagram is its canonical string).
 
 Circles are laid out left to right on one row; chord feet sit on each
 circle equally spaced clockwise starting from 12 o'clock, and chords are
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .diagrams import ChordDiagram
-from .errors import DiagramError
 
 RADIUS = 50.0
 PAD = 20.0
@@ -58,11 +58,3 @@ def render_svg(d: ChordDiagram) -> str:
             out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.00" fill="black"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def render(d: ChordDiagram, fmt: str = "text") -> str:
-    if fmt == "text":
-        return str(d)
-    if fmt == "svg":
-        return render_svg(d)
-    raise DiagramError(f"unknown render format {fmt!r}")

@@ -109,9 +109,10 @@ def class_coords(v: GeneralizedBasisVector, b: BasisResult) -> Coords:
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
-def is_basis(vectors: Sequence[GeneralizedBasisVector], b: BasisResult) -> bool:
+def is_basis(vectors: Sequence[GeneralizedBasisVector], b: BasisResult,
+             budget: Budget | None = None) -> bool:
     """True iff the classes of the vectors form a basis of ``b``'s space."""
-    return _Frame(vectors, b).is_basis()
+    return _Frame(vectors, b, budget).is_basis()
 
 
 class _Frame:

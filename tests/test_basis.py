@@ -328,6 +328,20 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
     assert calls == [(2, 3)]  # enumerated once, by the first call
 
 
+def test_a_budget_pays_for_each_quotient_once():
+    clear_memo()
+    budget = Budget()
+    b = connected_basis(2, 4, budget)
+    paid = budget.candidates_used
+    assert paid > 0
+    assert connected_basis(2, 4, budget) is b
+    assert budget.candidates_used == paid
+    # a fresh budget on the warm memo pays in full
+    fresh = Budget()
+    connected_basis(2, 4, fresh)
+    assert fresh.candidates_used == paid
+
+
 def test_relation_rows_generated_once_per_instance(monkeypatch, tmp_path):
     calls = []
     real = relations.generate_relations

@@ -132,6 +132,22 @@ def test_basis_charges_its_quotient_once_for_both_files(tmp_path, capsys):
                cache=tmp_path / "other") == 3
 
 
+def test_verify_pays_for_each_quotient_once(tmp_path, capsys):
+    # a cold verify --profile fast needs 23,909 candidates: its files and its
+    # checks reach each quotient through one budget, which pays for it once
+    clear_memo()
+    assert run(tmp_path, "--max-candidates", "23909", "verify", "--profile", "fast") == 1
+    out, err = capsys.readouterr()
+    # the closed-form polynomial check fails on its own (criterion 04)
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "closed-form-polynomials"]
+    assert err == ""
+    # and the cap is tight, warm memo or not
+    assert run(tmp_path, "--max-candidates", "23908", "verify", "--profile", "fast",
+               cache=tmp_path / "other") == 3
+    assert "23909 > 23908" in capsys.readouterr().err
+
+
 def test_usage_error_on_bad_diagram(tmp_path):
     assert run(tmp_path, "express", "001") == 2
 

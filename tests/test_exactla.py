@@ -10,6 +10,8 @@ from chordbasis.errors import BudgetExceededError, ChordBasisError
 from chordbasis.exactla import (
     ExactMatrix,
     assemble,
+    back_substitute,
+    echelon_form,
     express_pivots,
     pivot_columns,
     rank_modular,
@@ -192,3 +194,10 @@ def test_budget_cells_error():
     # the forward-only path checks the same cap
     with pytest.raises(BudgetExceededError):
         pivot_columns(mat, budget=Budget(max_matrix_cells=1))
+
+
+def test_back_substitution_stops_on_a_spent_time_budget():
+    echelon = echelon_form(matrix_from_dense([[1, 2, 3], [0, 1, 1]]))
+    assert back_substitute(echelon, 3).rank == 2
+    with pytest.raises(BudgetExceededError):
+        back_substitute(echelon, 3, Budget(time_budget=1e-9))

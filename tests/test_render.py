@@ -1,12 +1,5 @@
-import pytest
-
 from chordbasis.diagrams import diagram
-from chordbasis.errors import DiagramError
-from chordbasis.render import render, render_svg
-
-
-def test_text_mode_is_canonical_string():
-    assert render(diagram("1100"), "text") == "0011"
+from chordbasis.render import render_svg
 
 
 def test_svg_single_loop():
@@ -33,8 +26,3 @@ def test_empty_diagram_renders():
     svg = render_svg(diagram(""))
     assert svg.count("<circle") == 1
     assert svg.count("<line") == 0
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(DiagramError):
-        render(diagram("00"), "pdf")

@@ -22,6 +22,7 @@ from chordbasis.symmetry import (
     equivariantize_greedy,
     equivariantize_m2,
     graph_form_basis,
+    is_basis,
     orbit_report,
     orbit_report_to_text,
     tree_basis,
@@ -273,8 +274,9 @@ def test_orbit_dichotomy_holds_on_larger_bases(m, n):
     lambda b, budget: equivariantize_m2(b, budget),
     lambda b, budget: equivariantize_greedy(b, budget),
     lambda b, budget: verify_equivariant([vector_of(d) for d in b.basis], b, budget),
+    lambda b, budget: is_basis([vector_of(d) for d in b.basis], b, budget),
 ], ids=["orbit_report", "equivariantize_m2", "equivariantize_greedy",
-        "verify_equivariant"])
+        "verify_equivariant", "is_basis"])
 def test_symmetry_stops_on_the_time_budget(call):
     b = connected_basis(2, 3)  # built before the budget runs out
     with pytest.raises(BudgetExceededError):
