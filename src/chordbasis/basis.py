@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_intact, artifact_text, basis_name
@@ -154,14 +154,12 @@ def express(d: ChordDiagram, b: BasisResult) -> Combination:
 
 
 def dim_C(m: int, n: int, budget: Budget | None = None) -> int:
-    """Dimension of the connected space, boundary conventions applied
-    without enumeration."""
+    """Dimension of the connected space; 0 without enumeration when
+    n < m - 1, since a connected diagram on m circles needs m - 1 chords."""
     if m < 1 or n < 0:
         raise DiagramError(f"bad parameters m={m}, n={n}")
     if n < m - 1:
         return 0
-    if m == 1 and n == 0:
-        return 1
     return quotient(m, n, budget=budget).dimension
 
 
@@ -212,62 +210,43 @@ PUBLISHED_A_ERRATA: frozenset[tuple[int, int]] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class DimensionTable:
-    """Map (m, n) -> dimension for one family, with per-entry provenance
-    ("live" or "bundled")."""
-
-    family: str  # "C" or "A"
-    entries: Mapping[tuple[int, int], int]
-    provenance: Mapping[tuple[int, int], str]
-
-    def get(self, m: int, n: int) -> int:
-        return self.entries[(m, n)]
-
-
 def dim_table_C(n_max: int, m_max: int, budget: Budget | None = None,
-                bundled_n: Sequence[int] = ()) -> DimensionTable:
-    """Connected dimensions for 1 <= n <= n_max, 1 <= m <= m_max.
+                bundled_n: Sequence[int] = ()) -> dict[tuple[int, int], int]:
+    """Connected dimensions (m, n) -> dim_C(m, n) for 1 <= n <= n_max,
+    1 <= m <= m_max.
 
-    Rows listed in ``bundled_n`` are taken from the published reference
-    values instead of live computation (recorded in the provenance map).
+    Rows listed in ``bundled_n`` take the published reference values
+    instead of live computation; their structural zeros come from ``dim_C``.
     """
-    entries: dict[tuple[int, int], int] = {}
-    provenance: dict[tuple[int, int], str] = {}
+    if n_max < 1 or m_max < 1:
+        raise DiagramError(f"bad table bounds nmax={n_max}, mmax={m_max}")
+    table: dict[tuple[int, int], int] = {}
     for n in range(1, n_max + 1):
+        bundled = n in bundled_n
+        if bundled and (1, n) not in REFERENCE_C_DIMS:
+            raise DiagramError(f"no published connected dimensions for n={n}; "
+                               "the row cannot be bundled")
         for m in range(1, m_max + 1):
-            if n < m - 1:
-                entries[(m, n)] = 0
-                provenance[(m, n)] = "structural-zero"
-            elif n in bundled_n:
-                if (m, n) not in REFERENCE_C_DIMS:
-                    raise DiagramError(f"no published connected dimension for "
-                                       f"(m={m}, n={n}); the n={n} row cannot "
-                                       "be bundled")
-                entries[(m, n)] = REFERENCE_C_DIMS[(m, n)]
-                provenance[(m, n)] = "bundled"
+            if bundled and (m, n) in REFERENCE_C_DIMS:
+                table[(m, n)] = REFERENCE_C_DIMS[(m, n)]
             else:
-                entries[(m, n)] = dim_C(m, n, budget=budget)
-                provenance[(m, n)] = "live"
-    return DimensionTable("C", entries, provenance)
+                table[(m, n)] = dim_C(m, n, budget=budget)
+    return table
 
 
-def _c_lookup(table: DimensionTable | Mapping[tuple[int, int], int],
-              m: int, n: int) -> int:
+def _c_lookup(table: Mapping[tuple[int, int], int], m: int, n: int) -> int:
     if n < m - 1:
         return 0
     if m == 1 and n == 0:
         return 1
-    entries = table.entries if isinstance(table, DimensionTable) else table
     try:
-        return entries[(m, n)]
+        return table[(m, n)]
     except KeyError:
         raise ChordBasisError(f"connected dimension for (m={m}, n={n}) missing "
                               "from the supplied table") from None
 
 
-def dim_A(m: int, n: int,
-          table: DimensionTable | Mapping[tuple[int, int], int]) -> int:
+def dim_A(m: int, n: int, table: Mapping[tuple[int, int], int]) -> int:
     """Dimension of the full space from connected dimensions (see module
     docstring); the division by c! must be exact and is asserted."""
     if m < 1 or n < 0:
@@ -296,14 +275,10 @@ def dim_A(m: int, n: int,
 
 
 def dim_table_A(n_max: int, m_max: int,
-                c_table: DimensionTable | Mapping[tuple[int, int], int]) -> DimensionTable:
-    entries = {}
-    provenance = {}
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            entries[(m, n)] = dim_A(m, n, c_table)
-            provenance[(m, n)] = "derived"
-    return DimensionTable("A", entries, provenance)
+                c_table: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Full dimensions (m, n) -> dim_A(m, n) for 1 <= n <= n_max, 1 <= m <= m_max."""
+    return {(m, n): dim_A(m, n, c_table)
+            for n in range(1, n_max + 1) for m in range(1, m_max + 1)}
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
@@ -319,17 +294,12 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
             yield [[first] + sub[i]] + sub[:i] + sub[i + 1:]
 
 
-@dataclass(frozen=True)
-class PartitionComposition:
+class PartitionComposition(NamedTuple):
     """A set partition of the circles (parts ordered by lowest member)
     paired with one chord count per part."""
 
     parts: tuple[tuple[int, ...], ...]
     chords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.chords):
-            raise ChordBasisError("every part needs exactly one chord count")
 
 
 def partition_compositions(m: int, n: int) -> Iterator[PartitionComposition]:
@@ -345,8 +315,7 @@ def partition_compositions(m: int, n: int) -> Iterator[PartitionComposition]:
                 )
 
 
-def full_basis(m: int, n: int, connected: Mapping[tuple[int, int], BasisResult],
-               budget: Budget | None = None) -> list[ChordDiagram]:
+def full_basis(m: int, n: int, budget: Budget | None = None) -> list[ChordDiagram]:
     """Basis of the full space: disjoint unions of one connected basis
     element per component, over all (partition, composition) pairs; the
     time budget is checked per pair and per union."""
@@ -354,36 +323,12 @@ def full_basis(m: int, n: int, connected: Mapping[tuple[int, int], BasisResult],
     out: list[ChordDiagram] = []
     for pc in partition_compositions(m, n):
         budget.check_time()
-        factors: list[tuple[BasisResult, tuple[int, ...]]] = []
-        ok = True
-        for part, ni in zip(pc.parts, pc.chords):
-            key = (len(part), ni)
-            if key not in connected:
-                raise ChordBasisError(
-                    f"missing connected basis for (m={len(part)}, n={ni})"
-                )
-            if connected[key].dimension == 0:
-                ok = False
-                break
-            factors.append((connected[key], part))
-        if not ok:
-            continue
-        for combo in itertools.product(*(b.basis for b, _ in factors)):
+        bases = [connected_basis(len(part), ni, budget).basis
+                 for part, ni in zip(pc.parts, pc.chords)]
+        for combo in itertools.product(*bases):
             budget.check_time()
-            out.append(disjoint_union(
-                (diag, part) for diag, (_, part) in zip(combo, factors)
-            ))
+            out.append(disjoint_union(zip(combo, pc.parts)))
     out.sort()
-    return out
-
-
-def connected_bases_for_full(m: int, n: int, budget: Budget | None = None
-                             ) -> dict[tuple[int, int], BasisResult]:
-    """Every connected basis a ``full_basis(m, n)`` call can ask for."""
-    out = {}
-    for r in range(1, m + 1):
-        for s in range(max(0, r - 1), n + 1):
-            out[(r, s)] = connected_basis(r, s, budget=budget)
     return out
 
 
@@ -429,20 +374,21 @@ def polynomial_discrepancies(n_max: int = 5, m_max: int = 6,
     return out
 
 
-def format_dimension_table(table: DimensionTable, csv: bool = False) -> str:
+def format_dimension_table(table: Mapping[tuple[int, int], int], family: str,
+                           csv: bool = False) -> str:
     """Aligned text (or CSV) table, rows by chord count, columns by circle
-    count; the connected family gets a trailing row-total column and blank
-    cells at its structural zeros."""
-    ns = sorted({n for _, n in table.entries})
-    ms = sorted({m for m, _ in table.entries})
-    with_total = table.family == "C"
+    count; the connected family ("C") gets a trailing row-total column and
+    blank cells at its structural zeros."""
+    ns = sorted({n for _, n in table})
+    ms = sorted({m for m, _ in table})
+    with_total = family == "C"
     header = ["n\\m"] + [str(m) for m in ms] + (["total"] if with_total else [])
     rows = [header]
     for n in ns:
         row = [str(n)]
         total = 0
         for m in ms:
-            v = table.entries[(m, n)]
+            v = table[(m, n)]
             total += v
             if with_total and n < m - 1:
                 row.append("")

@@ -32,7 +32,6 @@ from .basis import (
     basis_sections,
     basis_to_text,
     connected_basis,
-    connected_bases_for_full,
     dim_table_A,
     dim_table_C,
     format_dimension_table,
@@ -148,7 +147,7 @@ def _cached_text(settings: Settings, name: str, compute, read=artifact_intact):
     file when its header starts as its writer starts that file and ``read``
     accepts it (``read`` returns a false value or raises DiagramError on a
     file that is not intact), else the text ``compute`` returns, written to
-    the cache."""
+    the cache if the time budget still holds."""
     cache = settings.cache()
     hit = cache.get_text(name)
     if hit is not None:
@@ -160,6 +159,7 @@ def _cached_text(settings: Settings, name: str, compute, read=artifact_intact):
         print(f"warning: {cache.root / name} does not match its header; "
               "recomputing it", file=sys.stderr)
     text = compute()
+    settings.budget.check_time()
     cache.put_text(name, text)
     return text, read(text)
 
@@ -208,11 +208,8 @@ def cmd_table(args, settings: Settings) -> int:
     bundled = {"live": (), "auto": (5,), "bundled": range(1, args.nmax + 1)}[args.c_source]
     c_table = dim_table_C(args.nmax, args.mmax, budget=settings.budget,
                           bundled_n=bundled)
-    if args.family == "C":
-        table = c_table
-    else:
-        table = dim_table_A(args.nmax, args.mmax, c_table)
-    sys.stdout.write(format_dimension_table(table, csv=args.csv))
+    table = c_table if args.family == "C" else dim_table_A(args.nmax, args.mmax, c_table)
+    sys.stdout.write(format_dimension_table(table, args.family, csv=args.csv))
     return EXIT_OK
 
 
@@ -334,9 +331,8 @@ def cmd_render(args, settings: Settings) -> int:
 
 
 def cmd_full_basis(args, settings: Settings) -> int:
-    bases = connected_bases_for_full(args.m, args.n, budget=settings.budget)
     diagrams = DiagramSet(args.m, args.n, False,
-                          tuple(full_basis(args.m, args.n, bases, settings.budget)))
+                          tuple(full_basis(args.m, args.n, settings.budget)))
     _emit(diagrams.to_text(), args.out)
     return EXIT_OK
 

@@ -13,7 +13,6 @@ from chordbasis.basis import (
     block_dims,
     clear_memo,
     connected_basis,
-    connected_bases_for_full,
     dim_A,
     dim_C,
     dim_table_A,
@@ -130,39 +129,36 @@ def test_dim_A_missing_table_entries():
 
 
 def test_full_basis_two_circles_one_chord():
-    bases = connected_bases_for_full(2, 1)
-    out = full_basis(2, 1, bases)
+    out = full_basis(2, 1)
     assert {str(d) for d in out} == {"0|0", "00|", "|00"}
     assert out == sorted(out)
     assert len(out) == dim_A(2, 1, REFERENCE_C_DIMS) == 3
 
 
 def test_full_basis_three_circles_one_chord():
-    bases = connected_bases_for_full(3, 1)
-    out = full_basis(3, 1, bases)
+    out = full_basis(3, 1)
     assert len(out) == 6 == dim_A(3, 1, REFERENCE_C_DIMS)
 
 
 def test_full_basis_single_circle_matches_connected():
-    bases = connected_bases_for_full(1, 3)
-    assert full_basis(1, 3, bases) == sorted(connected_basis(1, 3).basis)
+    assert full_basis(1, 3) == sorted(connected_basis(1, 3).basis)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 0), (3, 0), (4, 0), (2, 2), (3, 2),
+                                 (2, 3), (3, 3), (4, 2), (2, 4)])
 def test_full_basis_count_equals_dimension(m, n):
-    bases = connected_bases_for_full(m, n)
-    table = {key: b.dimension for key, b in bases.items()}
-    out = full_basis(m, n, bases)
-    assert len(out) == dim_A(m, n, table)
+    out = full_basis(m, n)
+    assert len(out) == dim_A(m, n, REFERENCE_C_DIMS)
     assert len(set(out)) == len(out)
+    if n == 0:  # the one bare diagram on m circles
+        assert [str(d) for d in out] == ["|" * (m - 1)]
 
 
 def test_full_basis_stops_on_a_spent_time_budget():
-    bases = connected_bases_for_full(6, 4)
     budget = Budget(time_budget=1e-9)
     time.sleep(0.01)
     with pytest.raises(BudgetExceededError):
-        full_basis(6, 4, bases, budget=budget)
+        full_basis(6, 4, budget=budget)
 
 
 def test_polynomials_low_order():
@@ -196,7 +192,7 @@ def test_published_full_table_disagrees_at_nine_cells():
 
 def test_dimension_table_text_format():
     table = dim_table_C(2, 3)
-    text = format_dimension_table(table)
+    text = format_dimension_table(table, "C")
     lines = text.splitlines()
     assert lines[0].split() == ["n\\m", "1", "2", "3", "total"]
     assert lines[1].split() == ["1", "1", "1", "2"]
@@ -205,21 +201,25 @@ def test_dimension_table_text_format():
 
 def test_dimension_table_csv_format():
     table = dim_table_C(2, 3)
-    text = format_dimension_table(table, csv=True)
+    text = format_dimension_table(table, "C", csv=True)
     assert text.splitlines()[1] == "1,1,1,,2"
 
 
 def test_dimension_table_A():
     c = dim_table_C(2, 3)
     a = dim_table_A(2, 3, c)
-    assert a.get(3, 2) == 24
-    assert format_dimension_table(a).splitlines()[0].split() == ["n\\m", "1", "2", "3"]
+    assert a[(3, 2)] == 24
+    assert format_dimension_table(a, "A").splitlines()[0].split() == ["n\\m", "1", "2", "3"]
 
 
-def test_bundled_provenance_recorded():
-    table = dim_table_C(2, 2, bundled_n=(2,))
-    assert table.provenance[(1, 2)] == "bundled"
-    assert table.provenance[(1, 1)] == "live"
+def test_bundled_provenance_recorded(monkeypatch):
+    # published values stand in for the bundled row; every other row is live
+    bundled = {(1, 2): 20, (2, 2): 30, (3, 2): 40}
+    monkeypatch.setattr(B, "REFERENCE_C_DIMS", {**REFERENCE_C_DIMS, **bundled})
+    table = dim_table_C(3, 4, bundled_n=(2,))
+    assert {k: v for k, v in table.items() if k[1] == 2} == {**bundled, (4, 2): 0}
+    assert {k: v for k, v in table.items() if k[1] != 2} == {
+        (m, n): dim_C(m, n) for n in (1, 3) for m in range(1, 5)}
 
 
 def test_basis_file_format():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from chordbasis.basis import basis_sections, clear_memo, connected_basis, express, quotient
+from chordbasis import cli
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
@@ -92,6 +93,20 @@ def test_express_miss_writes_only_the_basis_file(tmp_path, capsys):
     assert run(tmp_path, "basis", "2", "3", cache=tmp_path / "fresh") == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == out[2]
+
+
+def test_cache_miss_past_the_deadline_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the time budget runs out while the basis file is formatted
+    slow = cli.basis_to_text
+
+    def late(b):
+        time.sleep(0.5)
+        return slow(b)
+
+    monkeypatch.setattr(cli, "basis_to_text", late)
+    cache = tmp_path / "cache"
+    assert run(tmp_path, "--time-budget", "0.3", "express", "0102|12", cache=cache) == 3
+    assert not (cache / "basis-m2-n3.txt").exists()
 
 
 def test_express_then_basis_leaves_the_cold_file_set(tmp_path, capsys):
@@ -379,7 +394,9 @@ def test_failed_equivariance_verification_exits_1(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [("tree-basis", "-1"), ("equivariant", "0", "-1"),
-                                  ("full-basis", "0", "2"), ("full-basis", "2", "-1")])
+                                  ("full-basis", "0", "2"), ("full-basis", "2", "-1"),
+                                  ("table", "--family", "C", "--nmax", "0"),
+                                  ("table", "--family", "A", "--mmax", "-1")])
 def test_bad_circle_or_chord_count_is_a_usage_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
