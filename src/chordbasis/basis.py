@@ -117,6 +117,8 @@ def quotient(m: int, n: int, connected: bool = True,
     rows built once per twin pair (``generate_relations(..., b_only=True)``),
     each kept once by ``assemble``, as in every assembled matrix; the
     pivots, the basis and every expression depend on their row space alone.
+    Enumeration's orbit maps, which the rows are built from, are dropped
+    before assembly, so the memoized set holds no orbit image.
 
     A budget pays for each key once: a memo hit charges what the cold build
     did unless it has paid, so a cap too small fails the same warm or cold.
@@ -129,7 +131,10 @@ def quotient(m: int, n: int, connected: bool = True,
         ds = (enumerate_connected(m, n, budget=budget) if connected
               else _enumerate(m, n, False, budget, active_only=True))
         candidates = budget.candidates_used - used
-        mat = assemble(generate_relations(ds, budget=budget, b_only=True), len(ds))
+        rows = generate_relations(ds, budget=budget, b_only=True)
+        ds._images = None  # the rows are built: free enumeration's orbit maps
+        mat = assemble(rows, len(ds))
+        del rows  # and the rows, before the elimination
         q = _MEMO[key] = Quotient(ds, echelon_form(mat, budget=budget), candidates,
                                   (mat.nrows, mat.ncols))
     elif key not in budget.paid:
@@ -281,17 +286,22 @@ def dim_table_A(n_max: int, m_max: int,
             for n in range(1, n_max + 1) for m in range(1, m_max + 1)}
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """Set partitions with parts ordered by their lowest member."""
+def _set_partitions(items: Sequence[int], min_parts: int = 0) -> Iterator[list[list[int]]]:
+    """Set partitions with parts ordered by their lowest member, those with
+    at least ``min_parts`` parts only; the order is that of the unpruned
+    walk."""
+    if len(items) < min_parts:
+        return
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
+    for sub in _set_partitions(rest, min_parts - 1):
         yield [[first]] + sub
-        for i in range(len(sub)):
-            # the part receiving the minimum moves to the front
-            yield [[first] + sub[i]] + sub[:i] + sub[i + 1:]
+        if len(sub) >= min_parts:
+            for i in range(len(sub)):
+                # the part receiving the minimum moves to the front
+                yield [[first] + sub[i]] + sub[:i] + sub[i + 1:]
 
 
 class PartitionComposition(NamedTuple):
@@ -304,15 +314,18 @@ class PartitionComposition(NamedTuple):
 
 def partition_compositions(m: int, n: int) -> Iterator[PartitionComposition]:
     """All (partition, composition) pairs that can carry a nonzero factor:
-    each part of r circles gets at least r - 1 chords."""
+    each part of r circles gets at least r - 1 chords.  A partition into c
+    parts needs m - c chords in all, so only those with c >= m - n are
+    walked, and each spreads its n - (m - c) spare chords over its parts."""
     if m < 1 or n < 0:
         raise DiagramError(f"bad parameters m={m}, n={n}")
-    for partition in _set_partitions(list(range(m))):
-        for chords in _compositions(n, len(partition), 0):
-            if all(ni >= len(part) - 1 for part, ni in zip(partition, chords)):
-                yield PartitionComposition(
-                    tuple(tuple(p) for p in partition), chords
-                )
+    for partition in _set_partitions(list(range(m)), m - n):
+        c = len(partition)
+        for spare in _compositions(n - (m - c), c, 0):
+            yield PartitionComposition(
+                tuple(tuple(p) for p in partition),
+                tuple(s + len(p) - 1 for s, p in zip(spare, partition)),
+            )
 
 
 def full_basis(m: int, n: int, budget: Budget | None = None) -> list[ChordDiagram]:

@@ -6,15 +6,21 @@ numbered by first occurrence.  Rotating each circle's block and numbering
 the chords afresh maps a matching to another matching of the same diagram,
 so the matchings fall into orbits, one per diagram (orbit marking, the
 first step of isomorph-free generation; McKay, J. Algorithms 26, 1998).
-The matchings are walked in order.  The first matching of an orbit builds
-the whole :func:`orbit`, marks it as seen, and is tested for connectivity
-straight from its feet; the orbit's least member is the diagram's
-canonical form, and its later members are skipped unexamined.  The seen
-set holds at most (2n-1)!! matchings and is dropped after each vector.
-This yields the canonical form of every diagram exactly once, without a
-canonicalizer call and without the quadratic retained-list scan of the
-naive method (which is kept as :func:`enumerate_all_naive` for
-cross-checking).
+The matchings are walked in order.  A matching already marked is skipped
+unexamined.  Any other matching is the first of its orbit: for a connected
+set it is first tested for connectivity straight from its feet, and a
+disconnected one is dropped without building its orbit.  A kept matching
+builds the whole :func:`orbit` and marks every image with the orbit's
+least member, the diagram's canonical form.  This yields the canonical
+form of every diagram exactly once, without a canonicalizer call and
+without the quadratic retained-list scan of the naive method (which is
+kept as :func:`enumerate_all_naive` for cross-checking).
+
+This is the only place the orbits of an enumerated set are built.  The
+marks, one map per active block from every orbit image to its canonical
+feet, travel with the returned :class:`DiagramSet`, and relation
+generation finds each edited term's diagram through them (see
+``relations``); ``basis.quotient`` drops them once its rows are built.
 
 The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
@@ -45,6 +51,10 @@ from .errors import DiagramError
 from .util import content_digest
 
 
+# every orbit image of one active block -> the canonical feet of its diagram
+Images = dict[tuple[int, ...], tuple[int, ...]]
+
+
 class DiagramSet:
     """Sorted set of distinct canonical diagrams with fixed (m, n)."""
 
@@ -56,6 +66,10 @@ class DiagramSet:
         self.diagrams = diagrams
         # keyed by the canonical (feet, starts), which identifies a diagram
         self._index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
+        # active starts -> orbit image -> canonical feet, for a set that
+        # enumeration built and until ``basis.quotient`` drops it; not part
+        # of the set's identity or its file
+        self._images: dict[tuple[int, ...], Images] | None = None
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -176,27 +190,28 @@ def _connected(feet: tuple[int, ...], circle: list[int], m: int) -> bool:
 
 
 def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool,
-                           budget: Budget) -> list[tuple[int, ...]]:
-    """The canonical feet of every diagram with these ``starts``.
+                           budget: Budget) -> Images:
+    """Every orbit image of the diagrams with these ``starts`` (only the
+    connected ones with ``connected_only``), mapped to the diagram's
+    canonical feet.
 
     The rotations of the circles act on the matchings; each orbit is one
-    diagram.  The first matching of an orbit marks the whole orbit as
-    seen, so its later members are skipped unexamined, and the orbit's
-    least member is the diagram's canonical feet.
+    diagram.  A matching already mapped is skipped unexamined; any other
+    is the first of its orbit, and a connected one maps the whole orbit to
+    its least member, the diagram's canonical feet.  A disconnected one is
+    dropped before its orbit is built.
     """
     circle = circle_owners(starts)
-    seen: set[tuple[int, ...]] = set()
-    found = []
+    images: Images = {}
     for feet in _matchings(2 * n):
-        if feet in seen:
+        if feet in images:
             continue
         budget.check_time()
-        images = orbit(feet, starts)
-        seen |= images
         if connected_only and not _connected(feet, circle, len(starts) - 1):
             continue
-        found.append(min(images))
-    return found
+        members = orbit(feet, starts)
+        images.update(dict.fromkeys(members, min(members)))
+    return images
 
 
 def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
@@ -212,11 +227,13 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
     # a connected diagram on two or more circles has a foot on every circle
     active_only = active_only or (connected_only and m >= 2)
     if n == 0:
-        starts = (0,) * (m + 1)
         if active_only:
             return DiagramSet(m, n, connected_only, ())
-        empty = canonicalize(StringRep((), starts))
-        return DiagramSet(m, n, connected_only, (empty,))
+        # the chordless diagram, whose active block is one circle
+        images = {(0,): _candidates_for_starts((0,), 0, connected_only, budget)}
+        ds = DiagramSet(m, n, connected_only, (canonicalize(StringRep((), (0,) * (m + 1))),))
+        ds._images = images
+        return ds
     if connected_only and n < m - 1:
         # Fewer chords than a spanning tree needs: nothing to enumerate.
         return DiagramSet(m, n, connected_only, ())
@@ -232,17 +249,22 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
 
     # The connectivity test sees only the active circles, which is right
     # because a connected set with m >= 2 has no bare circle.
-    by_block: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    diagrams = []
-    # compositions come in lexicographic order, and so do their starts
+    images: dict[tuple[int, ...], Images] = {}
     for starts in starts_vectors:
         active = active_starts(starts)
-        found = by_block.get(active)
-        if found is None:
-            found = by_block[active] = sorted(
-                _candidates_for_starts(active, n, connected_only, budget))
-        diagrams.extend(ChordDiagram(StringRep(feet, starts)) for feet in found)
-    return DiagramSet(m, n, connected_only, tuple(diagrams))
+        if active not in images:
+            images[active] = _candidates_for_starts(active, n, connected_only, budget)
+    # each block's canonical feet in order, copied once every block is
+    # walked, so that the set pins none of the images: dropped, they free
+    # whole blocks of memory
+    found = {active: [tuple(list(feet)) for feet in sorted(set(block.values()))]
+             for active, block in images.items()}
+    # compositions come in lexicographic order, and so do their starts
+    diagrams = [ChordDiagram(StringRep(feet, starts))
+                for starts in starts_vectors for feet in found[active_starts(starts)]]
+    ds = DiagramSet(m, n, connected_only, tuple(diagrams))
+    ds._images = images
+    return ds
 
 
 def enumerate_all(m: int, n: int, budget: Budget | None = None) -> DiagramSet:

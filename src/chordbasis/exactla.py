@@ -147,19 +147,22 @@ def back_substitute(echelon: Echelon, ncols: int,
                     budget: Budget | None = None) -> RrefResult:
     """The RREF from a forward echelon form, right to left, staying in
     integers until the rows are normalized; ``echelon`` is not modified.
-    The time budget is checked once per echelon row."""
+
+    A row's entries lie right of its pivot, so it can hold only the pivot
+    columns of later rows.  Each of those is cancelled against its row,
+    already reduced: a reduced row holds no pivot column but its own, so a
+    cancel never brings in another.  The time budget is checked once per
+    echelon row."""
     budget = ensure_budget(budget)
-    echelon = list(echelon)
-    for i in range(len(echelon) - 1, -1, -1):
+    reduced: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
+    for col, row in reversed(echelon):
         budget.check_time()
-        _, row = echelon[i]
-        for j in range(i + 1, len(echelon)):
-            pcol, prow = echelon[j]
-            if pcol in row:
-                row = _cancel(row, prow, pcol)
-        echelon[i] = (echelon[i][0], row)
+        for c in [c for c in row if c in reduced]:
+            row = _cancel(row, reduced[c], c)
+        reduced[col] = row
     rref_rows = []
-    for col, row in echelon:
+    for col, _ in echelon:
+        row = reduced[col]
         lead = Fraction(row[col])
         rref_rows.append(tuple((c, Fraction(v) / lead) for c, v in sorted(row.items())))
     pivots = tuple(col for col, _ in echelon)

@@ -23,19 +23,29 @@ of a set that share one bare-circle pattern are the terms of their active
 list, each diagram's feet with its active starts, in set order, placed on
 the pattern's circles, and so are their rows.  Each call of
 :func:`generate_relations` builds the rows of every distinct active list
-once, with the list's positions as columns.  A term's column is found
-through one map per list, built before any row from the :func:`orbit` of
-each of the list's diagrams: its active starts, then every orbit image,
-give the diagram's column.  An edited term, renumbered by first
-occurrence, is one of those images, so it costs one lookup and no
-canonical form is searched.  All (6,3) builds 176 orbits for its 2,170
-diagrams, as its 63 patterns share six lists.  A term the list lacks
-raises :class:`DiagramError`.  Every diagram of a pattern receives
-its rows through the pattern's diagram indices, local column c becoming
-``where[c]``; those indices increase with c, so every row stays sorted by
-column.  Placing bare circles at fixed positions keeps the (starts, feet)
-order, so in an enumerated set all patterns with k active circles share
-one list.  A connected set has one pattern, and its list is the whole set.
+once, with the list's positions as columns.  A term's column is found in
+two steps.  Its feet, renumbered by first occurrence, are an orbit image
+of its diagram, and the set's orbit maps (active starts -> every orbit
+image -> canonical feet) send them to the diagram's canonical feet; those
+feet with the active starts give the term's position in the list.  So an
+edited term costs one relabel and two lookups, and no canonical form is
+searched.  A term the list lacks raises :class:`DiagramError`.
+
+Relation generation builds no orbit for a set that enumeration built,
+since enumeration leaves its orbit maps on the set
+(``DiagramSet._images``).  Any other set, built by hand or read from a
+file, gets its maps here from the :func:`orbit` of each distinct term of
+its lists: one orbit per diagram of a connected set, and 176 for the
+2,170 diagrams of all (6,3), whose 63 patterns share six lists.
+
+Every diagram of a pattern receives its rows through the pattern's diagram
+indices, local column c becoming ``where[c]``; those indices increase with
+c, so every row stays sorted by column, and a pattern of the set's first
+diagrams, such as the one pattern of a connected or an active set, shares
+its rows as built.  Placing bare circles at fixed positions keeps the
+(starts, feet) order, so in an enumerated set all patterns with k active
+circles share one list.  A connected set has one pattern, and its list is
+the whole set.
 
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
@@ -81,7 +91,7 @@ space in a fixed column order is unique, so the result is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, relations_name
@@ -93,7 +103,7 @@ from .diagrams import (
     orbit,
     relabel,
 )
-from .enumeration import DiagramSet
+from .enumeration import DiagramSet, Images
 from .errors import ChordBasisError, DiagramError
 
 
@@ -191,20 +201,30 @@ def _merged(terms: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(t, c) for t, c in merged.items() if c]))
 
 
-def _active_rows(active: tuple[Term, ...], budget: Budget,
-                 b_only: bool) -> list[list[tuple[tuple[int, int], ...]]]:
+def _orbit_images(terms: Iterable[Term], budget: Budget
+                  ) -> dict[tuple[int, ...], Images]:
+    """The orbit maps of a set that enumeration did not build: active
+    starts -> every orbit image of each distinct term -> the term's feet."""
+    images: dict[tuple[int, ...], Images] = {}
+    for feet, starts in terms:
+        block = images.setdefault(starts, {})
+        if feet not in block:
+            budget.check_time()
+            block.update(dict.fromkeys(orbit(feet, starts), feet))
+    return images
+
+
+def _active_rows(active: tuple[Term, ...], images: dict[tuple[int, ...], Images],
+                 budget: Budget, b_only: bool) -> list[list[tuple[tuple[int, int], ...]]]:
     """The rows of every active term (feet, active starts) of ``active``,
-    over the positions in ``active`` as columns; a term that ``active``
-    lacks raises :class:`DiagramError`."""
-    # active starts -> every orbit image of the list's diagrams -> column
-    column: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for c, (feet, starts) in enumerate(active):
-        budget.check_time()
-        column.setdefault(starts, {}).update(dict.fromkeys(orbit(feet, starts), c))
+    over the positions in ``active`` as columns, each edited term's diagram
+    found through the orbit maps ``images``; a term that ``active`` lacks
+    raises :class:`DiagramError`."""
+    local = {t: c for c, t in enumerate(active)}
 
     def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
         try:
-            return column[starts][relabel(feet)]
+            return local[(images[starts][relabel(feet)], starts)]
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
 
@@ -233,6 +253,10 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         starts = d.rep.starts
         patterns.setdefault(tuple([lo == hi for lo, hi in zip(starts, starts[1:])]),
                             []).append(i)
+    images = ds._images
+    if images is None:
+        images = _orbit_images(((d.rep.feet, active_starts(d.rep.starts))
+                                for d in ds.diagrams), budget)
     built: dict[tuple[Term, ...], list[list[tuple[tuple[int, int], ...]]]] = {}
     placed: list[list[Relation]] = [[] for _ in ds.diagrams]
     for where in patterns.values():
@@ -240,10 +264,12 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         reps = [ds.diagrams[i].rep for i in where]
         active = tuple([(rep.feet, active_starts(rep.starts)) for rep in reps])
         if active not in built:
-            built[active] = _active_rows(active, budget, b_only)
-        # where is increasing, so a row sorted by local column stays sorted
+            built[active] = _active_rows(active, images, budget, b_only)
+        # where is increasing, so a row sorted by local column stays sorted;
+        # a pattern of the set's first diagrams shares the rows as built
+        first = where[-1] == len(where) - 1
         for i, rows in zip(where, built[active]):
-            placed[i] = [Relation(tuple([(where[c], v) for c, v in row]))
+            placed[i] = [Relation(row if first else tuple([(where[c], v) for c, v in row]))
                          for row in rows]
     return [row for rows in placed for row in rows]
 

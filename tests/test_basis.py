@@ -22,6 +22,7 @@ from chordbasis.basis import (
     format_dimension_table,
     full_basis,
     polynomial_discrepancies,
+    quotient,
 )
 from chordbasis.budget import Budget
 from chordbasis.diagrams import diagram
@@ -248,6 +249,23 @@ def test_partition_compositions_structure():
     assert any(pc.parts == ((0, 1, 2),) and pc.chords == (2,) for pc in pcs)
 
 
+def test_partition_compositions_equal_the_filtered_walk():
+    from chordbasis.basis import _set_partitions, partition_compositions
+    from chordbasis.enumeration import _compositions
+
+    for m in range(1, 7):
+        for n in range(0, 5):
+            walked = [(tuple(tuple(p) for p in partition), chords)
+                      for partition in _set_partitions(list(range(m)))
+                      for chords in _compositions(n, len(partition), 0)
+                      if all(ni >= len(p) - 1 for p, ni in zip(partition, chords))]
+            assert [tuple(pc) for pc in partition_compositions(m, n)] == walked
+    # a part of r circles needs r - 1 chords: with one chord on ten circles,
+    # ten singleton partitions and 45 with one pair
+    assert len(list(partition_compositions(10, 1))) == 55
+    assert len(full_basis(10, 1)) == 55
+
+
 def test_full_dimension_by_direct_rank_computation():
     # fully independent route for the full space: enumerate every diagram
     # (connected or not), generate all relation rows, take the exact rank;
@@ -326,6 +344,18 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
     assert dim_C(2, 3, budget=warm) == 9
     assert warm.candidates_used == 5 * 15  # feet-count vectors x matchings
     assert calls == [(2, 3)]  # enumerated once, by the first call
+
+
+def test_memo_holds_no_orbit_images():
+    # enumeration's orbit maps serve the rows alone; the memoized set is
+    # the set and nothing more
+    from chordbasis.enumeration import enumerate_connected
+
+    assert enumerate_connected(2, 4)._images  # what the rows are built from
+    clear_memo()
+    for connected in (True, False):
+        quotient(2, 4, connected=connected)
+        assert B._MEMO[(2, 4, connected)].diagram_set._images is None
 
 
 def test_a_budget_pays_for_each_quotient_once():

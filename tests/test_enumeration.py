@@ -1,8 +1,10 @@
 import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from chordbasis import budget as budget_module
 from chordbasis import enumeration
 from chordbasis.budget import Budget
 from chordbasis.diagrams import diagram, is_connected, orbit, permute_circles
@@ -111,9 +113,9 @@ def test_one_canonical_form_per_diagram(monkeypatch):
     monkeypatch.setattr(enumeration, "orbit", counting)
     ds = enumerate_connected(4, 4)
     assert len(ds) == 279
-    # one orbit per diagram on the walked starts, connected or not: the
-    # 279 connected diagrams and 260 disconnected orbits, marked as seen
-    assert len(calls) == 279 + 260
+    # one orbit per connected diagram; a disconnected matching is dropped
+    # before its orbit is built
+    assert len(calls) == 279
 
 
 def test_one_canonical_form_per_active_block(monkeypatch):
@@ -140,6 +142,35 @@ def test_time_budget_fires_inside_one_starts_vector():
     with pytest.raises(BudgetExceededError):
         enumerate_all(1, 7, budget=Budget(time_budget=0.2))
     assert time.monotonic() - began < 1.5
+
+
+def test_time_budget_fires_while_rejecting_disconnected_matchings(monkeypatch):
+    # a clock that the budget reads, run out by the first rejected matching
+    clock = [0.0]
+    monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    rejected, built = [], []
+    connected = enumeration._connected
+
+    def rejecting(feet, circle, m):
+        if connected(feet, circle, m):
+            return True
+        rejected.append(feet)
+        clock[0] = 2.0
+        return False
+
+    def counting(feet, starts):
+        built.append(feet)
+        return orbit(feet, starts)
+
+    monkeypatch.setattr(enumeration, "_connected", rejecting)
+    monkeypatch.setattr(enumeration, "orbit", counting)
+    budget = Budget(time_budget=1.0)
+    with pytest.raises(BudgetExceededError):
+        enumerate_connected(3, 3, budget=budget)
+    # the first matching of (3,3), 00 on two one-foot circles and two
+    # chords on the third, is disconnected; the next is checked and refused
+    assert rejected == [(0, 0, 1, 1, 2, 2)]
+    assert built == []
 
 
 def test_set_size_factors_over_components():

@@ -146,6 +146,27 @@ def test_sparse_matches_dense(mat):
     assert a.matrix.rows == b.matrix.rows
 
 
+@st.composite
+def short_row_matrices(draw):
+    """Wider sparse matrices whose rows mostly have one or two terms, as
+    relation matrices do, with a few longer rows mixed in."""
+    ncols = draw(st.integers(1, 14))
+    rows = []
+    for _ in range(draw(st.integers(1, 16))):
+        size = min(ncols, draw(st.sampled_from([1, 2, 2, 2, 3, 4])))
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size,
+                             max_size=size, unique=True))
+        rows.append({c: draw(st.sampled_from([-2, -1, 1, 1, 2, 3])) for c in cols})
+    return assemble(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_row_matrices())
+def test_rref_of_short_rows_matches_dense(mat):
+    assert rref(mat) == rref_dense(mat)
+    assert back_substitute(echelon_form(mat), mat.ncols) == rref(mat)
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.integers(0, 2**32))
 def test_row_scaling_leaves_rref_unchanged(mat, seed):

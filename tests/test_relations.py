@@ -195,38 +195,56 @@ def test_relations_file_bytes_are_pinned(enumerate_fn, m, n, digest):
     assert content_digest(relations_to_text(ds, generate_relations(ds))) == digest
 
 
+def _count_orbits(monkeypatch):
+    """The feet of every orbit built from now on, by the module building it."""
+    calls = {"enumeration": [], "relations": []}
+    for module in (enumeration, relations):
+        def counting(feet, starts, built=calls[module.__name__.split(".")[-1]]):
+            built.append(feet)
+            return orbit(feet, starts)
+
+        monkeypatch.setattr(module, "orbit", counting)
+    return calls
+
+
 def test_one_canonical_form_per_distinct_term(monkeypatch):
+    calls = _count_orbits(monkeypatch)
     ds = enumerate_connected(4, 4)
-    calls = []
-
-    def counting(feet, starts):
-        calls.append(feet)
-        return orbit(feet, starts)
-
-    monkeypatch.setattr(relations, "orbit", counting)
     rows = generate_relations(ds)
     # 1584 adjacent pairs, each with a swapped term and four moved-foot
-    # terms: 7920 edited terms, each found among the orbit images of the
-    # set's 279 diagrams, one orbit per diagram
+    # terms: 7920 edited terms, each found among the orbit images that
+    # enumeration built, one orbit per diagram of the set's 279
     assert len(rows) == 2 * 1584
-    assert len(calls) == len(ds) == 279
+    assert len(calls["enumeration"]) == len(ds) == 279
+    assert calls["relations"] == []
+
+
+def test_hand_built_set_gets_one_orbit_per_diagram(monkeypatch):
+    ds = enumerate_connected(4, 4)
+    copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)
+    calls = _count_orbits(monkeypatch)
+    # a set that enumeration did not build carries no orbit maps, so
+    # relation generation builds one orbit per diagram, with the same rows
+    assert generate_relations(copy) == generate_relations(ds)
+    assert len(calls["relations"]) == len(ds) == 279
+    assert calls["enumeration"] == []
 
 
 def test_rows_built_once_per_active_block(monkeypatch):
+    calls = _count_orbits(monkeypatch)
     ds = enumerate_all(6, 3)
-    calls = []
-
-    def counting(feet, starts):
-        calls.append(feet)
-        return orbit(feet, starts)
-
-    monkeypatch.setattr(relations, "orbit", counting)
     rows = generate_relations(ds)
     # 2170 diagrams on 63 bare-circle patterns, which share 6 active lists
-    # (one per active circle count) of 176 diagrams in all; the rows of
-    # each list are built once, from one orbit per diagram of the list
+    # (one per active circle count) of 176 diagrams in all; enumeration
+    # builds one orbit per diagram of the lists, and the rows of each list
+    # are built once from those orbits, with none built again
     assert len(rows) == 12828
-    assert len(calls) == 176
+    assert len(calls["enumeration"]) == 176
+    assert calls["relations"] == []
+    # a hand-built copy builds the same 176 orbits in relation generation
+    copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)
+    assert generate_relations(copy) == rows
+    assert len(calls["relations"]) == 176
 
 
 def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):
