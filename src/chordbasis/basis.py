@@ -132,7 +132,7 @@ def quotient(m: int, n: int, connected: bool = True,
               else _enumerate(m, n, False, budget, active_only=True))
         candidates = budget.candidates_used - used
         rows = generate_relations(ds, budget=budget, b_only=True)
-        ds._images = None  # the rows are built: free enumeration's orbit maps
+        ds.release_orbit_maps()  # the rows are built
         mat = assemble(rows, len(ds))
         del rows  # and the rows, before the elimination
         q = _MEMO[key] = Quotient(ds, echelon_form(mat, budget=budget), candidates,
@@ -290,8 +290,6 @@ def _set_partitions(items: Sequence[int], min_parts: int = 0) -> Iterator[list[l
     """Set partitions with parts ordered by their lowest member, those with
     at least ``min_parts`` parts only; the order is that of the unpruned
     walk."""
-    if len(items) < min_parts:
-        return
     if not items:
         yield []
         return

@@ -16,11 +16,11 @@ form of every diagram exactly once, without a canonicalizer call and
 without the quadratic retained-list scan of the naive method (which is
 kept as :func:`enumerate_all_naive` for cross-checking).
 
-This is the only place the orbits of an enumerated set are built.  The
-marks, one map per active block from every orbit image to its canonical
-feet, travel with the returned :class:`DiagramSet`, and relation
-generation finds each edited term's diagram through them (see
-``relations``); ``basis.quotient`` drops them once its rows are built.
+The marks are the set's orbit maps: one per active block, from every
+orbit image to its canonical feet.  :class:`DiagramSet` owns them, and no
+other module builds orbits.  :meth:`DiagramSet.orbit_maps` returns the
+maps enumeration built, or builds another set's without keeping them.
+``basis.quotient`` releases them once its rows are built.
 
 The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
@@ -66,9 +66,8 @@ class DiagramSet:
         self.diagrams = diagrams
         # keyed by the canonical (feet, starts), which identifies a diagram
         self._index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
-        # active starts -> orbit image -> canonical feet, for a set that
-        # enumeration built and until ``basis.quotient`` drops it; not part
-        # of the set's identity or its file
+        # the orbit maps enumeration built, until released; not part of the
+        # set's identity or its file
         self._images: dict[tuple[int, ...], Images] | None = None
 
     def __len__(self) -> int:
@@ -86,6 +85,26 @@ class DiagramSet:
             and (self.m, self.n, self.connected_only) == (other.m, other.n, other.connected_only)
             and self.diagrams == other.diagrams
         )
+
+    def orbit_maps(self, budget: Budget | None = None) -> dict[tuple[int, ...], Images]:
+        """Active starts -> orbit image -> canonical feet: the maps
+        enumeration built, or for any other set one :func:`orbit` per
+        distinct (feet, active starts), returned and not kept."""
+        if self._images is not None:
+            return self._images
+        budget = ensure_budget(budget)
+        images: dict[tuple[int, ...], Images] = {}
+        for d in self.diagrams:
+            feet, starts = d.rep.feet, active_starts(d.rep.starts)
+            block = images.setdefault(starts, {})
+            if feet not in block:
+                budget.check_time()
+                block.update(dict.fromkeys(orbit(feet, starts), feet))
+        return images
+
+    def release_orbit_maps(self) -> None:
+        """Drop the orbit maps enumeration built, freeing their memory."""
+        self._images = None
 
     def index_of(self, d: ChordDiagram) -> int:
         try:
@@ -227,13 +246,10 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
     # a connected diagram on two or more circles has a foot on every circle
     active_only = active_only or (connected_only and m >= 2)
     if n == 0:
-        if active_only:
-            return DiagramSet(m, n, connected_only, ())
-        # the chordless diagram, whose active block is one circle
-        images = {(0,): _candidates_for_starts((0,), 0, connected_only, budget)}
-        ds = DiagramSet(m, n, connected_only, (canonicalize(StringRep((), (0,) * (m + 1))),))
-        ds._images = images
-        return ds
+        # the chordless diagram, which has no adjacent pair and so no term
+        # for relation generation to look up
+        diagrams = () if active_only else (canonicalize(StringRep((), (0,) * (m + 1))),)
+        return DiagramSet(m, n, connected_only, diagrams)
     if connected_only and n < m - 1:
         # Fewer chords than a spanning tree needs: nothing to enumerate.
         return DiagramSet(m, n, connected_only, ())

@@ -20,23 +20,18 @@ row.
 
 Bare circles are only a placement (:func:`active_starts`).  The diagrams
 of a set that share one bare-circle pattern are the terms of their active
-list, each diagram's feet with its active starts, in set order, placed on
-the pattern's circles, and so are their rows.  Each call of
+list: each diagram's feet with its active starts, in set order, placed on
+the pattern's circles.  So are their rows.  Each call of
 :func:`generate_relations` builds the rows of every distinct active list
-once, with the list's positions as columns.  A term's column is found in
-two steps.  Its feet, renumbered by first occurrence, are an orbit image
-of its diagram, and the set's orbit maps (active starts -> every orbit
-image -> canonical feet) send them to the diagram's canonical feet; those
-feet with the active starts give the term's position in the list.  So an
-edited term costs one relabel and two lookups, and no canonical form is
-searched.  A term the list lacks raises :class:`DiagramError`.
+once, with the list's positions as columns.
 
-Relation generation builds no orbit for a set that enumeration built,
-since enumeration leaves its orbit maps on the set
-(``DiagramSet._images``).  Any other set, built by hand or read from a
-file, gets its maps here from the :func:`orbit` of each distinct term of
-its lists: one orbit per diagram of a connected set, and 176 for the
-2,170 diagrams of all (6,3), whose 63 patterns share six lists.
+A term's column is found in two steps.  Its feet, renumbered by first
+occurrence, are an orbit image of its diagram.  The set's orbit maps
+(:meth:`DiagramSet.orbit_maps`) send them to the diagram's canonical
+feet.  Those feet with the active starts give the term's position in the
+list.  So an edited term costs one relabel and two lookups, and this
+module builds no orbit and searches no canonical form.  A term the list
+lacks raises :class:`DiagramError`.
 
 Every diagram of a pattern receives its rows through the pattern's diagram
 indices, local column c becoming ``where[c]``; those indices increase with
@@ -91,7 +86,7 @@ space in a fixed column order is unique, so the result is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, relations_name
@@ -100,7 +95,6 @@ from .diagrams import (
     circle_owners,
     component_chord_counts,
     components,
-    orbit,
     relabel,
 )
 from .enumeration import DiagramSet, Images
@@ -201,19 +195,6 @@ def _merged(terms: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(t, c) for t, c in merged.items() if c]))
 
 
-def _orbit_images(terms: Iterable[Term], budget: Budget
-                  ) -> dict[tuple[int, ...], Images]:
-    """The orbit maps of a set that enumeration did not build: active
-    starts -> every orbit image of each distinct term -> the term's feet."""
-    images: dict[tuple[int, ...], Images] = {}
-    for feet, starts in terms:
-        block = images.setdefault(starts, {})
-        if feet not in block:
-            budget.check_time()
-            block.update(dict.fromkeys(orbit(feet, starts), feet))
-    return images
-
-
 def _active_rows(active: tuple[Term, ...], images: dict[tuple[int, ...], Images],
                  budget: Budget, b_only: bool) -> list[list[tuple[tuple[int, int], ...]]]:
     """The rows of every active term (feet, active starts) of ``active``,
@@ -253,10 +234,7 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         starts = d.rep.starts
         patterns.setdefault(tuple([lo == hi for lo, hi in zip(starts, starts[1:])]),
                             []).append(i)
-    images = ds._images
-    if images is None:
-        images = _orbit_images(((d.rep.feet, active_starts(d.rep.starts))
-                                for d in ds.diagrams), budget)
+    images = ds.orbit_maps(budget)
     built: dict[tuple[Term, ...], list[list[tuple[tuple[int, int], ...]]]] = {}
     placed: list[list[Relation]] = [[] for _ in ds.diagrams]
     for where in patterns.values():
@@ -319,14 +297,21 @@ def relations_to_text(ds: DiagramSet, rows: list[Relation]) -> str:
 
 
 def relations_from_text(text: str, ds: DiagramSet) -> list[Relation]:
-    """The rows of a relations file over ``ds``; the file must be exactly
-    the text :func:`relations_to_text` writes for them."""
+    """The rows of a relations file over ``ds``; each row must hold nonzero
+    coefficients on strictly increasing columns of ``ds``, and the file
+    must be exactly the text :func:`relations_to_text` writes for them."""
     try:
         rows = [Relation(tuple((int(i), int(c)) for i, c in
                                (tok.split(":") for tok in line.split())))
                 for line in text.split("\n")[2::2]]
     except ValueError as exc:
         raise DiagramError(f"malformed relation file: {exc}") from exc
+    for k, row in enumerate(rows):
+        columns = [i for i, _ in row.coeffs]
+        if columns != sorted(set(columns)) or not all(0 <= i < len(ds) and c
+                                                      for i, c in row.coeffs):
+            raise DiagramError(f"relation row {k} is not a row of nonzero coefficients "
+                               f"on increasing columns of the {len(ds)} diagrams")
     try:
         written = relations_to_text(ds, rows)
     except ChordBasisError:

@@ -355,7 +355,11 @@ def test_memo_holds_no_orbit_images():
     clear_memo()
     for connected in (True, False):
         quotient(2, 4, connected=connected)
-        assert B._MEMO[(2, 4, connected)].diagram_set._images is None
+        ds = B._MEMO[(2, 4, connected)].diagram_set
+        assert ds._images is None
+        # maps asked of the released set are built afresh and not kept
+        assert ds.orbit_maps()
+        assert ds._images is None
 
 
 def test_a_budget_pays_for_each_quotient_once():

@@ -10,6 +10,7 @@ from chordbasis import cli
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
+from chordbasis.symmetry import vector_of, verify_equivariant
 
 
 def run(tmp_path, *argv, cache=None):
@@ -365,6 +366,27 @@ def test_equivariant_command(tmp_path, capsys):
     assert run(tmp_path, "equivariant", "2", "3", "--out", str(tmp_path / "eq.txt")) == 0
     head = (tmp_path / "eq.txt").read_text().splitlines()[0]
     assert head.startswith("equivariant-basis m=2 n=3 vectors=9")
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 3)])
+def test_equivariant_tree_basis_at_one_more_circle_than_chords(tmp_path, capsys, m, n):
+    cache = tmp_path / "cache"
+    assert run(tmp_path, "equivariant", str(m), str(n), cache=cache) == 0
+    cold = capsys.readouterr().out
+    assert cold == (cache / f"equivariant-m{m}-n{n}.txt").read_text()
+    head, *body = cold.splitlines()
+    fields = dict(item.split("=", 1) for item in head.split()[1:])
+    assert fields["vectors"] == str((n + 1) ** (n - 1)) == str(len(body))
+    assert fields["rounds"] == "0"
+    # each line is one labelled-tree diagram with coefficient 1
+    vectors = []
+    for line in body:
+        coef, text = line.split("*", 1)
+        assert coef == "1"
+        vectors.append(vector_of(diagram(text)))
+    assert verify_equivariant(vectors, connected_basis(m, n))
+    assert run(tmp_path, "equivariant", str(m), str(n), cache=cache) == 0
+    assert capsys.readouterr().out == cold
 
 
 def test_unfinished_greedy_run_emits_its_partial_basis(tmp_path, capsys):

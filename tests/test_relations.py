@@ -196,42 +196,44 @@ def test_relations_file_bytes_are_pinned(enumerate_fn, m, n, digest):
 
 
 def _count_orbits(monkeypatch):
-    """The feet of every orbit built from now on, by the module building it."""
-    calls = {"enumeration": [], "relations": []}
-    for module in (enumeration, relations):
-        def counting(feet, starts, built=calls[module.__name__.split(".")[-1]]):
-            built.append(feet)
-            return orbit(feet, starts)
+    """The feet of every orbit built from now on; ``enumeration`` is the
+    one module that builds orbits."""
+    assert "orbit" not in vars(relations)
+    built = []
 
-        monkeypatch.setattr(module, "orbit", counting)
-    return calls
+    def counting(feet, starts):
+        built.append(feet)
+        return orbit(feet, starts)
+
+    monkeypatch.setattr(enumeration, "orbit", counting)
+    return built
 
 
 def test_one_canonical_form_per_distinct_term(monkeypatch):
-    calls = _count_orbits(monkeypatch)
+    built = _count_orbits(monkeypatch)
     ds = enumerate_connected(4, 4)
+    assert len(built) == len(ds) == 279
     rows = generate_relations(ds)
     # 1584 adjacent pairs, each with a swapped term and four moved-foot
     # terms: 7920 edited terms, each found among the orbit images that
-    # enumeration built, one orbit per diagram of the set's 279
+    # enumeration built, one orbit per diagram of the set's 279, and none
+    # built again for the rows
     assert len(rows) == 2 * 1584
-    assert len(calls["enumeration"]) == len(ds) == 279
-    assert calls["relations"] == []
+    assert len(built) == 279
 
 
 def test_hand_built_set_gets_one_orbit_per_diagram(monkeypatch):
     ds = enumerate_connected(4, 4)
     copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)
-    calls = _count_orbits(monkeypatch)
-    # a set that enumeration did not build carries no orbit maps, so
-    # relation generation builds one orbit per diagram, with the same rows
+    built = _count_orbits(monkeypatch)
+    # a set that enumeration did not build carries no orbit maps, so its
+    # maps are built from one orbit per diagram, with the same rows
     assert generate_relations(copy) == generate_relations(ds)
-    assert len(calls["relations"]) == len(ds) == 279
-    assert calls["enumeration"] == []
+    assert len(built) == len(ds) == 279
 
 
 def test_rows_built_once_per_active_block(monkeypatch):
-    calls = _count_orbits(monkeypatch)
+    built = _count_orbits(monkeypatch)
     ds = enumerate_all(6, 3)
     rows = generate_relations(ds)
     # 2170 diagrams on 63 bare-circle patterns, which share 6 active lists
@@ -239,12 +241,11 @@ def test_rows_built_once_per_active_block(monkeypatch):
     # builds one orbit per diagram of the lists, and the rows of each list
     # are built once from those orbits, with none built again
     assert len(rows) == 12828
-    assert len(calls["enumeration"]) == 176
-    assert calls["relations"] == []
-    # a hand-built copy builds the same 176 orbits in relation generation
+    assert len(built) == 176
+    # a hand-built copy builds the same 176 orbits for its maps
     copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)
     assert generate_relations(copy) == rows
-    assert len(calls["relations"]) == 176
+    assert len(built) == 2 * 176
 
 
 def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):
@@ -393,3 +394,22 @@ def test_reader_rejects_edited_provenance_or_digest(old, new):
     lines[i] = lines[i].replace(old, new, 1)
     with pytest.raises(DiagramError):
         relations_from_text("\n".join(lines), ds)
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((999, 1), (0, 0), (0, 3)),   # the three faults at once
+    ((0, 1), (3, -1)),            # a column past the last diagram
+    ((-1, 1), (0, 1)),            # a negative column
+    ((1, 1), (0, -1)),            # decreasing columns
+    ((0, 1), (0, -1)),            # a repeated column
+    ((0, 1), (2, 0)),             # a zero coefficient
+])
+def test_reader_rejects_rows_generation_never_writes(coeffs):
+    # the writer writes any rows of the right count, so the file is the
+    # text written for its rows; the reader still refuses them
+    ds = enumerate_connected(2, 2)
+    assert len(ds) == 3
+    rows = generate_relations(ds)
+    text = relations_to_text(ds, [Relation(coeffs)] + rows[1:])
+    with pytest.raises(DiagramError):
+        relations_from_text(text, ds)
