@@ -13,7 +13,8 @@ from .basis import BasisResult, connected_basis, dim_A, dim_C, eval_A_polynomial
 from .diagrams import ChordDiagram, StringRep, canonicalize, diagram, parse
 from .enumeration import DiagramSet, enumerate_all, enumerate_connected
 from .errors import BudgetExceededError, ChordBasisError, DiagramError
-from .relations import Relation, generate_relations
+from .exactla import Relation
+from .relations import generate_relations
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Budget, ensure_budget
@@ -382,6 +382,33 @@ def polynomial_discrepancies(n_max: int = 5, m_max: int = 6,
             formula = dim_A(m, n, table)
             if poly != formula:
                 out.append((n, m, poly, formula))
+    return out
+
+
+def binomial_departures(c_table: Mapping[tuple[int, int], int] | None = None
+                        ) -> list[tuple[int, int, Fraction, int]]:
+    """(n, k, form D_k, formula D_k) at the first k where the binomial-basis
+    coefficients of the published closed form and of the formula differ,
+    for each n <= 5 whose form departs.
+
+    A(m, n) = sum over k of binom(m, k) * D_k(n) (see :func:`block_dims`),
+    so D_k = sum over j <= k of (-1)^(k-j) * binom(k, j) * A(j, n), with
+    A(0, n) = 0, and no quotient is needed.  D_k is the dimension of the
+    diagrams with a foot on each of k circles, so the first departure names
+    the diagrams a form gets wrong.
+    """
+    table = c_table if c_table is not None else REFERENCE_C_DIMS
+    out = []
+    for n in range(1, 6):
+        form, formula = [Fraction(0)], [0]
+        for k in range(1, 2 * n + 1):
+            form.append(eval_A_polynomial(n, k))
+            formula.append(dim_A(k, n, table))
+            d_form, d_formula = (sum((-1) ** (k - j) * comb(k, j) * a[j] for j in range(k + 1))
+                                 for a in (form, formula))
+            if d_form != d_formula:
+                out.append((n, k, d_form, d_formula))
+                break
     return out
 
 

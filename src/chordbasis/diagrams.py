@@ -26,10 +26,9 @@ the tests compare both against.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DiagramError
 
@@ -58,12 +57,6 @@ class StringRep:
 
     def blocks(self) -> list[tuple[int, ...]]:
         return [self.block(i) for i in range(self.m)]
-
-    def circle_of(self, position: int) -> int:
-        """Index of the circle owning feet position ``position``."""
-        if not 0 <= position < len(self.feet):
-            raise DiagramError(f"foot position {position} out of range")
-        return bisect_right(self.starts, position) - 1
 
     def __str__(self) -> str:
         return format_rep(self)
@@ -121,10 +114,39 @@ def orbit(feet: tuple[int, ...], starts: tuple[int, ...]) -> set[tuple[int, ...]
 
 
 def circle_owners(starts: Sequence[int]) -> list[int]:
-    """The circle owning each feet position: ``circle_owners(starts)[p]``
-    is ``StringRep.circle_of(p)`` for every rep with these ``starts``."""
+    """The circle owning each feet position: circle ``circle_owners(starts)[p]``
+    holds position p of every rep with these ``starts``."""
     return [i for i, (lo, hi) in enumerate(zip(starts, starts[1:]))
             for _ in range(lo, hi)]
+
+
+def chord_circles(feet: Sequence[int], owners: Sequence[int]) -> list[int]:
+    """The circles each chord touches, one bitmask per chord label: bit i
+    of entry c is set iff chord c has a foot on circle i, where circle
+    ``owners[p]`` (see :func:`circle_owners`) holds position p."""
+    masks = [0] * (len(feet) // 2)
+    for c, i in zip(feet, owners):
+        masks[c] |= 1 << i
+    return masks
+
+
+def components(masks: Sequence[int], m: int) -> Iterator[int]:
+    """The connected components of ``m`` circles joined by chords with the
+    circle masks ``masks`` (see :func:`chord_circles`), as circle masks in
+    order of their lowest circle; each is found only when it is asked for."""
+    left = (1 << m) - 1
+    while left:
+        reached = left & -left
+        while reached != left:
+            grown = reached
+            for mask in masks:
+                if mask & grown:
+                    grown |= mask
+            if grown == reached:
+                break
+            reached = grown
+        yield reached
+        left ^= reached
 
 
 def active_starts(starts: Sequence[int]) -> tuple[int, ...]:
@@ -321,74 +343,11 @@ def diagram(text: str) -> ChordDiagram:
     return canonicalize(parse(text))
 
 
-@dataclass(frozen=True)
-class CirclePartition:
-    """Partition of the circles into connected components.
-
-    ``assignment[i]`` is the component id of circle i; ids are numbered
-    0..k-1 in order of each component's lowest-numbered circle, so component
-    0 always contains circle 0.
-    """
-
-    assignment: tuple[int, ...]
-
-    @property
-    def class_count(self) -> int:
-        return max(self.assignment) + 1 if self.assignment else 0
-
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.class_count)]
-        for circle, cid in enumerate(self.assignment):
-            out[cid].append(circle)
-        return tuple(tuple(c) for c in out)
-
-
-def components(rep: StringRep) -> CirclePartition:
-    """Connected components of the circles under the chord adjacency."""
-    m = rep.m
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_foot: dict[int, int] = {}
-    for pos, c in enumerate(rep.feet):
-        if c in first_foot:
-            a = find(rep.circle_of(first_foot[c]))
-            b = find(rep.circle_of(pos))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        else:
-            first_foot[c] = pos
-    ids: dict[int, int] = {}
-    assignment = []
-    for i in range(m):
-        root = find(i)
-        if root not in ids:
-            ids[root] = len(ids)
-        assignment.append(ids[root])
-    return CirclePartition(tuple(assignment))
-
-
-def component_chord_counts(rep: StringRep, partition: CirclePartition | None = None) -> tuple[int, ...]:
-    """Number of chords in each component, in component-id order."""
-    if partition is None:
-        partition = components(rep)
-    counts = [0] * partition.class_count
-    seen: set[int] = set()
-    for pos, c in enumerate(rep.feet):
-        if c not in seen:
-            seen.add(c)
-            counts[partition.assignment[rep.circle_of(pos)]] += 1
-    return tuple(counts)
-
-
 def is_connected(d: ChordDiagram | StringRep) -> bool:
+    """Whether the chords join every circle: the first component is all."""
     rep = d.rep if isinstance(d, ChordDiagram) else d
-    return components(rep).class_count <= 1
+    masks = chord_circles(rep.feet, circle_owners(rep.starts))
+    return next(components(masks, rep.m)) == (1 << rep.m) - 1
 
 
 def permute_circles(d: ChordDiagram, sigma: Sequence[int]) -> ChordDiagram:
@@ -437,14 +396,10 @@ def full_subdiagram(d: ChordDiagram, circles: Sequence[int]) -> ChordDiagram:
     keep = sorted(set(circles))
     if not keep or keep[0] < 0 or keep[-1] >= d.m:
         raise DiagramError(f"circle indices {circles!r} out of range")
-    keepset = set(keep)
-    # A chord survives iff both feet lie on kept circles.
-    chord_circles: dict[int, list[int]] = {}
-    for pos, c in enumerate(d.rep.feet):
-        chord_circles.setdefault(c, []).append(d.rep.circle_of(pos))
-    surviving = sorted(
-        c for c, cs in chord_circles.items() if all(x in keepset for x in cs)
-    )
+    kept = sum(1 << i for i in keep)
+    # a chord survives iff its circles lie inside the kept ones
+    masks = chord_circles(d.rep.feet, circle_owners(d.rep.starts))
+    surviving = [c for c, mask in enumerate(masks) if not mask & ~kept]
     relabel = {c: i for i, c in enumerate(surviving)}
     return canonicalize(StringRep.from_blocks(
         [relabel[c] for c in d.rep.block(i) if c in relabel] for i in keep

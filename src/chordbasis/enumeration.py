@@ -42,7 +42,9 @@ from .diagrams import (
     StringRep,
     active_starts,
     canonicalize,
+    chord_circles,
     circle_owners,
+    components,
     is_connected,
     orbit,
     parse,
@@ -189,25 +191,6 @@ def _double_factorial_odd(n: int) -> int:
     return out
 
 
-def _connected(feet: tuple[int, ...], circle: list[int], m: int) -> bool:
-    """Whether the chords join all ``m`` circles; circle ``circle[p]`` owns
-    position p."""
-    ends: dict[int, int] = {}
-    for pos, c in enumerate(feet):
-        ends[c] = ends.get(c, 0) | 1 << circle[pos]
-    everything = (1 << m) - 1
-    reached = 1
-    while reached != everything:
-        grown = reached
-        for mask in ends.values():
-            if mask & grown:
-                grown |= mask
-        if grown == reached:
-            return False
-        reached = grown
-    return True
-
-
 def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool,
                            budget: Budget) -> Images:
     """Every orbit image of the diagrams with these ``starts`` (only the
@@ -221,12 +204,14 @@ def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool
     dropped before its orbit is built.
     """
     circle = circle_owners(starts)
+    m = len(starts) - 1
+    everything = (1 << m) - 1
     images: Images = {}
     for feet in _matchings(2 * n):
         if feet in images:
             continue
         budget.check_time()
-        if connected_only and not _connected(feet, circle, len(starts) - 1):
+        if connected_only and next(components(chord_circles(feet, circle), m)) != everything:
             continue
         members = orbit(feet, starts)
         images.update(dict.fromkeys(members, min(members)))

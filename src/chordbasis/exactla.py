@@ -8,6 +8,10 @@ normalized.  Every production solve
 (rank and RREF) runs this eliminator.  A naive dense Fraction eliminator
 and a modular rank are independent oracles only; the RREF of a row space
 is unique, so all routes must agree exactly.
+
+:class:`Relation` is the sparse integer row that relation generation
+yields and :func:`assemble` reads; it lives here so that this layer
+imports nothing above it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,21 @@ from typing import Iterable
 
 from .budget import Budget, ensure_budget
 from .errors import ChordBasisError
-from .relations import Relation
+
+
+@dataclass(frozen=True, slots=True)
+class Relation:
+    """A sparse integer row over a DiagramSet: ((column, coefficient), ...).
+
+    Where a row came from is a function of its position in the generation
+    order, so it is derived when the relations file is written, not stored.
+    """
+
+    coeffs: tuple[tuple[int, int], ...]
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
 
 # (column, value) pairs; integers from ``assemble``, Fractions in an RREF
 Row = tuple[tuple[int, int | Fraction], ...]

@@ -85,38 +85,18 @@ space in a fixed column order is unique, so the result is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, relations_name
-from .diagrams import (
-    active_starts,
-    circle_owners,
-    component_chord_counts,
-    components,
-    relabel,
-)
+from .diagrams import active_starts, chord_circles, circle_owners, components, relabel
 from .enumeration import DiagramSet, Images
 from .errors import ChordBasisError, DiagramError
+from .exactla import Relation
 
 
 # a diagram's feet with the starts of its active block
 Term = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True, slots=True)
-class Relation:
-    """A sparse integer row over a DiagramSet: ((column, coefficient), ...).
-
-    Where a row came from is a function of its position in the generation
-    order, so it is derived when the relations file is written, not stored.
-    """
-
-    coeffs: tuple[tuple[int, int], ...]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...], circle: list[int],
@@ -253,15 +233,16 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
 
 
 def check_component_preservation(rel: Relation, ds: DiagramSet) -> bool:
-    """True iff every diagram in the row has the same circle partition and
-    the same per-component chord counts."""
+    """True iff every diagram in the row has the same components, each with
+    the same number of chords."""
     profiles = set()
     for idx, coef in rel.coeffs:
         if coef == 0:
             continue
         rep = ds.diagrams[idx].rep
-        part = components(rep)
-        profiles.add((part.assignment, component_chord_counts(rep, part)))
+        masks = chord_circles(rep.feet, circle_owners(rep.starts))
+        profiles.add(tuple([(part, sum(1 for mask in masks if mask & part))
+                            for part in components(masks, rep.m)]))
         if len(profiles) > 1:
             return False
     return True

@@ -40,6 +40,8 @@ from .diagrams import (
     ChordDiagram,
     StringRep,
     canonicalize,
+    chord_circles,
+    circle_owners,
     is_connected,
     permute_circles,
 )
@@ -467,11 +469,13 @@ def tree_basis(n: int, budget: Budget | None = None) -> list[ChordDiagram]:
 
     By the Cayley-Borchardt count there are (n+1)^(n-1) of them, and they
     form an equivariant basis of the connected space with m = n + 1.  The
-    time budget is checked once per tree.
+    candidate budget is charged every tree before the first is built, and
+    the time budget is checked once per tree.
     """
     if n < 0:
         raise DiagramError(f"chord count must be nonnegative, got n={n}")
     budget = ensure_budget(budget)
+    budget.charge_candidates((n + 1) ** max(n - 1, 0))
     diagrams = []
     for t in all_labeled_trees(n + 1):
         budget.check_time()
@@ -480,11 +484,11 @@ def tree_basis(n: int, budget: Budget | None = None) -> list[ChordDiagram]:
 
 
 def underlying_multigraph(d: ChordDiagram) -> tuple[tuple[int, int], ...]:
-    """The sorted edge multiset (circle pairs) of a diagram's chords."""
-    ends: dict[int, list[int]] = {}
-    for pos, c in enumerate(d.rep.feet):
-        ends.setdefault(c, []).append(d.rep.circle_of(pos))
-    return tuple(sorted((min(v), max(v)) for v in ends.values()))
+    """The sorted edge multiset (circle pairs) of a diagram's chords: the
+    lowest and highest circle each chord touches."""
+    masks = chord_circles(d.rep.feet, circle_owners(d.rep.starts))
+    return tuple(sorted(((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
+                        for mask in masks))
 
 
 def tree_reduce(d: ChordDiagram) -> LabeledTree:

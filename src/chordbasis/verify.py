@@ -17,6 +17,7 @@ from .basis import (
     PUBLISHED_A_ERRATA,
     REFERENCE_A_DIMS,
     REFERENCE_C_DIMS,
+    binomial_departures,
     block_dims,
     connected_basis,
     dim_A,
@@ -183,7 +184,9 @@ def check_polynomials(budget: Budget | None = None) -> CheckResult:
     Passes when the n <= 4 forms reproduce the published table and the
     polynomials disagree with the formula only where they inherit a
     published-table erratum (n <= 4).  Any other disagreement, the n = 5
-    form's included, is a failure.
+    form's included, is a failure.  The detail names, for each form that
+    disagrees, the first binomial-basis coefficient D_k where it departs
+    from the formula (:func:`basis.binomial_departures`).
     """
     start = time.time()
     table = dim_table_C(5, 6, budget=budget, bundled_n=(4, 5))
@@ -203,9 +206,13 @@ def check_polynomials(budget: Budget | None = None) -> CheckResult:
     for n, m in sorted(inherited - found.keys()):
         failures.append(f"poly-A[n={n},m={m}]: agrees with the formula at a "
                         "published erratum")
-    return _result("closed-form-polynomials", start, failures,
-                   "n<=4 reproduce the published table, errata included; "
-                   "every other evaluation agrees with the formula")
+    result = _result("closed-form-polynomials", start, failures,
+                     "n<=4 reproduce the published table, errata included; "
+                     "every other evaluation agrees with the formula")
+    # where each disagreeing form goes wrong, as a diagnosis, not a failure
+    for n, k, form, formula in binomial_departures(c_table=table):
+        result.detail += f"; binomial-basis n={n}: D_{k} form={form} formula={formula}"
+    return result
 
 
 def check_tree_basis(verify_n_max: int = 4, budget: Budget | None = None) -> CheckResult:
@@ -213,13 +220,14 @@ def check_tree_basis(verify_n_max: int = 4, budget: Budget | None = None) -> Che
     the basis is equivariant against the live connected basis for n <= verify_n_max."""
     start = time.time()
     failures = []
-    for n in range(1, 6):
-        count = len(set(tree_basis(n, budget)))
+    trees = {n: tree_basis(n, budget) for n in range(1, 6)}
+    for n, diagrams in trees.items():
+        count = len(set(diagrams))
         if count != (n + 1) ** (n - 1):
             failures.append(f"|tree_basis({n})| = {count} != {(n + 1) ** (n - 1)}")
     for n in range(1, verify_n_max + 1):
         b = connected_basis(n + 1, n, budget=budget)
-        vectors = [vector_of(d) for d in tree_basis(n, budget)]
+        vectors = [vector_of(d) for d in trees[n]]
         if not verify_equivariant(vectors, b, budget):
             failures.append(f"tree_basis({n}) failed equivariance against live basis")
     return _result("tree-basis", start, failures,

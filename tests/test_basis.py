@@ -10,6 +10,7 @@ from chordbasis.basis import (
     REFERENCE_A_DIMS,
     REFERENCE_C_DIMS,
     basis_to_text,
+    binomial_departures,
     block_dims,
     clear_memo,
     connected_basis,
@@ -168,6 +169,14 @@ def test_polynomials_low_order():
     assert eval_A_polynomial(3, 1) == 3
     with pytest.raises(ChordBasisError):
         eval_A_polynomial(6, 1)
+
+
+def test_binomial_departures_against_the_block_dimensions():
+    # the formula's D_k are the ranks of the active sets; the forms for
+    # n <= 2 agree with it, those for n = 3, 4 first depart on four circles
+    assert binomial_departures() == [(3, 4, 58, 52), (4, 4, 381, 339),
+                                     (5, 1, Fraction(-21575, 192), 10)]
+    assert block_dims(3, k_max=4)[4] == 52
 
 
 def test_polynomial_discrepancy_cells_are_pinned():

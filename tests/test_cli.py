@@ -149,19 +149,20 @@ def test_basis_charges_its_quotient_once_for_both_files(tmp_path, capsys):
 
 
 def test_verify_pays_for_each_quotient_once(tmp_path, capsys):
-    # a cold verify --profile fast needs 23,909 candidates: its files and its
-    # checks reach each quotient through one budget, which pays for it once
+    # a cold verify --profile fast needs 25,350 candidates: 23,909 for its
+    # quotients, which its files and its checks reach through one budget that
+    # pays for each once, and 1,441 for the labelled trees of n = 1..5
     clear_memo()
-    assert run(tmp_path, "--max-candidates", "23909", "verify", "--profile", "fast") == 1
+    assert run(tmp_path, "--max-candidates", "25350", "verify", "--profile", "fast") == 1
     out, err = capsys.readouterr()
     # the closed-form polynomial check fails on its own (criterion 04)
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
         "closed-form-polynomials"]
     assert err == ""
     # and the cap is tight, warm memo or not
-    assert run(tmp_path, "--max-candidates", "23908", "verify", "--profile", "fast",
+    assert run(tmp_path, "--max-candidates", "25349", "verify", "--profile", "fast",
                cache=tmp_path / "other") == 3
-    assert "23909 > 23908" in capsys.readouterr().err
+    assert "25350 > 25349" in capsys.readouterr().err
 
 
 def test_usage_error_on_bad_diagram(tmp_path):
@@ -170,6 +171,17 @@ def test_usage_error_on_bad_diagram(tmp_path):
 
 def test_budget_exit_code(tmp_path):
     assert run(tmp_path, "--max-candidates", "10", "enumerate", "2", "4") == 3
+
+
+@pytest.mark.parametrize("argv", [["tree-basis", "4"], ["equivariant", "5", "4"]])
+def test_tree_construction_is_charged_against_the_candidate_cap(tmp_path, capsys, argv):
+    # 125 trees on five circles, none built under a cap of 10
+    out = tmp_path / "out.txt"
+    assert run(tmp_path, "--max-candidates", "10", *argv, "--out", str(out)) == 3
+    assert "candidate budget exceeded: 125 > 10" in capsys.readouterr().err
+    assert not out.exists()
+    assert not any((tmp_path / "cache").glob("*"))
+    assert run(tmp_path, "--max-candidates", "125", *argv, "--out", str(out)) == 0
 
 
 def test_time_budget_exit_code(tmp_path):

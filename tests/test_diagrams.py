@@ -1,20 +1,20 @@
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chordbasis.diagrams import (
     ChordDiagram,
-    CirclePartition,
     StringRep,
     canonical_feet,
     canonical_feet_bruteforce,
     canonicalize,
+    chord_circles,
     circle_owners,
     components,
-    component_chord_counts,
     diagram,
     disjoint_union,
     format_rep,
@@ -198,7 +198,8 @@ def test_production_never_runs_the_bruteforce_oracle(monkeypatch):
 @settings(max_examples=100)
 @given(string_reps())
 def test_circle_owners_and_relabel(rep):
-    assert circle_owners(rep.starts) == [rep.circle_of(p) for p in range(len(rep.feet))]
+    assert circle_owners(rep.starts) == [bisect_right(rep.starts, p) - 1
+                                         for p in range(len(rep.feet))]
     # renumbering leaves the diagram, and so its canonical form, unchanged
     assert canonical_feet(relabel(rep.feet), rep.starts) == canonical_feet(rep.feet, rep.starts)
     assert relabel((3, 1, 3, 0, 1, 0)) == (0, 1, 0, 2, 1, 2)
@@ -247,36 +248,84 @@ def test_permute_rejects_non_bijection():
 
 # -- connectivity -------------------------------------------------------
 
+def masks_of(rep):
+    return chord_circles(rep.feet, circle_owners(rep.starts))
+
+
+def classes(rep):
+    """The components of ``rep`` as tuples of circles."""
+    return [tuple(i for i in range(rep.m) if part >> i & 1)
+            for part in components(masks_of(rep), rep.m)]
+
+
 def test_components_disconnected():
-    part = components(parse("0011|22"))
-    assert part.classes() == ((0,), (1,))
+    assert classes(parse("0011|22")) == [(0,), (1,)]
 
 
 def test_components_connected():
-    assert components(parse("0102|12")).classes() == ((0, 1),)
+    assert classes(parse("0102|12")) == [(0, 1)]
 
 
 def test_component_ids_ordered_by_lowest_member():
-    part = components(parse("00|12|12|33"))
-    assert part.assignment == (0, 1, 1, 2)
-    assert isinstance(part, CirclePartition)
+    assert list(components(masks_of(parse("00|12|12|33")), 4)) == [0b0001, 0b0110, 0b1000]
+    assert classes(parse("12|00|33|12")) == [(0, 3), (1,), (2,)]
 
 
 def test_component_chord_counts():
     rep = parse("00|12|12|33")
-    assert component_chord_counts(rep) == (1, 2, 1)
+    masks = masks_of(rep)
+    assert masks == [0b0001, 0b0110, 0b0110, 0b1000]
+    counts = [sum(1 for mask in masks if mask & part) for part in components(masks, 4)]
+    assert counts == [1, 2, 1]
 
 
 def test_is_connected_examples():
     assert is_connected(diagram("0102|12"))
     assert not is_connected(diagram("0011|22"))
     assert is_connected(diagram("001122"))  # single circle
+    assert is_connected(parse(""))  # one bare circle
+    assert not is_connected(parse("00|"))
+
+
+def _components_by_search(rep):
+    """The components as tuples of circles, in order of lowest circle, by a
+    depth-first search over circles that share a chord."""
+    blocks = [set(b) for b in rep.blocks()]
+    seen: set[int] = set()
+    out = []
+    for root in range(rep.m):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, part = [root], [root]
+        while stack:
+            here = stack.pop()
+            for there in range(rep.m):
+                if there not in seen and blocks[here] & blocks[there]:
+                    seen.add(there)
+                    stack.append(there)
+                    part.append(there)
+        out.append(tuple(sorted(part)))
+    return out
+
+
+@settings(max_examples=300)
+@given(string_reps(max_m=6, max_n=5))
+@example(parse("|00||1|1|"))  # bare circles and a self-chord
+@example(parse("0|0|1212"))
+def test_components_match_a_search_over_the_blocks(rep):
+    expected = _components_by_search(rep)
+    assert classes(rep) == expected
+    assert is_connected(rep) == (len(expected) == 1)
+    masks = masks_of(rep)
+    counts = [sum(1 for mask in masks if mask & part) for part in components(masks, rep.m)]
+    assert sum(counts) == rep.n
 
 
 @settings(max_examples=150)
 @given(string_reps())
 def test_components_invariant_under_canonicalization(rep):
-    assert components(rep).classes() == components(canonicalize(rep).rep).classes()
+    assert classes(rep) == classes(canonicalize(rep).rep)
 
 
 # -- disjoint union and full subdiagrams --------------------------------
@@ -333,7 +382,7 @@ def test_components_equivariant_under_circle_relabelling(rep, pick):
     perms = sorted(__import__("itertools").permutations(range(d.m)))
     sigma = perms[pick % len(perms)]
     image = permute_circles(d, sigma)
-    before = components(d.rep).classes()
-    after = components(image.rep).classes()
+    before = classes(d.rep)
+    after = classes(image.rep)
     relabelled = sorted(tuple(sorted(sigma[c] for c in cls)) for cls in before)
     assert sorted(after) == relabelled

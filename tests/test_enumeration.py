@@ -149,27 +149,27 @@ def test_time_budget_fires_while_rejecting_disconnected_matchings(monkeypatch):
     clock = [0.0]
     monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     rejected, built = [], []
-    connected = enumeration._connected
+    components = enumeration.components
 
-    def rejecting(feet, circle, m):
-        if connected(feet, circle, m):
-            return True
-        rejected.append(feet)
-        clock[0] = 2.0
-        return False
+    def rejecting(masks, m):
+        first = next(components(masks, m))
+        if first != (1 << m) - 1:
+            rejected.append(tuple(masks))
+            clock[0] = 2.0
+        return iter([first])
 
     def counting(feet, starts):
         built.append(feet)
         return orbit(feet, starts)
 
-    monkeypatch.setattr(enumeration, "_connected", rejecting)
+    monkeypatch.setattr(enumeration, "components", rejecting)
     monkeypatch.setattr(enumeration, "orbit", counting)
     budget = Budget(time_budget=1.0)
     with pytest.raises(BudgetExceededError):
         enumerate_connected(3, 3, budget=budget)
     # the first matching of (3,3), 00 on two one-foot circles and two
     # chords on the third, is disconnected; the next is checked and refused
-    assert rejected == [(0, 0, 1, 1, 2, 2)]
+    assert rejected == [(0b011, 0b100, 0b100)]
     assert built == []
 
 

@@ -1,5 +1,5 @@
-"""The package imports nothing outside the standard library and declares
-no dependency."""
+"""The package imports nothing outside the standard library, declares no
+dependency, and its modules import only the layers below them."""
 
 import ast
 import sys
@@ -26,3 +26,25 @@ def test_every_absolute_import_is_stdlib():
 def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
+
+
+# each module may import only modules earlier in this list
+LAYERS = ["errors", "util", "budget", "cache", "diagrams", "enumeration", "exactla",
+          "relations", "basis", "symmetry", "render", "verify", "cli"]
+
+
+def test_every_module_imports_only_earlier_layers():
+    modules = {p.stem for p in (ROOT / "src" / "chordbasis").glob("*.py")}
+    assert modules - {"__init__", "__main__"} == set(LAYERS)
+    for name in LAYERS:
+        path = ROOT / "src" / "chordbasis" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            # "from . import x" reads the package, which is exempt, or a module
+            targets = [node.module] if node.module else [
+                alias.name for alias in node.names if alias.name in modules]
+            for target in targets:
+                if target in ("__init__", "__main__"):
+                    continue
+                assert LAYERS.index(target) < LAYERS.index(name), (name, target)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,17 @@ def test_orbit_report_text_format():
 def test_tree_counts_match_cayley():
     for n in range(0, 5):
         assert len(tree_basis(n)) == (n + 1) ** max(n - 1, 0)
+
+
+def test_tree_basis_charges_every_tree_before_building_one():
+    budget = Budget(max_candidates=125)
+    assert len(tree_basis(4, budget)) == 125
+    assert budget.candidates_used == 125
+    # 13^11 trees on 13 circles: refused at once under the default cap
+    began = time.monotonic()
+    with pytest.raises(BudgetExceededError, match=f"{13 ** 11} > {10 ** 9}"):
+        tree_basis(12, Budget())
+    assert time.monotonic() - began < 1.0
 
 
 def test_tree_basis_one_chord():

@@ -65,6 +65,15 @@ def test_polynomials_fail_on_changed_low_order_form(monkeypatch):
     assert "poly-A[n=2,m=1]: polynomial=5/2 published=2" in result.detail
 
 
+def test_polynomials_name_the_first_binomial_coefficient_each_form_gets_wrong():
+    detail = V.check_polynomials().detail
+    for text in ("binomial-basis n=3: D_4 form=58 formula=52",
+                 "binomial-basis n=4: D_4 form=381 formula=339",
+                 "binomial-basis n=5: D_1 form=-21575/192 formula=10"):
+        assert text in detail
+    assert detail.count("binomial-basis") == 3
+
+
 def test_direct_rank_honours_budget():
     assert V._direct_dim_A(2, 2) == 8
     with pytest.raises(BudgetExceededError):
