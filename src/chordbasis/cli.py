@@ -19,11 +19,17 @@ miss computes and writes the basis file alone (``basis`` and ``verify`` also
 make the relations file) and charges the budget only then.  A diagram
 outside the connected set is refused before the cache is touched.  Every
 quotient comes from ``basis.quotient``, paid for once by the one budget.
+
+``main`` builds the parser once per process and may be called repeatedly in
+process; the parser binds each ``cmd_*`` function when it is built, so a
+caller that patches a command patches the module globals it reads, not
+``cmd_*``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -423,9 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built on the first ``main`` call, not at import; ``parse_args`` fills a
+# fresh Namespace on every call and leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         settings = Settings(args)
         return args.func(args, settings)

@@ -1,5 +1,8 @@
+import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 
 from chordbasis.basis import basis_sections, clear_memo, connected_basis, express, quotient
 from chordbasis import cli
+from chordbasis.cache import diagrams_name
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
 from chordbasis.enumeration import enumerate_all, enumerate_connected
@@ -477,6 +481,68 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert run(tmp_path, "enumerate", "1", "3", "--connected") == 0
     assert capsys.readouterr().out == enumerate_connected(1, 3).to_text()
+
+
+PARSER_COUNT_CHILD = """
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+from chordbasis import cli
+counts = [len(built)]
+for argv in (["basis", "1", "1"], ["enumerate", "2", "2", "--connected"]):
+    assert cli.main(["--cache", sys.argv[1], *argv]) == 0
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_one_parser_per_process(tmp_path):
+    # a fresh process, so the import and the first main call are this test's
+    proc = subprocess.run([sys.executable, "-c", PARSER_COUNT_CHILD, str(tmp_path / "cache")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_first, after_second = json.loads(proc.stdout.splitlines()[-1])
+    assert at_import == 0
+    assert after_first > 0
+    assert after_second == after_first
+
+
+def test_consecutive_calls_match_a_fresh_process(tmp_path, capsys):
+    cache = tmp_path / "cache"  # CHORDBASIS_CACHE, read by every call below
+    conn = tmp_path / "conn.txt"
+    assert main(["enumerate", "2", "3", "--connected", "--out", str(conn)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "x", "2"])
+    assert exc.value.code == 2
+    config = tmp_path / "c.conf"
+    config.write_text("time-budget = 0.000001\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(config), "basis", "2", "2"]) == 3
+    assert "time budget" in capsys.readouterr().err
+    assert main(["enumerate", "2", "3"]) == 0
+    out = capsys.readouterr().out
+
+    fresh = tmp_path / "fresh"
+    proc = subprocess.run([sys.executable, "-m", "chordbasis", "enumerate", "2", "3"],
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "CHORDBASIS_CACHE": str(fresh)})
+    assert proc.returncode == 0, proc.stderr
+    assert out.encode("utf-8") == proc.stdout
+    assert out == enumerate_all(2, 3).to_text()
+    assert conn.read_text() == enumerate_connected(2, 3).to_text()
+    name = diagrams_name(2, 3, False)
+    assert {f.name: f.read_bytes() for f in fresh.iterdir()} == {name: proc.stdout}
+    assert {f.name for f in cache.iterdir()} == {name, diagrams_name(2, 3, True)}
+    assert (cache / name).read_bytes() == proc.stdout
 
 
 def _rotated(d):
