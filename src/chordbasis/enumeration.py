@@ -25,15 +25,19 @@ maps enumeration built, or builds another set's without keeping them.
 The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
 distinct active block once and places its sorted feet on every vector with
-those nonzero parts.  The candidate budget is still charged every matching
-of every vector.
+those nonzero parts.  Every block has the same 2n positions, so every
+block walks the same matchings: :func:`_matchings` runs once per call,
+inside the first block's walk (where the time budget is checked as they
+are generated), and its matchings are kept as a list for the other walks
+only when there are other blocks.  The candidate budget is still charged
+every matching of every vector.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, diagrams_name
@@ -191,11 +195,12 @@ def _double_factorial_odd(n: int) -> int:
     return out
 
 
-def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool,
-                           budget: Budget) -> Images:
+def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[tuple[int, ...]],
+                           connected_only: bool, budget: Budget) -> Images:
     """Every orbit image of the diagrams with these ``starts`` (only the
     connected ones with ``connected_only``), mapped to the diagram's
-    canonical feet.
+    canonical feet; ``matchings`` are the feet of every perfect matching of
+    the block's positions, in :func:`_matchings` order.
 
     The rotations of the circles act on the matchings; each orbit is one
     diagram.  A matching already mapped is skipped unexamined; any other
@@ -207,7 +212,7 @@ def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool
     m = len(starts) - 1
     everything = (1 << m) - 1
     images: Images = {}
-    for feet in _matchings(2 * n):
+    for feet in matchings:
         if feet in images:
             continue
         budget.check_time()
@@ -216,6 +221,14 @@ def _candidates_for_starts(starts: tuple[int, ...], n: int, connected_only: bool
         members = orbit(feet, starts)
         images.update(dict.fromkeys(members, min(members)))
     return images
+
+
+def _recorded(matchings: Iterator[tuple[int, ...]], kept: list[tuple[int, ...]]
+              ) -> Iterator[tuple[int, ...]]:
+    """``matchings``, each appended to ``kept`` as it is yielded."""
+    for feet in matchings:
+        kept.append(feet)
+        yield feet
 
 
 def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
@@ -249,12 +262,19 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
     budget.charge_candidates(per_starts * len(starts_vectors))
 
     # The connectivity test sees only the active circles, which is right
-    # because a connected set with m >= 2 has no bare circle.
+    # because a connected set with m >= 2 has no bare circle.  The
+    # matchings are generated once, by the first block's walk, and kept for
+    # the others only when there are others.
+    blocks = list(dict.fromkeys([active_starts(starts) for starts in starts_vectors]))
+    kept: list[tuple[int, ...]] = []
+    matchings: Iterable[tuple[int, ...]] = _matchings(2 * n)
+    if len(blocks) > 1:
+        matchings = _recorded(matchings, kept)
     images: dict[tuple[int, ...], Images] = {}
-    for starts in starts_vectors:
-        active = active_starts(starts)
-        if active not in images:
-            images[active] = _candidates_for_starts(active, n, connected_only, budget)
+    for active in blocks:
+        images[active] = _candidates_for_starts(active, matchings, connected_only, budget)
+        matchings = kept
+    del matchings, kept
     # each block's canonical feet in order, copied once every block is
     # walked, so that the set pins none of the images: dropped, they free
     # whole blocks of memory

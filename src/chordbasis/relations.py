@@ -29,9 +29,12 @@ A term's column is found in two steps.  Its feet, renumbered by first
 occurrence, are an orbit image of its diagram.  The set's orbit maps
 (:meth:`DiagramSet.orbit_maps`) send them to the diagram's canonical
 feet.  Those feet with the active starts give the term's position in the
-list.  So an edited term costs one relabel and two lookups, and this
-module builds no orbit and searches no canonical form.  A term the list
-lacks raises :class:`DiagramError`.
+list.  Every key of an orbit map is numbered by first occurrence, so the
+edited feet are looked up as they are first, and only a miss renumbers
+them (:func:`relabel`) and looks again; about two terms in three hit at
+once.  So an edited term costs two lookups, or three and a relabel, and
+this module builds no orbit and searches no canonical form.  A term the
+list lacks raises :class:`DiagramError`.
 
 Every diagram of a pattern receives its rows through the pattern's diagram
 indices, local column c becoming ``where[c]``; those indices increase with
@@ -103,7 +106,8 @@ def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...], circle: list[
                    moving: int, target: int, after: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Remove the foot at ``moving`` and reinsert it immediately before or
     after the foot currently at ``target`` (indices into the original feet);
-    circle ``circle[p]`` owns position p."""
+    circle ``circle[p]`` owns position p.  A foot that stays on its circle
+    leaves ``starts`` as it is, the same object."""
     q = target + 1 if after else target
     label = (feet[moving],)
     if q > moving:
@@ -111,6 +115,8 @@ def _remove_insert(feet: tuple[int, ...], starts: tuple[int, ...], circle: list[
     else:
         new_feet = feet[:q] + label + feet[q:moving] + feet[moving + 1:]
     lost, gained = circle[moving], circle[target]
+    if lost == gained:
+        return new_feet, starts
     new_starts = tuple(s - (i > lost) + (i > gained) for i, s in enumerate(starts))
     return new_feet, new_starts
 
@@ -185,7 +191,12 @@ def _active_rows(active: tuple[Term, ...], images: dict[tuple[int, ...], Images]
 
     def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
         try:
-            return local[(images[starts][relabel(feet)], starts)]
+            block = images[starts]
+            # every key is numbered by first occurrence, so a hit needs no relabel
+            canonical = block.get(feet)
+            if canonical is None:
+                canonical = block[relabel(feet)]
+            return local[(canonical, starts)]
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
 

@@ -68,13 +68,13 @@ def _result(name: str, start: float, failures: list[str], ok_detail: str) -> Che
         shown = "; ".join(failures[:12])
         if len(failures) > 12:
             shown += f"; ... {len(failures) - 12} more"
-        return CheckResult(name, False, shown, time.time() - start)
-    return CheckResult(name, True, ok_detail, time.time() - start)
+        return CheckResult(name, False, shown, time.perf_counter() - start)
+    return CheckResult(name, True, ok_detail, time.perf_counter() - start)
 
 
 def check_connected_dims(n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Live connected dimensions equal the reference table for n <= n_max."""
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     count = 0
     for n in range(1, n_max + 1):
@@ -102,7 +102,7 @@ def check_order5_connected(live: bool = True,
     BudgetExceededError propagates rather than reporting a wrong number);
     otherwise only the independent tree-count cross-check runs.
     """
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     trees = len(set(tree_basis(5)))
     if trees != 6**4 or trees != REFERENCE_C_DIMS[(6, 5)]:
@@ -150,7 +150,7 @@ def check_full_dims(budget: Budget | None = None,
     the direct rank at every cell of ``direct_cells``.  The detail names
     every erratum with both values and its direct rank where computed.
     """
-    start = time.time()
+    start = time.perf_counter()
     table = dim_table_C(5, 6, budget=budget, bundled_n=(5,))
     direct = {(m, n): _direct_dim_A(m, n, budget=budget)
               for m, n in direct_cells}
@@ -188,7 +188,7 @@ def check_polynomials(budget: Budget | None = None) -> CheckResult:
     disagrees, the first binomial-basis coefficient D_k where it departs
     from the formula (:func:`basis.binomial_departures`).
     """
-    start = time.time()
+    start = time.perf_counter()
     table = dim_table_C(5, 6, budget=budget, bundled_n=(4, 5))
     failures = []
     for n in range(1, 5):
@@ -218,7 +218,7 @@ def check_polynomials(budget: Budget | None = None) -> CheckResult:
 def check_tree_basis(verify_n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Tree-basis count (distinct diagrams) is (n+1)^(n-1) for n in 1..5 and
     the basis is equivariant against the live connected basis for n <= verify_n_max."""
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     trees = {n: tree_basis(n, budget) for n in range(1, 6)}
     for n, diagrams in trees.items():
@@ -261,7 +261,7 @@ def check_canonical_roundtrips(iterations: int = 10000,
     """Canonical-form invariance under rotation/relabelling, idempotence,
     and agreement of the production branch-and-bound canonicalizer with the
     brute-force oracle, on random representations."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     strings = ["0121|20", "1020|21", "1012|20", "0102|12"]
@@ -290,7 +290,7 @@ def check_component_rows(n_max: int = 4, budget: Budget | None = None) -> CheckR
     """Every generated relation row mixes only diagrams with the same
     circle partition and per-component chord counts, over the active sets:
     in a connected set every diagram has the same profile."""
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     rows_checked = 0
     for n in range(2, n_max + 1):
@@ -323,7 +323,7 @@ def _random_matrix(rng: random.Random):
 def check_rref_oracle(cases: int = 500, seed: int = RREF_SEED) -> CheckResult:
     """Sparse exact RREF equals the naive dense eliminator bit for bit, and
     the rank over a random 62-bit prime field agrees."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for i in range(cases):
@@ -343,7 +343,7 @@ def check_rref_oracle(cases: int = 500, seed: int = RREF_SEED) -> CheckResult:
 def check_equivariantization(n_max: int = 4, budget: Budget | None = None) -> CheckResult:
     """Two-circle repair: terminates, keeps the dimension, produces an
     equivariant basis, and strictly shrinks the incomplete count."""
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     for n in range(1, n_max + 1):
         b = connected_basis(2, n, budget=budget)
@@ -364,7 +364,7 @@ def check_equivariantization(n_max: int = 4, budget: Budget | None = None) -> Ch
 def check_orbit_structure_33(budget: Budget | None = None) -> CheckResult:
     """The per-graph basis of the three-circle, three-chord space splits
     into orbits of sizes 6, 6, 3, 1, all complete."""
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     b = connected_basis(3, 3, budget=budget)
     reps = graph_form_basis(b)

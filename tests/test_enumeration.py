@@ -144,6 +144,49 @@ def test_time_budget_fires_inside_one_starts_vector():
     assert time.monotonic() - began < 1.5
 
 
+def _count_matching_walks(monkeypatch):
+    """The number of matchings each ``_matchings`` call yields, one entry
+    per call, from now on."""
+    yielded = []
+    matchings = enumeration._matchings
+
+    def counting(size):
+        yielded.append(0)
+        for feet in matchings(size):
+            yielded[-1] += 1
+            yield feet
+
+    monkeypatch.setattr(enumeration, "_matchings", counting)
+    return yielded
+
+
+@pytest.mark.parametrize("enumerate_fn, m, n, blocks, size", [
+    (enumerate_connected, 4, 4, 35, 279),
+    (enumerate_all, 3, 3, 1 + 5 + 10, 104),
+])
+def test_matchings_generated_once_per_enumeration(monkeypatch, enumerate_fn, m, n,
+                                                  blocks, size):
+    expected = enumerate_fn(m, n)
+    assert len({enumeration.active_starts(d.rep.starts) for d in expected}) == blocks
+    yielded = _count_matching_walks(monkeypatch)
+    ds = enumerate_fn(m, n)
+    # every active block walks the (2n-1)!! matchings of one generation
+    assert yielded == [enumeration._double_factorial_odd(n)]
+    assert ds == expected and len(ds) == size
+
+
+def test_time_budget_fires_while_the_first_block_generates_the_matchings(monkeypatch):
+    # 13 active blocks share the 135135 matchings, which the first walk
+    # generates and keeps for the others
+    yielded = _count_matching_walks(monkeypatch)
+    began = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        enumerate_connected(2, 7, budget=Budget(time_budget=0.2))
+    assert time.monotonic() - began < 1.5
+    # the budget stopped the one generation part way
+    assert len(yielded) == 1 and yielded[0] < 135135
+
+
 def test_time_budget_fires_while_rejecting_disconnected_matchings(monkeypatch):
     # a clock that the budget reads, run out by the first rejected matching
     clock = [0.0]

@@ -248,6 +248,28 @@ def test_rows_built_once_per_active_block(monkeypatch):
     assert len(built) == 2 * 176
 
 
+def test_terms_already_numbered_are_not_renumbered(monkeypatch):
+    ds = enumerate_connected(2, 4)
+    expected = generate_relations(ds, b_only=True)
+    relabelled = []
+    relabel = relations.relabel
+
+    def counting(feet):
+        relabelled.append(feet)
+        return relabel(feet)
+
+    monkeypatch.setattr(relations, "relabel", counting)
+    rows = generate_relations(ds, b_only=True)
+    assert rows == expected
+    # b_only looks up one term (Y_after) for each of the 464 adjacent pairs
+    # and two more (S', Y_before) for each of the 236 rows it keeps; only
+    # the 288 terms whose feet are not numbered by first occurrence miss
+    # the orbit map and are renumbered
+    pairs = sum(1 for d in ds for _ in relations._adjacent_pairs(d.rep.feet, d.rep.starts))
+    assert (pairs, len(rows)) == (464, 236)
+    assert len(relabelled) == 288 < pairs + 2 * len(rows)
+
+
 def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):
     def refuse(feet, starts):
         raise AssertionError("the set pipeline takes canonical forms from orbits")

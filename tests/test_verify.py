@@ -4,6 +4,7 @@ the checks run under the invocation's budget."""
 
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -160,3 +161,13 @@ def test_tree_count_guards_count_distinct_diagrams(tmp_path, capsys, monkeypatch
     made.clear()
     result = V.check_tree_basis(verify_n_max=0)
     assert not result.passed and "|tree_basis(2)| = 2" in result.detail
+
+
+def test_checks_are_timed_on_the_monotonic_performance_clock(monkeypatch):
+    # a namespace without time.time: a check that read the wall clock,
+    # which can jump, would raise here
+    ticks = iter([10.0, 12.25])
+    monkeypatch.setattr(V, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    result = V.check_rref_oracle(cases=3)
+    assert result.passed
+    assert result.seconds == 2.25
