@@ -15,11 +15,13 @@ The directory comes from (in order) an explicit path, the
 from __future__ import annotations
 
 import os
+from itertools import count
 from pathlib import Path
 
 from .util import content_digest
 
 ENV_VAR = "CHORDBASIS_CACHE"
+_WRITES = count()
 
 
 def cache_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -35,11 +37,8 @@ class DiskCache:
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = cache_dir(root)
 
-    def _path(self, name: str) -> Path:
-        return self.root / name
-
     def get_text(self, name: str) -> str | None:
-        p = self._path(name)
+        p = self.root / name
         if p.is_file():
             # undecodable bytes become U+FFFD, which fails artifact_intact
             return p.read_text(encoding="utf-8", errors="replace")
@@ -47,8 +46,10 @@ class DiskCache:
 
     def put_text(self, name: str, text: str) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
-        p = self._path(name)
-        tmp = p.with_suffix(p.suffix + ".tmp")
+        p = self.root / name
+        # a temp file of this write's own (pid and a count over the process):
+        # a shared one could be moved away between this write and its replace
+        tmp = p.with_name(f"{p.name}.{os.getpid()}-{next(_WRITES)}.tmp")
         tmp.write_text(text, encoding="utf-8", newline="\n")
         tmp.replace(p)
         return p

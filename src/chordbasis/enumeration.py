@@ -17,10 +17,10 @@ without the quadratic retained-list scan of the naive method (which is
 kept as :func:`enumerate_all_naive` for cross-checking).
 
 The marks are the set's orbit maps: one per active block, from every
-orbit image to its canonical feet.  :class:`DiagramSet` owns them, and no
-other module builds orbits.  :meth:`DiagramSet.orbit_maps` returns the
-maps enumeration built, or builds another set's without keeping them.
-``basis.quotient`` releases them once its rows are built.
+orbit image to its canonical feet.  :class:`DiagramSet` owns them, and
+only its :meth:`DiagramSet.term_feet` reads them, so no other module knows
+their layout.  A set without them (not enumerated, or released by
+``basis.quotient``) gets maps built afresh, one orbit per distinct term.
 
 The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, diagrams_name
@@ -52,6 +52,7 @@ from .diagrams import (
     is_connected,
     orbit,
     parse,
+    relabel,
 )
 from .errors import DiagramError
 from .util import content_digest
@@ -92,21 +93,28 @@ class DiagramSet:
             and self.diagrams == other.diagrams
         )
 
-    def orbit_maps(self, budget: Budget | None = None) -> dict[tuple[int, ...], Images]:
-        """Active starts -> orbit image -> canonical feet: the maps
-        enumeration built, or for any other set one :func:`orbit` per
-        distinct (feet, active starts), returned and not kept."""
-        if self._images is not None:
-            return self._images
-        budget = ensure_budget(budget)
-        images: dict[tuple[int, ...], Images] = {}
-        for d in self.diagrams:
-            feet, starts = d.rep.feet, active_starts(d.rep.starts)
-            block = images.setdefault(starts, {})
-            if feet not in block:
-                budget.check_time()
-                block.update(dict.fromkeys(orbit(feet, starts), feet))
-        return images
+    def term_feet(self, budget: Budget | None = None) -> Callable[..., tuple[int, ...]]:
+        """A function from a term (feet, active starts) of the set to its
+        diagram's canonical feet, raising ``KeyError`` for any other term; a set
+        without orbit maps builds one :func:`orbit` per distinct term for it."""
+        images = self._images
+        if images is None:
+            budget = ensure_budget(budget)
+            images = {}
+            for d in self.diagrams:
+                feet, starts = d.rep.feet, active_starts(d.rep.starts)
+                block = images.setdefault(starts, {})
+                if feet not in block:
+                    budget.check_time()
+                    block.update(dict.fromkeys(orbit(feet, starts), feet))
+
+        def feet_of(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int, ...]:
+            block = images[starts]
+            # every key is numbered by first occurrence, so a hit needs no relabel
+            canonical = block.get(feet)
+            return block[relabel(feet)] if canonical is None else canonical
+
+        return feet_of
 
     def release_orbit_maps(self) -> None:
         """Drop the orbit maps enumeration built, freeing their memory."""

@@ -25,16 +25,12 @@ the pattern's circles.  So are their rows.  Each call of
 :func:`generate_relations` builds the rows of every distinct active list
 once, with the list's positions as columns.
 
-A term's column is found in two steps.  Its feet, renumbered by first
-occurrence, are an orbit image of its diagram.  The set's orbit maps
-(:meth:`DiagramSet.orbit_maps`) send them to the diagram's canonical
-feet.  Those feet with the active starts give the term's position in the
-list.  Every key of an orbit map is numbered by first occurrence, so the
-edited feet are looked up as they are first, and only a miss renumbers
-them (:func:`relabel`) and looks again; about two terms in three hit at
-once.  So an edited term costs two lookups, or three and a relabel, and
-this module builds no orbit and searches no canonical form.  A term the
-list lacks raises :class:`DiagramError`.
+A term's column is found in two steps.  :meth:`DiagramSet.term_feet`
+gives the canonical feet of the edited term's diagram, and those feet
+with the active starts give the term's position in the list.  How the set
+finds those feet is its own business: this module reads no orbit map,
+builds no orbit and searches no canonical form.  A term the list lacks
+raises :class:`DiagramError`.
 
 Every diagram of a pattern receives its rows through the pattern's diagram
 indices, local column c becoming ``where[c]``; those indices increase with
@@ -92,8 +88,8 @@ from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, relations_name
-from .diagrams import active_starts, chord_circles, circle_owners, components, relabel
-from .enumeration import DiagramSet, Images
+from .diagrams import active_starts, chord_circles, circle_owners, components
+from .enumeration import DiagramSet
 from .errors import ChordBasisError, DiagramError
 from .exactla import Relation
 
@@ -181,22 +177,17 @@ def _merged(terms: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(t, c) for t, c in merged.items() if c]))
 
 
-def _active_rows(active: tuple[Term, ...], images: dict[tuple[int, ...], Images],
+def _active_rows(active: tuple[Term, ...], feet_of: Callable[..., tuple[int, ...]],
                  budget: Budget, b_only: bool) -> list[list[tuple[tuple[int, int], ...]]]:
     """The rows of every active term (feet, active starts) of ``active``,
     over the positions in ``active`` as columns, each edited term's diagram
-    found through the orbit maps ``images``; a term that ``active`` lacks
-    raises :class:`DiagramError`."""
+    found by ``feet_of`` (:meth:`DiagramSet.term_feet`); a term that
+    ``active`` lacks raises :class:`DiagramError`."""
     local = {t: c for c, t in enumerate(active)}
 
     def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
         try:
-            block = images[starts]
-            # every key is numbered by first occurrence, so a hit needs no relabel
-            canonical = block.get(feet)
-            if canonical is None:
-                canonical = block[relabel(feet)]
-            return local[(canonical, starts)]
+            return local[(feet_of(feet, starts), starts)]
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
 
@@ -225,7 +216,7 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         starts = d.rep.starts
         patterns.setdefault(tuple([lo == hi for lo, hi in zip(starts, starts[1:])]),
                             []).append(i)
-    images = ds.orbit_maps(budget)
+    feet_of = ds.term_feet(budget)
     built: dict[tuple[Term, ...], list[list[tuple[tuple[int, int], ...]]]] = {}
     placed: list[list[Relation]] = [[] for _ in ds.diagrams]
     for where in patterns.values():
@@ -233,7 +224,7 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         reps = [ds.diagrams[i].rep for i in where]
         active = tuple([(rep.feet, active_starts(rep.starts)) for rep in reps])
         if active not in built:
-            built[active] = _active_rows(active, images, budget, b_only)
+            built[active] = _active_rows(active, feet_of, budget, b_only)
         # where is increasing, so a row sorted by local column stays sorted;
         # a pattern of the set's first diagrams shares the rows as built
         first = where[-1] == len(where) - 1

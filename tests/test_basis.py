@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -26,7 +27,7 @@ from chordbasis.basis import (
     quotient,
 )
 from chordbasis.budget import Budget
-from chordbasis.diagrams import diagram
+from chordbasis.diagrams import active_starts, diagram
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 from chordbasis.util import content_digest
 
@@ -366,9 +367,26 @@ def test_memo_holds_no_orbit_images():
         quotient(2, 4, connected=connected)
         ds = B._MEMO[(2, 4, connected)].diagram_set
         assert ds._images is None
-        # maps asked of the released set are built afresh and not kept
-        assert ds.orbit_maps()
+        # a lookup asked of the released set builds maps afresh, not kept
+        rep = ds.diagrams[-1].rep
+        assert ds.term_feet()(rep.feet, active_starts(rep.starts)) == rep.feet
         assert ds._images is None
+
+
+def test_no_term_lookup_keeps_released_orbit_maps_alive(monkeypatch):
+    maps = []
+
+    def relate(ds, **kwargs):
+        maps.append(ds._images)
+        return relations.generate_relations(ds, **kwargs)
+
+    monkeypatch.setattr(B, "generate_relations", relate)
+    clear_memo()
+    quotient(2, 4)
+    # quotient has released the maps its rows were built from, and only
+    # this list still refers to them (the count includes the argument)
+    refs = sys.getrefcount(maps[0])
+    assert maps[0] and refs == 2
 
 
 def test_a_budget_pays_for_each_quotient_once():

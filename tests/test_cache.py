@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from chordbasis.cache import DiskCache, cache_dir
 
 
@@ -11,3 +13,27 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
 
 def test_get_returns_none_on_miss(tmp_path):
     assert DiskCache(tmp_path).get_text("nope.txt") is None
+
+
+def test_a_writer_finishing_inside_another_writes_leaves_both_whole(tmp_path, monkeypatch):
+    cache = DiskCache(tmp_path / "c")
+    replace = Path.replace
+    raced = []
+
+    def second_writer_first(self, target):
+        if not raced:
+            raced.append(self)
+            # another writer of the same file finishes between this writer's
+            # write and its replace
+            cache.put_text("a.txt", "second\n")
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", second_writer_first)
+    cache.put_text("a.txt", "first\n")
+    assert raced
+    written = tmp_path / "c" / "a.txt"
+    assert written.read_bytes() == b"first\n"
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["a.txt"]  # no temp file left
+    plain = tmp_path / "plain.txt"
+    plain.write_text("first\n", encoding="utf-8")
+    assert written.stat().st_mode == plain.stat().st_mode

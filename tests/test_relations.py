@@ -252,13 +252,14 @@ def test_terms_already_numbered_are_not_renumbered(monkeypatch):
     ds = enumerate_connected(2, 4)
     expected = generate_relations(ds, b_only=True)
     relabelled = []
-    relabel = relations.relabel
+    relabel = enumeration.relabel
 
     def counting(feet):
         relabelled.append(feet)
         return relabel(feet)
 
-    monkeypatch.setattr(relations, "relabel", counting)
+    # the set's term lookup, DiagramSet.term_feet, is the one renumbering
+    monkeypatch.setattr(enumeration, "relabel", counting)
     rows = generate_relations(ds, b_only=True)
     assert rows == expected
     # b_only looks up one term (Y_after) for each of the 464 adjacent pairs
@@ -268,6 +269,57 @@ def test_terms_already_numbered_are_not_renumbered(monkeypatch):
     pairs = sum(1 for d in ds for _ in relations._adjacent_pairs(d.rep.feet, d.rep.starts))
     assert (pairs, len(rows)) == (464, 236)
     assert len(relabelled) == 288 < pairs + 2 * len(rows)
+
+
+def _edited_terms(ds):
+    """Every (feet, active starts) that row generation over ``ds`` looks up,
+    both families."""
+    looked_up = []
+    term_feet = ds.term_feet
+
+    def recording(budget=None):
+        feet_of = term_feet(budget)
+
+        def record(feet, starts):
+            looked_up.append((feet, starts))
+            return feet_of(feet, starts)
+
+        return record
+
+    ds.term_feet = recording
+    generate_relations(ds)
+    del ds.term_feet
+    return looked_up
+
+
+@pytest.mark.parametrize("enumerate_fn, m, n", [(enumerate_connected, 3, 4),
+                                                 (enumerate_all, 3, 3)])
+def test_term_feet_is_the_canonical_form_of_every_edited_term(enumerate_fn, m, n):
+    ds = enumerate_fn(m, n)
+    terms = _edited_terms(ds)
+    assert terms
+    copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)  # no orbit maps
+    for feet_of in (ds.term_feet(), copy.term_feet()):
+        for feet, starts in terms:
+            assert feet_of(feet, starts) == canonical_feet(feet, starts)
+
+
+def test_term_feet_refuses_a_term_outside_the_set():
+    ds = enumerate_connected(2, 3)
+    feet_of = ds.term_feet()
+    with pytest.raises(KeyError):
+        feet_of((0, 0, 1, 2, 1, 2), (0, 2, 6))  # disconnected, in a block the set has
+    with pytest.raises(KeyError):
+        feet_of((0, 1, 2, 0, 1, 2), (0, 1, 2, 6))  # starts with no block
+    # copies without maps: one lacks a diagram, the other its whole block
+    rep = ds.diagrams[0].rep
+    lacking_feet = [d for d in ds if d.rep != rep]
+    lacking_block = [d for d in ds if d.rep.starts != rep.starts]
+    assert any(d.rep.starts == rep.starts for d in lacking_feet)
+    for kept in (lacking_feet, lacking_block):
+        copy = DiagramSet(ds.m, ds.n, ds.connected_only, tuple(kept))
+        with pytest.raises(KeyError):
+            copy.term_feet()(rep.feet, rep.starts)
 
 
 def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):

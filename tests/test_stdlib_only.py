@@ -48,3 +48,21 @@ def test_every_module_imports_only_earlier_layers():
                 if target in ("__init__", "__main__"):
                     continue
                 assert LAYERS.index(target) < LAYERS.index(name), (name, target)
+
+
+def test_only_enumeration_knows_the_orbit_maps():
+    # DiagramSet.term_feet is the one reader of the orbit maps: no other
+    # module builds an orbit, renumbers a term or reads the maps
+    hidden = {"orbit", "relabel", "*"}
+    for path in sorted((ROOT / "src" / "chordbasis").glob("*.py")):
+        if path.stem == "enumeration":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("diagrams",
+                                                                    "chordbasis.diagrams"):
+                imported = {alias.name for alias in node.names}
+                assert not imported & hidden, (path.name, imported)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "_images", path.name
+                assert not (node.attr in hidden and isinstance(node.value, ast.Name)
+                            and node.value.id == "diagrams"), (path.name, node.attr)
