@@ -38,10 +38,11 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_intact, artifact_text, basis_name
-from .diagrams import ChordDiagram, disjoint_union
+from .diagrams import ChordDiagram, canonicalize, disjoint_union, is_connected, parse
 from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connected
 from .errors import ChordBasisError, DiagramError
-from .exactla import Echelon, assemble, back_substitute, echelon_form, express_pivots
+from .exactla import (Echelon, Relation, assemble, back_substitute, echelon_form,
+                      express_pivots)
 from .relations import generate_relations
 
 Combination = dict[ChordDiagram, Fraction]
@@ -108,7 +109,8 @@ def clear_memo() -> None:
 
 
 def quotient(m: int, n: int, connected: bool = True,
-             budget: Budget | None = None) -> Quotient:
+             budget: Budget | None = None,
+             rows: list[Relation] | None = None) -> Quotient:
     """Enumerate, relate and forward-eliminate the connected (m, n)
     diagrams, or with ``connected=False`` the active ones, which carry a
     foot on every circle (``diagrams.active_starts``: every (m, n) diagram
@@ -119,6 +121,13 @@ def quotient(m: int, n: int, connected: bool = True,
     pivots, the basis and every expression depend on their row space alone.
     Enumeration's orbit maps, which the rows are built from, are dropped
     before assembly, so the memoized set holds no orbit image.
+
+    A caller that also needs the full four-term list, as the relations file
+    does, passes the list ``rows``.  A memo miss then relates the full list
+    once instead, appends it to ``rows`` and eliminates its family-B rows
+    (``rows[1::2]``, since family A precedes B at every pair), which hold
+    the ``b_only`` rows and their twins, so the assembled matrix is the
+    same; a memo hit leaves ``rows`` as it is.
 
     A budget pays for each key once: a memo hit charges what the cold build
     did unless it has paid, so a cap too small fails the same warm or cold.
@@ -131,10 +140,13 @@ def quotient(m: int, n: int, connected: bool = True,
         ds = (enumerate_connected(m, n, budget=budget) if connected
               else _enumerate(m, n, False, budget, active_only=True))
         candidates = budget.candidates_used - used
-        rows = generate_relations(ds, budget=budget, b_only=True)
+        related = generate_relations(ds, budget=budget, b_only=rows is None)
         ds.release_orbit_maps()  # the rows are built
-        mat = assemble(rows, len(ds))
-        del rows  # and the rows, before the elimination
+        if rows is not None:
+            rows.extend(related)
+            related = related[1::2]
+        mat = assemble(related, len(ds))
+        del related  # the rows no caller keeps go before the elimination
         q = _MEMO[key] = Quotient(ds, echelon_form(mat, budget=budget), candidates,
                                   (mat.nrows, mat.ncols))
     elif key not in budget.paid:
@@ -446,13 +458,14 @@ def format_dimension_table(table: Mapping[tuple[int, int], int], family: str,
 
 def basis_to_text(b: BasisResult) -> str:
     ds = b.diagram_set
-    body_lines = [str(d) for d in b.basis]
+    names = {d: str(d) for d in b.basis}  # formatted once for all the terms naming it
+    body_lines = list(names.values())
     body_lines.append("pivot-expressions")
     for i in b.pivots:
         pivot = ds.diagrams[i]
         expr = b.expressions[pivot]
         if expr:
-            terms = " + ".join(f"{coef}*{diag}" for diag, coef in expr)
+            terms = " + ".join(f"{coef}*{names[diag]}" for diag, coef in expr)
         else:
             terms = "0"
         body_lines.append(f"{pivot} = {terms}")
@@ -477,3 +490,58 @@ def basis_sections(text: str, name: str = "text") -> tuple[list[str], list[str]]
         if fields.get("dim") == str(cut) and fields.get("count") == str(len(lines) - 1):
             return lines[:cut], lines[cut + 1:]
     raise DiagramError(f"{name} is not an intact basis file")
+
+
+def basis_from_text(text: str, name: str = "text") -> BasisResult:
+    """The connected basis a basis file holds, rebuilt without enumeration:
+    the set is the file's basis and pivot diagrams, and each pivot keeps its
+    expression.  Every diagram must be canonical, connected and of the
+    header's (m, n); every expression must name basis diagrams right of its
+    pivot, in increasing order, with nonzero coefficients; and the file must
+    be exactly what :func:`basis_to_text` writes for the result, so both
+    sections are in set order.  Raises DiagramError, naming the file
+    ``name``, on other text."""
+    basis_lines, pivot_lines = basis_sections(text, name)
+    try:
+        fields = dict(w.split("=", 1) for w in text.split("\n", 1)[0].split()[1:])
+        m, n = int(fields["m"]), int(fields["n"])
+    except (KeyError, ValueError):
+        raise DiagramError(f"{name} names no (m, n)") from None
+
+    def member(line: str) -> ChordDiagram:
+        d = canonicalize(rep := parse(line))
+        if d.rep != rep or (d.m, d.n) != (m, n) or not is_connected(d):
+            raise DiagramError(f"{name}: {line!r} is not a canonical connected "
+                               f"diagram of (m={m}, n={n})")
+        return d
+
+    named = {line: member(line) for line in basis_lines}
+    terms_of = {}
+    for line in pivot_lines:
+        pivot, _, terms = line.partition(" = ")
+        terms_of[member(pivot)] = [] if terms == "0" else terms.split(" + ")
+    ds = DiagramSet(m, n, True, tuple(sorted([*named.values(), *terms_of])))
+    if len(ds) != len(basis_lines) + len(pivot_lines):
+        raise DiagramError(f"{name} names a diagram twice")
+    expressions = {}
+    for pivot, terms in terms_of.items():
+        expr, last = [], ds.index_of(pivot)
+        for term in terms:
+            coef, _, line = term.partition("*")
+            try:
+                d, value = named[line], Fraction(coef)
+            except (KeyError, ValueError, ZeroDivisionError):
+                raise DiagramError(f"{name}: the term {term!r} of {pivot} is not a "
+                                   "coefficient times a basis diagram") from None
+            col = ds.index_of(d)
+            if not value or col <= last:
+                raise DiagramError(f"{name}: the terms of {pivot} are not nonzero and "
+                                   "right of it in increasing order")
+            expr.append((d, value))
+            last = col
+        expressions[pivot] = tuple(expr)
+    result = BasisResult(ds, tuple(i for i, d in enumerate(ds.diagrams) if d in terms_of),
+                         tuple(d for d in ds.diagrams if d not in terms_of), expressions)
+    if basis_to_text(result) != text:
+        raise DiagramError(f"{name} is not the text written for the basis it names")
+    return result

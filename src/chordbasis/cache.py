@@ -50,8 +50,12 @@ class DiskCache:
         # a temp file of this write's own (pid and a count over the process):
         # a shared one could be moved away between this write and its replace
         tmp = p.with_name(f"{p.name}.{os.getpid()}-{next(_WRITES)}.tmp")
-        tmp.write_text(text, encoding="utf-8", newline="\n")
-        tmp.replace(p)
+        try:
+            tmp.write_text(text, encoding="utf-8", newline="\n")
+            tmp.replace(p)
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # a failed write leaves no temp file
+            raise
         return p
 
 

@@ -19,6 +19,11 @@ miss computes and writes the basis file alone (``basis`` and ``verify`` also
 make the relations file) and charges the budget only then.  A diagram
 outside the connected set is refused before the cache is touched.  Every
 quotient comes from ``basis.quotient``, paid for once by the one budget.
+Each stage runs once per command: ``basis`` and ``verify`` hand the
+quotient a list for the full four-term rows, so a quotient they build
+relates once for both files, and ``orbits`` and ``equivariant`` rebuild
+their basis from an intact cached basis file (``basis.basis_from_text``)
+instead of building a quotient; a miss there writes no basis file.
 
 ``main`` builds the parser once per process and may be called repeatedly in
 process; the parser binds each ``cmd_*`` function when it is built, so a
@@ -35,6 +40,8 @@ from pathlib import Path
 
 from . import __version__
 from .basis import (
+    BasisResult,
+    basis_from_text,
     basis_sections,
     basis_to_text,
     connected_basis,
@@ -62,6 +69,7 @@ from .cache import (
 from .diagrams import diagram, is_connected
 from .enumeration import DiagramSet, enumerate_all, enumerate_connected
 from .errors import BudgetExceededError, ChordBasisError, DiagramError
+from .exactla import Relation
 from .relations import generate_relations, relations_to_text
 from .render import render_svg
 from .symmetry import (
@@ -148,13 +156,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cached_text(settings: Settings, name: str, compute, read=artifact_intact):
-    """The artifact file ``name`` and what ``read`` makes of it: the cached
-    file when its header starts as its writer starts that file and ``read``
-    accepts it (``read`` returns a false value or raises DiagramError on a
-    file that is not intact), else the text ``compute`` returns, written to
-    the cache if the time budget still holds."""
-    cache = settings.cache()
+def _cache_hit(cache: DiskCache, name: str, read):
+    """The cached file ``name`` and what ``read`` makes of it, when its
+    header starts as its writer starts that file and ``read`` accepts it
+    (``read`` returns a false value or raises DiagramError on a file that
+    is not intact); else None, after a warning if the file is there."""
     hit = cache.get_text(name)
     if hit is not None:
         try:
@@ -164,6 +170,17 @@ def _cached_text(settings: Settings, name: str, compute, read=artifact_intact):
             pass
         print(f"warning: {cache.root / name} does not match its header; "
               "recomputing it", file=sys.stderr)
+    return None
+
+
+def _cached_text(settings: Settings, name: str, compute, read=artifact_intact):
+    """The artifact file ``name`` and what ``read`` makes of it: the cache
+    hit (:func:`_cache_hit`), else the text ``compute`` returns, written to
+    the cache if the time budget still holds."""
+    cache = settings.cache()
+    hit = _cache_hit(cache, name, read)
+    if hit is not None:
+        return hit
     text = compute()
     settings.budget.check_time()
     cache.put_text(name, text)
@@ -182,28 +199,42 @@ def cmd_enumerate(args, settings: Settings) -> int:
     return EXIT_OK
 
 
-def _basis_text(settings: Settings, m: int, n: int) -> tuple[str, list[str], list[str]]:
+def _basis_text(settings: Settings, m: int, n: int,
+                rows: list[Relation] | None = None) -> tuple[str, list[str], list[str]]:
     """The basis file of the connected (m, n) space, from the cache or
     computed, with its basis lines and pivot-expression lines, from one
-    ``basis_sections`` call."""
+    ``basis_sections`` call; ``rows`` goes to ``basis.quotient``."""
     text, (basis, pivots) = _cached_text(settings, basis_name(m, n), lambda: basis_to_text(
-        connected_basis(m, n, settings.budget)), basis_sections)
+        quotient(m, n, budget=settings.budget, rows=rows).basis(settings.budget)),
+        basis_sections)
     return text, basis, pivots
 
 
-def _cache_relations(settings: Settings, m: int, n: int) -> None:
-    """Cache the relations file of the connected (m, n) space, the basis file's
-    inputs; the quotient keeps no rows, so a miss builds the full list."""
-    def compute() -> str:
-        ds = quotient(m, n, budget=settings.budget).diagram_set
-        return relations_to_text(ds, generate_relations(ds, budget=settings.budget))
+def _basis_files(settings: Settings, m: int, n: int) -> tuple[str, list[str], list[str]]:
+    """The basis file of the connected (m, n) space, as :func:`_basis_text`
+    gives it, with its input, the relations file, cached beside it.  A
+    quotient built here relates the full list once for both files; a
+    memoized one kept no rows, so a relations miss relates its set again."""
+    rows: list[Relation] = []
+    files = _basis_text(settings, m, n, rows)
 
-    _cached_text(settings, relations_name(m, n), compute)
+    def relations() -> str:
+        ds = quotient(m, n, budget=settings.budget, rows=rows).diagram_set
+        return relations_to_text(ds, rows or generate_relations(ds, budget=settings.budget))
+
+    _cached_text(settings, relations_name(m, n), relations)
+    return files
+
+
+def _cached_basis(settings: Settings, m: int, n: int) -> BasisResult:
+    """The connected (m, n) basis, read from the cached basis file when it
+    is intact (``basis.basis_from_text``), else computed; writes no file."""
+    hit = _cache_hit(settings.cache(), basis_name(m, n), basis_from_text)
+    return hit[1] if hit else connected_basis(m, n, budget=settings.budget)
 
 
 def cmd_basis(args, settings: Settings) -> int:
-    text, basis, _ = _basis_text(settings, args.m, args.n)
-    _cache_relations(settings, args.m, args.n)
+    text, basis, _ = _basis_files(settings, args.m, args.n)
     if args.out:
         _emit(text, args.out)
     print(len(basis))
@@ -225,10 +256,9 @@ def cmd_verify(args, settings: Settings) -> int:
     n_scope = 3 if args.profile == "fast" else 4
     for n in range(1, n_scope + 1):
         for m in range(1, n + 2):
+            _basis_files(settings, m, n)
             _cached_text(settings, diagrams_name(m, n, True),
                          lambda: quotient(m, n, budget=settings.budget).diagram_set.to_text())
-            _cache_relations(settings, m, n)
-            _basis_text(settings, m, n)
     results = run_profile(args.profile, budget=settings.budget)
     failed = 0
     for r in results:
@@ -243,7 +273,7 @@ def cmd_verify(args, settings: Settings) -> int:
 
 def cmd_orbits(args, settings: Settings) -> int:
     def compute() -> str:
-        b = connected_basis(args.m, args.n, budget=settings.budget)
+        b = _cached_basis(settings, args.m, args.n)
         return orbit_report_to_text(orbit_report(b, budget=settings.budget))
 
     text, _ = _cached_text(settings, orbits_name(args.m, args.n), compute)
@@ -262,7 +292,7 @@ def cmd_equivariant(args, settings: Settings) -> int:
                 raise ChordBasisError("tree count mismatch")
             vectors = [vector_of(d) for d in trees]
             return equivariant_to_text(vectors, args.m, args.n, [0])
-        b = connected_basis(args.m, args.n, budget=settings.budget)
+        b = _cached_basis(settings, args.m, args.n)
         finished = True
         if args.m == 2:
             vectors, rounds = equivariantize_m2(b, settings.budget)

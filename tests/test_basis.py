@@ -10,6 +10,7 @@ from chordbasis import cli, relations
 from chordbasis.basis import (
     REFERENCE_A_DIMS,
     REFERENCE_C_DIMS,
+    basis_from_text,
     basis_to_text,
     binomial_departures,
     block_dims,
@@ -244,6 +245,17 @@ def test_basis_file_format():
     assert all("=" in line for line in tail)
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(5) for m in range(1, n + 2)]
+                         + [(2, 0), (3, 1)])
+def test_basis_file_reader_round_trips(m, n):
+    b = connected_basis(m, n)
+    text = basis_to_text(b)
+    read = basis_from_text(text)
+    assert basis_to_text(read) == text
+    assert (read.diagram_set, read.pivots, read.basis) == (b.diagram_set, b.pivots, b.basis)
+    assert dict(read.expressions) == dict(b.expressions)
+
+
 def test_partition_compositions_structure():
     from chordbasis.basis import partition_compositions
 
@@ -415,9 +427,9 @@ def test_relation_rows_generated_once_per_instance(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "generate_relations", counting)
     clear_memo()
     assert cli.main(["--cache", str(tmp_path / "cache"), "basis", "3", "4"]) == 0
-    # the quotient eliminates the family-B rows; the relations file records
-    # the full list, built once more for it
-    assert calls == [(3, 4, True), (3, 4, False)]
+    # a cold basis relates the full list once: the quotient eliminates its
+    # family-B rows, and the relations file records it
+    assert calls == [(3, 4, False)]
     calls.clear()
     clear_memo()
     assert dim_C(2, 4, budget=Budget()) == 22

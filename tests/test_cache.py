@@ -1,6 +1,7 @@
 from pathlib import Path
 
 from chordbasis.cache import DiskCache, cache_dir
+from chordbasis.cli import main
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
@@ -37,3 +38,13 @@ def test_a_writer_finishing_inside_another_writes_leaves_both_whole(tmp_path, mo
     plain = tmp_path / "plain.txt"
     plain.write_text("first\n", encoding="utf-8")
     assert written.stat().st_mode == plain.stat().st_mode
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # a directory in the place of the basis file: each replace fails
+    cache = tmp_path / "c"
+    (cache / "basis-m2-n3.txt").mkdir(parents=True)
+    for _ in range(2):
+        assert main(["--cache", str(cache), "basis", "2", "3"]) == 2
+        assert not list(cache.glob("*.tmp"))
+    assert "error: " in capsys.readouterr().err

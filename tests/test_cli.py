@@ -4,12 +4,13 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
 from chordbasis.basis import basis_sections, clear_memo, connected_basis, express, quotient
-from chordbasis import cli
+from chordbasis import basis as basis_module, budget as budget_module, cli
 from chordbasis.cache import diagrams_name
 from chordbasis.cli import main
 from chordbasis.diagrams import diagram
@@ -615,6 +616,77 @@ def test_warm_cache_computes_nothing(tmp_path, capsys, monkeypatch):
     for argv, expected in zip(commands, cold):
         assert run(tmp_path, *argv, cache=cache) == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("source, argv, name", [
+    (("basis", "3", "4"), ("orbits", "3", "4"), "orbits-m3-n4.txt"),
+    (("basis", "2", "4"), ("equivariant", "2", "4"), "equivariant-m2-n4.txt"),
+])
+def test_orbits_and_equivariant_read_a_cached_basis(tmp_path, capsys, monkeypatch,
+                                                    source, argv, name):
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    assert run(tmp_path, *argv, cache=fresh) == 0
+    expected = capsys.readouterr()
+    assert sorted(p.name for p in fresh.iterdir()) == [name]  # a miss writes no basis
+    assert run(tmp_path, *source, cache=cache) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient was computed")
+
+    clear_memo()
+    for quotient_call in ("quotient", "connected_basis"):
+        monkeypatch.setattr(f"chordbasis.cli.{quotient_call}", refuse)
+    assert run(tmp_path, *argv, cache=cache) == 0
+    assert capsys.readouterr() == expected
+    assert (cache / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_corrupt_cached_basis_is_recomputed_for_orbits(tmp_path, capsys):
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    assert run(tmp_path, "orbits", "3", "4", cache=fresh) == 0
+    expected = capsys.readouterr().out
+    assert run(tmp_path, "basis", "3", "4", cache=cache) == 0
+    path = cache / "basis-m3-n4.txt"
+    corrupt = _edit_body_line(path.read_text(encoding="utf-8"))
+    path.write_text(corrupt, encoding="utf-8")
+    capsys.readouterr()
+    clear_memo()
+    assert run(tmp_path, "orbits", "3", "4", cache=cache) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert str(path) in err and len(err.splitlines()) == 1
+    assert path.read_text(encoding="utf-8") == corrupt  # orbits writes no basis file
+
+
+def test_orbits_over_a_cached_basis_enumerates_nothing(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    clear_memo()
+    assert run(tmp_path, "--max-candidates", "0", "orbits", "3", "4", cache=cache) == 3
+    assert run(tmp_path, "basis", "3", "4", cache=cache) == 0
+    clear_memo()
+    assert run(tmp_path, "--max-candidates", "0", "orbits", "3", "4", cache=cache) == 0
+
+
+def test_basis_out_of_time_after_relating_writes_neither_file(tmp_path, capsys, monkeypatch):
+    # the clock jumps past the budget as soon as the full list is related
+    jump = []
+    monotonic = time.monotonic
+    monkeypatch.setattr(budget_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: monotonic() + sum(jump)))
+    related = basis_module.generate_relations
+
+    def relate(*args, **kwargs):
+        rows = related(*args, **kwargs)
+        jump.append(1e6)
+        return rows
+
+    monkeypatch.setattr(basis_module, "generate_relations", relate)
+    clear_memo()
+    cache = tmp_path / "cache"
+    assert run(tmp_path, "--time-budget", "100", "basis", "3", "4", cache=cache) == 3
+    assert jump and "time budget" in capsys.readouterr().err
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_warm_basis_file_is_parsed_once(tmp_path, capsys, monkeypatch):

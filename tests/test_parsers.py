@@ -4,7 +4,8 @@ DiagramError (the CLI's usage error), never another exception type."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chordbasis.basis import basis_sections, basis_to_text, connected_basis
+from chordbasis.basis import basis_from_text, basis_sections, basis_to_text, connected_basis
+from chordbasis.diagrams import diagram
 from chordbasis.cli import CONFIG_KEYS, Settings, build_parser
 from chordbasis.enumeration import DiagramSet, enumerate_connected
 from chordbasis.errors import DiagramError
@@ -88,15 +89,68 @@ def test_basis_file_parser_refuses_what_its_writer_never_writes(edit):
         basis_sections(edit(text))
 
 
+def _swap_body_lines(text, i, j):
+    lines = text.split("\n")
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def _replace_body_line(text, i, line):
+    lines = text.split("\n")
+    lines[i] = line
+    return "\n".join(lines)
+
+
+def _rotated(line):
+    """The diagram ``line`` names, its longest circle read one foot later."""
+    circles = line.split("|")
+    i = max(range(len(circles)), key=lambda k: len(circles[k]))
+    circles[i] = circles[i][1:] + circles[i][0]
+    edited = "|".join(circles)
+    assert diagram(edited) == diagram(line) and edited != line
+    return edited
+
+
+def _pivot_named(text):
+    """The first pivot line with its first term's diagram a pivot diagram."""
+    lines = text.split("\n")
+    cut = lines.index("pivot-expressions")
+    i = next(k for k in range(cut + 1, len(lines) - 1) if "*" in lines[k])
+    head, terms = lines[i].split(" = ")
+    coef, term = terms.split(" + ")[0].split("*")
+    other = next(ln.split(" = ")[0] for ln in lines[cut + 1:-1] if ln.split(" = ")[0] != head)
+    lines[i] = lines[i].replace(f"{coef}*{term}", f"{coef}*{other}", 1)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: _replace_body_line(text, 1, _rotated(text.split("\n")[1])),
+    lambda text: _replace_body_line(text, 1, str(diagram("001122|"))),
+    lambda text: _replace_body_line(text, 1, str(diagram("01|01"))),
+    lambda text: _swap_body_lines(text, 1, 2),
+    _pivot_named,
+], ids=["non-canonical", "disconnected", "other-m-n", "swapped-basis-lines",
+        "expression-names-a-pivot"])
+def test_basis_file_reader_refuses_what_its_writer_never_writes(edit):
+    text = basis_to_text(connected_basis(2, 3))
+    assert basis_to_text(basis_from_text(_redigested(text))) == text
+    edited = _redigested(edit(text))
+    assert edited != text
+    basis_sections(edited)  # the sections still parse: the reader refuses it
+    with pytest.raises(DiagramError):
+        basis_from_text(edited)
+
+
 @settings(max_examples=300, deadline=None)
 @given(texts)
 @example("")
 @example("basis dim=0 count=0\npivot-expressions\n")
 def test_basis_file_parser_raises_only_diagram_errors(text):
-    try:
-        basis_sections(text)
-    except DiagramError:
-        pass
+    for read in (basis_sections, basis_from_text):
+        try:
+            read(text)
+        except DiagramError:
+            pass
 
 
 config_like = st.lists(

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from chordbasis import enumeration, relations
+from chordbasis.basis import quotient
 from chordbasis.budget import Budget
 from chordbasis.diagrams import canonical_feet, diagram, orbit
 from chordbasis.enumeration import DiagramSet, enumerate_all, enumerate_connected
@@ -421,6 +422,22 @@ def test_family_a_is_minus_family_b(enumerate_fn, m, n):
     # every A row of S is minus the B row of S with the pair swapped, and
     # every B row arises so: as sets up to sign the families coincide
     assert _up_to_sign(rows[0::2]) == _up_to_sign(b_rows)
+
+
+@pytest.mark.parametrize("connected, m, n", [
+    (True, m, n) for n in range(5) for m in range(1, n + 2)
+] + [(True, 1, 5), (True, 2, 5)] + [(False, k, 3) for k in range(1, 7)])
+def test_family_b_of_the_full_list_assembles_as_b_only(connected, m, n):
+    # basis.quotient eliminates rows[1::2] of the full list when it also
+    # relates that list for the relations file: the matrix must be the same
+    ds = quotient(m, n, connected=connected).diagram_set
+    rows = generate_relations(ds)
+    assert assemble(rows[1::2], len(ds)) == assemble(generate_relations(ds, b_only=True),
+                                                     len(ds))
+    families = [label.split()[-1] for label in relations._row_labels(ds)]
+    assert len(families) == len(rows)
+    assert all(f.startswith("family=") and f.endswith("-B") for f in families[1::2])
+    assert not any(f.endswith("-B") for f in families[0::2])
 
 
 @pytest.mark.parametrize("m, n, b_rows, distinct", [(2, 5, 2304, 1858), (3, 5, 6924, 5409)])
