@@ -37,7 +37,7 @@ from math import comb, factorial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Budget, ensure_budget
-from .cache import artifact_intact, artifact_text, basis_name
+from .cache import artifact_intact, artifact_text, basis_name, header_fields
 from .diagrams import ChordDiagram, canonicalize, disjoint_union, is_connected, parse
 from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connected
 from .errors import ChordBasisError, DiagramError
@@ -485,7 +485,7 @@ def basis_sections(text: str, name: str = "text") -> tuple[list[str], list[str]]
     if (words[:1] == ["basis"] and all("=" in w for w in words[1:])
             and text.endswith("\n") and "pivot-expressions" in lines
             and artifact_intact(text)):
-        fields = dict(w.split("=", 1) for w in words[1:])
+        fields = header_fields(text)
         cut = lines.index("pivot-expressions")
         if fields.get("dim") == str(cut) and fields.get("count") == str(len(lines) - 1):
             return lines[:cut], lines[cut + 1:]
@@ -503,7 +503,7 @@ def basis_from_text(text: str, name: str = "text") -> BasisResult:
     ``name``, on other text."""
     basis_lines, pivot_lines = basis_sections(text, name)
     try:
-        fields = dict(w.split("=", 1) for w in text.split("\n", 1)[0].split()[1:])
+        fields = header_fields(text)
         m, n = int(fields["m"]), int(fields["n"])
     except (KeyError, ValueError):
         raise DiagramError(f"{name} names no (m, n)") from None

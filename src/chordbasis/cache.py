@@ -3,7 +3,8 @@
 Every artifact is deterministic plain text whose header carries a content
 digest, and headers of derived artifacts embed the digest of what they were
 built from, so caches chain and hits are byte-identical with cold runs.
-:func:`artifact_text` alone writes a header's identity and digest.
+:func:`artifact_text` alone writes a header's identity and digest
+(:func:`content_digest`), and :func:`header_fields` reads its fields back.
 A cached file is a hit only when its header starts as :func:`artifact_text`
 starts the file of that name (:func:`header_prefix`) and its ``digest=`` is
 the digest of its body (:func:`artifact_intact`); the layout of a basis file
@@ -14,14 +15,18 @@ The directory comes from (in order) an explicit path, the
 
 from __future__ import annotations
 
+import hashlib
 import os
 from itertools import count
 from pathlib import Path
 
-from .util import content_digest
-
 ENV_VAR = "CHORDBASIS_CACHE"
 _WRITES = count()
+
+
+def content_digest(body: str) -> str:
+    """Stable content hash used in file headers, as ``sha256:<hex>``."""
+    return "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def cache_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -99,6 +104,16 @@ def header_prefix(name: str) -> str:
         return f"{where}connected={int(which == ['conn'])} "
     words = {"orbits": "orbit-report", "equivariant": "equivariant-basis"}
     return f"{words.get(kind, kind)} {where}"
+
+
+def header_fields(text: str) -> dict[str, str]:
+    """The ``key=value`` words of the header line of ``text``, after its
+    kind word when it has one (a first word without ``=``); raises
+    ValueError on any other word without ``=``."""
+    words = text.split("\n", 1)[0].split()
+    if words and "=" not in words[0]:
+        del words[0]
+    return dict(w.split("=", 1) for w in words)
 
 
 def artifact_text(name: str, fields: str, body: str) -> str:

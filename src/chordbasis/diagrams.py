@@ -390,17 +390,3 @@ def disjoint_union(parts: Iterable[tuple[ChordDiagram, Sequence[int]]]) -> Chord
         raise DiagramError("target circle lists do not partition the circles")
     return canonicalize(StringRep.from_blocks(placed[i] for i in range(m_total)))
 
-
-def full_subdiagram(d: ChordDiagram, circles: Sequence[int]) -> ChordDiagram:
-    """Delete all circles not in ``circles`` and every chord touching them."""
-    keep = sorted(set(circles))
-    if not keep or keep[0] < 0 or keep[-1] >= d.m:
-        raise DiagramError(f"circle indices {circles!r} out of range")
-    kept = sum(1 << i for i in keep)
-    # a chord survives iff its circles lie inside the kept ones
-    masks = chord_circles(d.rep.feet, circle_owners(d.rep.starts))
-    surviving = [c for c, mask in enumerate(masks) if not mask & ~kept]
-    relabel = {c: i for i, c in enumerate(surviving)}
-    return canonicalize(StringRep.from_blocks(
-        [relabel[c] for c in d.rep.block(i) if c in relabel] for i in keep
-    ))

@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .budget import Budget, ensure_budget
-from .cache import artifact_text, diagrams_name
+from .cache import artifact_text, content_digest, diagrams_name, header_fields
 from .diagrams import (
     ChordDiagram,
     StringRep,
@@ -55,7 +55,6 @@ from .diagrams import (
     relabel,
 )
 from .errors import DiagramError
-from .util import content_digest
 
 
 # every orbit image of one active block -> the canonical feet of its diagram
@@ -147,7 +146,7 @@ class DiagramSet:
         when the header says so."""
         header, _, body = text.partition("\n")
         try:
-            fields = dict(item.split("=", 1) for item in header.split())
+            fields = header_fields(header)
             m, n = int(fields["m"]), int(fields["n"])
             connected = bool(int(fields["connected"]))
         except (KeyError, ValueError) as exc:

@@ -42,7 +42,6 @@ from .diagrams import (
     canonicalize,
     chord_circles,
     circle_owners,
-    is_connected,
     permute_circles,
 )
 from .errors import ChordBasisError, DiagramError
@@ -62,14 +61,6 @@ class GeneralizedBasisVector:
     def __post_init__(self):
         if not self.terms:
             raise ChordBasisError("a generalized basis vector cannot be zero")
-
-    @property
-    def m(self) -> int:
-        return self.terms[0][0].m
-
-    @property
-    def n(self) -> int:
-        return self.terms[0][0].n
 
     def __str__(self) -> str:
         return " + ".join(f"{coef}*{diag}" for diag, coef in self.terms)
@@ -402,43 +393,36 @@ def equivariantize_greedy(b: BasisResult, budget: Budget | None = None
     return frame.vectors, False, history
 
 
-@dataclass(frozen=True)
-class LabeledTree:
-    """A labelled tree on vertices 0..m-1 as a sorted edge tuple."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_prufer(cls, seq: Sequence[int], m: int) -> "LabeledTree":
-        if m == 1:
-            return cls(())
-        if len(seq) != m - 2:
-            raise ChordBasisError(f"need a length-{m - 2} sequence for {m} vertices")
-        degree = [1] * m
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        leaves = [v for v in range(m) if degree[v] == 1]
-        heapq.heapify(leaves)
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((min(leaf, v), max(leaf, v)))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        a = heapq.heappop(leaves)
-        c = heapq.heappop(leaves)
-        edges.append((min(a, c), max(a, c)))
-        return cls(tuple(sorted(edges)))
-
-
-def all_labeled_trees(m: int) -> Iterator[LabeledTree]:
-    """Every labelled tree on m vertices, one per Prufer sequence, lazily."""
+def prufer_edges(seq: Sequence[int], m: int) -> tuple[tuple[int, int], ...]:
+    """The sorted edge tuple of the labelled tree on vertices 0..m-1 with
+    Prufer sequence ``seq``."""
     if m == 1:
-        yield LabeledTree(())
-        return
-    for seq in itertools.product(range(m), repeat=m - 2):
-        yield LabeledTree.from_prufer(seq, m)
+        return ()
+    if len(seq) != m - 2:
+        raise ChordBasisError(f"need a length-{m - 2} sequence for {m} vertices")
+    degree = [1] * m
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(m) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    a = heapq.heappop(leaves)
+    c = heapq.heappop(leaves)
+    edges.append((min(a, c), max(a, c)))
+    return tuple(sorted(edges))
+
+
+def all_labeled_trees(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The edge tuple of every labelled tree on m vertices, one per Prufer
+    sequence, lazily."""
+    for seq in itertools.product(range(m), repeat=max(m - 2, 0)):
+        yield prufer_edges(seq, m)
 
 
 def diagram_from_multigraph(edges: Sequence[tuple[int, int]], m: int) -> ChordDiagram:
@@ -477,9 +461,9 @@ def tree_basis(n: int, budget: Budget | None = None) -> list[ChordDiagram]:
     budget = ensure_budget(budget)
     budget.charge_candidates((n + 1) ** max(n - 1, 0))
     diagrams = []
-    for t in all_labeled_trees(n + 1):
+    for edges in all_labeled_trees(n + 1):
         budget.check_time()
-        diagrams.append(diagram_from_multigraph(t.edges, n + 1))
+        diagrams.append(diagram_from_multigraph(edges, n + 1))
     return sorted(diagrams)
 
 
@@ -489,20 +473,6 @@ def underlying_multigraph(d: ChordDiagram) -> tuple[tuple[int, int], ...]:
     masks = chord_circles(d.rep.feet, circle_owners(d.rep.starts))
     return tuple(sorted(((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
                         for mask in masks))
-
-
-def tree_reduce(d: ChordDiagram) -> LabeledTree:
-    """Underlying labelled tree of a connected diagram with m = n + 1."""
-    if d.m != d.n + 1:
-        raise DiagramError(
-            f"diagram has m={d.m}, n={d.n}; tree reduction needs m = n + 1"
-        )
-    if not is_connected(d):
-        raise DiagramError("diagram is not connected")
-    edges = underlying_multigraph(d)
-    if len(set(edges)) != len(edges) or any(a == b for a, b in edges):
-        raise DiagramError("underlying graph is not a tree")
-    return LabeledTree(edges)
 
 
 def graph_form_basis(b: BasisResult) -> list[ChordDiagram]:

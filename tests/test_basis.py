@@ -28,9 +28,9 @@ from chordbasis.basis import (
     quotient,
 )
 from chordbasis.budget import Budget
+from chordbasis.cache import content_digest
 from chordbasis.diagrams import active_starts, diagram
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
-from chordbasis.util import content_digest
 
 
 def test_connected_dimensions_small():

@@ -7,6 +7,7 @@ import pytest
 from chordbasis import budget as budget_module
 from chordbasis import enumeration
 from chordbasis.budget import Budget
+from chordbasis.cache import content_digest
 from chordbasis.diagrams import diagram, is_connected, orbit, permute_circles
 from chordbasis.enumeration import (
     DiagramSet,
@@ -15,7 +16,6 @@ from chordbasis.enumeration import (
     enumerate_connected,
 )
 from chordbasis.errors import BudgetExceededError, DiagramError
-from chordbasis.util import content_digest
 
 
 def strings(ds):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chordbasis.basis import basis_from_text, basis_sections, basis_to_text, connected_basis
+from chordbasis.cache import content_digest
 from chordbasis.diagrams import diagram
 from chordbasis.cli import CONFIG_KEYS, Settings, build_parser
 from chordbasis.enumeration import DiagramSet, enumerate_connected
 from chordbasis.errors import DiagramError
 from chordbasis.relations import generate_relations, relations_from_text, relations_to_text
-from chordbasis.util import content_digest
 
 DS = enumerate_connected(2, 2)
 

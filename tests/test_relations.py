@@ -7,6 +7,7 @@ import pytest
 from chordbasis import enumeration, relations
 from chordbasis.basis import quotient
 from chordbasis.budget import Budget
+from chordbasis.cache import content_digest
 from chordbasis.diagrams import canonical_feet, diagram, orbit
 from chordbasis.enumeration import DiagramSet, enumerate_all, enumerate_connected
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
@@ -18,7 +19,6 @@ from chordbasis.relations import (
     relations_from_text,
     relations_to_text,
 )
-from chordbasis.util import content_digest
 
 
 def _labelled(ds):

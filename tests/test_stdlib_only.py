@@ -1,5 +1,6 @@
 """The package imports nothing outside the standard library, declares no
-dependency, and its modules import only the layers below them."""
+dependency, its modules import only the layers below them, and every public
+function or class has a caller in the package."""
 
 import ast
 import sys
@@ -29,7 +30,7 @@ def test_pyproject_declares_no_dependencies():
 
 
 # each module may import only modules earlier in this list
-LAYERS = ["errors", "util", "budget", "cache", "diagrams", "enumeration", "exactla",
+LAYERS = ["errors", "budget", "cache", "diagrams", "enumeration", "exactla",
           "relations", "basis", "symmetry", "render", "verify", "cli"]
 
 
@@ -66,3 +67,27 @@ def test_only_enumeration_knows_the_orbit_maps():
                 assert node.attr != "_images", path.name
                 assert not (node.attr in hidden and isinstance(node.value, ast.Name)
                             and node.value.id == "diagrams"), (path.name, node.attr)
+
+
+# public names with no caller in src/, each kept for a reason
+NO_CALLER_IN_SRC = {
+    "clear_memo": "the benchmark and the tests reset the memo with it",
+    "enumerate_all_naive": "the oracle of the fast enumeration",
+    "relations_from_text": "the relations file's validating reader",
+}
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # each top-level statement of each module, with the identifiers it names
+    statements = []
+    for path in sorted((ROOT / "src" / "chordbasis").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((node, named))
+    uncalled = {
+        node.name for node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not any(node.name in named for other, named in statements if other is not node)}
+    # lists a new helper without a caller, or an exempt name that gained one
+    assert sorted(uncalled ^ NO_CALLER_IN_SRC.keys()) == []

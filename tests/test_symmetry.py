@@ -8,12 +8,12 @@ import pytest
 
 from chordbasis.basis import REFERENCE_C_DIMS, connected_basis, express
 from chordbasis.budget import Budget
-from chordbasis.diagrams import StringRep, canonicalize, diagram
-from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
+from chordbasis.cache import content_digest
+from chordbasis.diagrams import StringRep, canonicalize, diagram, is_connected
+from chordbasis.errors import BudgetExceededError, ChordBasisError
 from chordbasis.exactla import ExactMatrix, rref_dense
 from chordbasis.symmetry import (
     GeneralizedBasisVector,
-    LabeledTree,
     _Frame,
     all_labeled_trees,
     apply_permutation,
@@ -26,14 +26,13 @@ from chordbasis.symmetry import (
     is_basis,
     orbit_report,
     orbit_report_to_text,
+    prufer_edges,
     tree_basis,
-    tree_reduce,
     underlying_multigraph,
     vector_of,
     vector_sum,
     verify_equivariant,
 )
-from chordbasis.util import content_digest
 
 
 # -- orbit reports ------------------------------------------------------
@@ -101,28 +100,16 @@ def test_tree_basis_one_chord():
     assert [str(d) for d in tree_basis(1)] == ["0|0"]
 
 
-def test_tree_reduce_examples():
-    assert tree_reduce(diagram("0|0")).edges == ((0, 1),)
-    assert tree_reduce(diagram("01|0|1")).edges == ((0, 1), (0, 2))
-
-
-def test_tree_reduce_rejects_non_tree_inputs():
-    with pytest.raises(DiagramError):
-        tree_reduce(diagram("0011"))  # m != n + 1
-    with pytest.raises(DiagramError):
-        tree_reduce(canonicalize(StringRep((0, 0), (0, 2, 2))))  # disconnected
-
-
 def test_tree_roundtrip():
-    for tree in all_labeled_trees(4):
-        d = diagram_from_multigraph(tree.edges, 4)
-        assert tree_reduce(d) == tree
+    for edges in all_labeled_trees(4):
+        d = diagram_from_multigraph(edges, 4)
+        assert is_connected(d)
+        assert underlying_multigraph(d) == edges
 
 
 def test_prufer_decode_known_tree():
     # sequence (0, 0) is the star at vertex 0 on four vertices
-    t = LabeledTree.from_prufer((0, 0), 4)
-    assert t.edges == ((0, 1), (0, 2), (0, 3))
+    assert prufer_edges((0, 0), 4) == ((0, 1), (0, 2), (0, 3))
 
 
 def test_foot_permutation_invariance_for_tree_diagrams():
