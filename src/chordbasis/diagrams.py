@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DiagramError
@@ -100,17 +100,34 @@ def relabel(feet: Iterable[int]) -> tuple[int, ...]:
     return tuple([labels.setdefault(c, len(labels)) for c in feet])
 
 
-def orbit(feet: tuple[int, ...], starts: tuple[int, ...]) -> set[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _rotations(starts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """One position map per choice of one rotation per circle, in product
+    order: entry p is the position whose foot the rotation brings to p.
+    The maps are shared by every orbit with these ``starts``."""
+    turns = [[tuple(range(lo + r, hi)) + tuple(range(lo, lo + r)) for r in range(hi - lo)]
+             or [()] for lo, hi in zip(starts, starts[1:])]
+    return tuple(map(tuple, map(itertools.chain.from_iterable, itertools.product(*turns))))
+
+
+def orbit(feet: tuple[int, ...], starts: tuple[int, ...]
+          ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Every rotation of every circle of ``feet``, relabelled by first
     occurrence: the feet sequences with these ``starts`` that are the same
     diagram.  Its least member is the canonical form, and ``relabel`` maps
-    every representation of the diagram with these ``starts`` into it."""
+    every representation of the diagram with these ``starts`` into it.
+
+    Each image maps to a rotation that gives it, as a position map: the
+    image's position p holds the foot at position ``rotation[p]`` of
+    ``feet``, relabelled.  The maps are shared tuples (one per choice of
+    rotations, for all orbits with these ``starts``), so an image costs no
+    object of its own."""
     rotations = []
     for lo, hi in zip(starts, starts[1:]):
         block = feet[lo:hi]
         rotations.append([block[r:] + block[:r] for r in range(len(block))] or [block])
-    return {relabel(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*rotations)}
+    images = map(relabel, map(itertools.chain.from_iterable, itertools.product(*rotations)))
+    return dict(zip(images, _rotations(starts)))
 
 
 def circle_owners(starts: Sequence[int]) -> list[int]:
@@ -298,8 +315,15 @@ class ChordDiagram:
 
 
 def canonicalize(rep: StringRep) -> ChordDiagram:
-    """Canonical form of ``rep``; the identity of the underlying diagram."""
-    return ChordDiagram(StringRep(canonical_feet(rep.feet, rep.starts), rep.starts))
+    """Canonical form of ``rep``; the identity of the underlying diagram.
+
+    ``rep`` was validated when it was made, and its canonical feet are
+    valid by construction, so the canonical rep is not validated again.
+    """
+    canonical = object.__new__(StringRep)
+    object.__setattr__(canonical, "feet", canonical_feet(rep.feet, rep.starts))
+    object.__setattr__(canonical, "starts", rep.starts)
+    return ChordDiagram(canonical)
 
 
 def parse(text: str) -> StringRep:

@@ -16,11 +16,19 @@ form of every diagram exactly once, without a canonicalizer call and
 without the quadratic retained-list scan of the naive method (which is
 kept as :func:`enumerate_all_naive` for cross-checking).
 
-The marks are the set's orbit maps: one per active block, from every
-orbit image to its canonical feet.  :class:`DiagramSet` owns them, and
-only its :meth:`DiagramSet.term_feet` reads them, so no other module knows
-their layout.  A set without them (not enumerated, or released by
-``basis.quotient``) gets maps built afresh, one orbit per distinct term.
+The marks are the set's orbit maps, two per active block.  The image map
+takes every orbit image to its diagram's canonical feet, together with
+the position in them of each position of the orbit's first member: one
+pair per orbit, shared by its images.  The rotation map takes every image
+to the rotation that gives it from the first member, as the position map
+:func:`orbit` returns; those maps are tuples shared by the whole block, so
+the second map costs one dict entry per image and no object.  Together
+they carry a position of any term into its canonical feet, which is how
+relation generation names the slot a row fills.  :class:`DiagramSet` owns
+the maps, and only its :meth:`DiagramSet.term_feet` reads them, so no
+other module knows their layout.  A set without maps (not enumerated, or
+released by ``basis.quotient``) gets them built afresh, one orbit per
+distinct term.
 
 The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
@@ -57,8 +65,27 @@ from .diagrams import (
 from .errors import DiagramError
 
 
-# every orbit image of one active block -> the canonical feet of its diagram
-Images = dict[tuple[int, ...], tuple[int, ...]]
+# every orbit image of one active block -> the canonical feet of its
+# diagram, with the position in them of each position of the orbit's first
+# member (one pair per orbit)
+Images = dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]
+# every orbit image of one active block -> the rotation that gives it from
+# the orbit's first member, as a position map (diagrams.orbit)
+Rotations = dict[tuple[int, ...], tuple[int, ...]]
+
+
+def _add_orbit(images: Images, rotations: Rotations, feet: tuple[int, ...],
+               starts: tuple[int, ...]) -> tuple[int, ...]:
+    """Map every image of the orbit of ``feet`` in both maps of its block,
+    and return the orbit's least member, the canonical feet."""
+    members = orbit(feet, starts)
+    canonical = min(members)
+    # the canonical feet hold position onto[p] of feet at p; invert that
+    onto = members[canonical]
+    images.update(dict.fromkeys(members, (canonical, tuple(sorted(range(len(onto)),
+                                                                 key=onto.__getitem__)))))
+    rotations.update(members)
+    return canonical
 
 
 class DiagramSet:
@@ -74,7 +101,7 @@ class DiagramSet:
         self._index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
         # the orbit maps enumeration built, until released; not part of the
         # set's identity or its file
-        self._images: dict[tuple[int, ...], Images] | None = None
+        self._images: dict[tuple[int, ...], tuple[Images, Rotations]] | None = None
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -92,26 +119,41 @@ class DiagramSet:
             and self.diagrams == other.diagrams
         )
 
-    def term_feet(self, budget: Budget | None = None) -> Callable[..., tuple[int, ...]]:
-        """A function from a term (feet, active starts) of the set to its
-        diagram's canonical feet, raising ``KeyError`` for any other term; a set
-        without orbit maps builds one :func:`orbit` per distinct term for it."""
-        images = self._images
-        if images is None:
+    def term_feet(self, budget: Budget | None = None
+                  ) -> Callable[..., tuple[tuple[int, ...], int]]:
+        """A function from a term (feet, active starts) of the set and a
+        position ``pos`` of it to the term's canonical feet and the position
+        where ``pos`` lands in them, raising ``KeyError`` for any other
+        term; a set without orbit maps builds one :func:`orbit` per distinct
+        term for it.
+
+        The rotation map carries ``pos`` to a position of the orbit's first
+        member, and the image map carries that to the canonical feet.  On a
+        diagram with automorphisms the result is one of the equivalent
+        positions, all of which carry the same four-term rows."""
+        maps = self._images
+        if maps is None:
             budget = ensure_budget(budget)
-            images = {}
+            maps = {}
             for d in self.diagrams:
                 feet, starts = d.rep.feet, active_starts(d.rep.starts)
-                block = images.setdefault(starts, {})
-                if feet not in block:
+                if starts not in maps:
+                    maps[starts] = ({}, {})
+                if feet not in maps[starts][0]:
                     budget.check_time()
-                    block.update(dict.fromkeys(orbit(feet, starts), feet))
+                    _add_orbit(*maps[starts], feet, starts)
 
-        def feet_of(feet: tuple[int, ...], starts: tuple[int, ...]) -> tuple[int, ...]:
-            block = images[starts]
-            # every key is numbered by first occurrence, so a hit needs no relabel
-            canonical = block.get(feet)
-            return block[relabel(feet)] if canonical is None else canonical
+        def feet_of(feet: tuple[int, ...], starts: tuple[int, ...], pos: int
+                    ) -> tuple[tuple[int, ...], int]:
+            images, rotations = maps[starts]
+            # every key is numbered by first occurrence, so a hit needs no
+            # relabel; a relabel keeps positions
+            found = images.get(feet)
+            if found is None:
+                feet = relabel(feet)
+                found = images[feet]
+            canonical, back = found
+            return canonical, back[rotations[feet][pos]]
 
         return feet_of
 
@@ -203,11 +245,12 @@ def _double_factorial_odd(n: int) -> int:
 
 
 def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[tuple[int, ...]],
-                           connected_only: bool, budget: Budget) -> Images:
-    """Every orbit image of the diagrams with these ``starts`` (only the
-    connected ones with ``connected_only``), mapped to the diagram's
-    canonical feet; ``matchings`` are the feet of every perfect matching of
-    the block's positions, in :func:`_matchings` order.
+                           connected_only: bool, budget: Budget
+                           ) -> tuple[Images, Rotations, list[tuple[int, ...]]]:
+    """The two orbit maps of the diagrams with these ``starts`` (only the
+    connected ones with ``connected_only``), and their canonical feet;
+    ``matchings`` are the feet of every perfect matching of the block's
+    positions, in :func:`_matchings` order.
 
     The rotations of the circles act on the matchings; each orbit is one
     diagram.  A matching already mapped is skipped unexamined; any other
@@ -219,15 +262,16 @@ def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[tuple[in
     m = len(starts) - 1
     everything = (1 << m) - 1
     images: Images = {}
+    rotations: Rotations = {}
+    found = []
     for feet in matchings:
         if feet in images:
             continue
         budget.check_time()
         if connected_only and next(components(chord_circles(feet, circle), m)) != everything:
             continue
-        members = orbit(feet, starts)
-        images.update(dict.fromkeys(members, min(members)))
-    return images
+        found.append(_add_orbit(images, rotations, feet, starts))
+    return images, rotations, found
 
 
 def _recorded(matchings: Iterator[tuple[int, ...]], kept: list[tuple[int, ...]]
@@ -277,21 +321,22 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
     matchings: Iterable[tuple[int, ...]] = _matchings(2 * n)
     if len(blocks) > 1:
         matchings = _recorded(matchings, kept)
-    images: dict[tuple[int, ...], Images] = {}
+    maps: dict[tuple[int, ...], tuple[Images, Rotations]] = {}
+    found = {}
     for active in blocks:
-        images[active] = _candidates_for_starts(active, matchings, connected_only, budget)
+        images, rotations, canonical = _candidates_for_starts(active, matchings,
+                                                              connected_only, budget)
+        maps[active] = images, rotations
+        # each block's canonical feet in order, copied, so that the set pins
+        # none of the images: dropped, they free whole blocks of memory
+        found[active] = [tuple(list(feet)) for feet in sorted(canonical)]
         matchings = kept
     del matchings, kept
-    # each block's canonical feet in order, copied once every block is
-    # walked, so that the set pins none of the images: dropped, they free
-    # whole blocks of memory
-    found = {active: [tuple(list(feet)) for feet in sorted(set(block.values()))]
-             for active, block in images.items()}
     # compositions come in lexicographic order, and so do their starts
     diagrams = [ChordDiagram(StringRep(feet, starts))
                 for starts in starts_vectors for feet in found[active_starts(starts)]]
     ds = DiagramSet(m, n, connected_only, tuple(diagrams))
-    ds._images = images
+    ds._images = maps
     return ds
 
 

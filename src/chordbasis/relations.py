@@ -27,10 +27,11 @@ once, with the list's positions as columns.
 
 A term's column is found in two steps.  :meth:`DiagramSet.term_feet`
 gives the canonical feet of the edited term's diagram, and those feet
-with the active starts give the term's position in the list.  How the set
-finds those feet is its own business: this module reads no orbit map,
-builds no orbit and searches no canonical form.  A term the list lacks
-raises :class:`DiagramError`.
+with the active starts give the term's position in the list.  Given a
+position of the term, it also gives where that position lands in the
+canonical feet.  How the set finds either is its own business: this
+module reads no orbit map, builds no orbit and searches no canonical
+form.  A term the list lacks raises :class:`DiagramError`.
 
 Every diagram of a pattern receives its rows through the pattern's diagram
 indices, local column c becoming ``where[c]``; those indices increase with
@@ -64,18 +65,50 @@ foot moved immediately before and after a's far foot.  In Y_after, a's
 far foot and b's foot are an adjacent pair (a then b).  Its B row moves
 b's foot around a's other foot, where it lands as S' (before) and S
 (after), and its swap term is Y_before; so it is
-Y_after - Y_before - S' + S, the same row with the same signs.  ``b_only``
-builds each twin pair once: it looks up Y_after's column first and skips
-the pair when that column is smaller than the diagram's own, since the
-twin is then built from Y_after's column, whose own Y_after is S.
-Otherwise it looks up S' and Y_before and emits the row.  That is one
-lookup for a skipped pair and three for a kept one, against five per pair
-for the full list.  The ``b_only`` rows are the family-B rows in
-generation order with one row of each twin pair left out, and as a set
-they are exactly the family-B rows: at connected (2,5) 2,304 of the 4,594
-B rows, holding 1,858 distinct rows up to sign.  A term missing from the
-set is still refused: a skipped pair's Y_after is looked up, and the kept
-twin looks up all four terms.
+Y_after - Y_before - S' + S, the same row with the same signs.
+
+So each row is built once and copied to every slot it equals.  A slot is
+a family and a pair, the pair named by its diagram's column and its first
+position; generation visits the slots in increasing (column, position),
+A before B.  Write q for the pair of a's far foot and b's foot in
+Y_before and Y_after, and q' for the pair of a's foot and b's far foot in
+X_before and X_after.  The swap argument says A_T(r) = -B_T'(r) for any
+diagram T, pair r and T' = T with r swapped; swapping p in S' gives S,
+swapping q in Y_before gives Y_after, and swapping q' in X_before gives
+X_after.  The twin argument says B_S(p) = B_Y_after(q), and, applied to
+S', whose pair at p is b then a and whose a's foot moved after b's far
+foot is X_after, B_S'(p) = B_X_after(q').  Together:
+
+    B_S(p) = B_Y_after(q) = -A_S'(p) = -A_Y_before(q)
+    A_S(p) = -B_S'(p) = -B_X_after(q') = A_X_before(q')
+
+A built B row therefore fills its twin and two family-A slots, and a
+built A row fills two family-B slots and one family-A slot.  The swap
+keeps the pair at p.  A foot moved from ``moving`` around the target foot
+at ``t`` forms the pair with it at position ``t - (t > moving)`` on the
+target's circle, whether it lands before or after.
+:meth:`DiagramSet.term_feet` carries that position into the canonical
+feet, which names the slot; on a diagram with automorphisms it names one
+of the equivalent slots, and those have the same rows.  A built row is
+kept only for the slots still ahead of the one being built, and each is
+taken out when generation reaches it, so every slot gets exactly the row
+that building it would give.  At connected (4,4) the full list looks up
+2,184 terms where building every slot looks up five per adjacent pair,
+7,920.
+
+``b_only`` builds the family-B rows alone and each twin pair once.  Its
+first lookup is Y_after, and it skips the pair when that column is
+smaller than the diagram's own, since the twin is then built from Y_after's
+column, whose own Y_after is S.  A built row marks its twin's slot when
+Y_after's column is larger, and a marked pair is skipped with no lookup.
+A twin in the row's own column is kept and gets the built row.  A pair
+whose twin marked an equivalent slot is still skipped by its Y_after
+lookup.  The ``b_only`` rows are the family-B rows in generation order
+with one row of each twin pair left out, and as a set they are exactly the
+family-B rows: at connected (2,5) 2,304 of the 4,594 B rows, holding
+1,858 distinct rows up to sign, for 7,002 lookups.  A term missing from
+the set is still refused: every term of a row is looked up where the row
+is built, and the row's diagrams are the same at every slot of its class.
 :func:`basis.quotient` eliminates the ``b_only`` rows.  Like every
 assembled matrix, theirs keeps each row once (``exactla.assemble`` drops
 zero rows and rows equal up to sign to an earlier one).  The RREF of a row
@@ -131,14 +164,19 @@ def _adjacent_pairs(feet: tuple[int, ...], starts: tuple[int, ...]
             yield i, hi - 1, lo, True
 
 
+# a row's (column, coefficient) pairs, sorted by column
+Row = tuple[tuple[int, int], ...]
+
+
 def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
-                term: Callable[[tuple[int, ...], tuple[int, ...]], int],
-                b_only: bool) -> list[tuple[tuple[int, int], ...]]:
-    """The merged coefficients of every row of the diagram (feet, starts),
-    or with ``b_only`` of its family-B rows whose twin it does not leave to
-    a smaller column, as (column, coefficient) pairs sorted by column;
-    ``source`` is the diagram's own column and ``term`` gives an edited
-    representation's column."""
+                term: Callable[..., tuple[int, int]], b_only: bool,
+                ahead: dict[int, Row | None]) -> list[Row]:
+    """The rows of the diagram (feet, starts) at column ``source``, or with
+    ``b_only`` its family-B rows whose twin it does not leave to a smaller
+    column.  ``term(feet, starts, pos)`` gives an edited term's column and
+    the A slot of the pair that starts at its position ``pos``.
+    A slot already in ``ahead`` is taken from there; a built row fills the
+    slots of its class that are still ahead (module docstring)."""
     circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -149,27 +187,62 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
         else:
             first_pos[c] = pos
 
-    def moved(moving: int, target: int, after: bool) -> int:
-        return term(*_remove_insert(feet, starts, circle, moving, target, after))
+    def moved(moving: int, target: int, after: bool) -> tuple[int, int]:
+        # the moved foot and the target foot are the pair, at the target's
+        # position once the moving foot is gone
+        return term(*_remove_insert(feet, starts, circle, moving, target, after),
+                    target - (target > moving))
+
+    def fill(here: int, slots: tuple[tuple[int, Row | None], ...]) -> None:
+        for slot, row in slots:
+            if slot > here:
+                ahead[slot] = row
 
     out = []
     for _, pa, pb, _ in _adjacent_pairs(feet, starts):
-        # family B moves b's foot to just before / after a's far foot
-        y_after = moved(pb, partner[pa], True)
-        if b_only and y_after < source:
-            continue  # the same row is built, as its twin, from y_after's column
-        swapped = list(feet)
-        swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
-        head = [(source, 1), (term(tuple(swapped), starts), -1)]
+        here = (source * len(feet) + pa) * 2  # the pair's A slot; its B slot is here + 1
+        swapped = None
         if not b_only:
-            # family A moves a's foot to just before / after b's far foot
-            out.append(_merged(head + [(moved(pa, partner[pb], False), 1),
-                                       (moved(pa, partner[pb], True), -1)]))
-        out.append(_merged(head + [(moved(pb, partner[pa], False), -1), (y_after, 1)]))
+            row = ahead.pop(here, None)
+            if row is None:
+                # family A moves a's foot to just before / after b's far foot
+                swapped = term(_swap(feet, pa, pb), starts, pa)
+                x_before = moved(pa, partner[pb], False)
+                x_after = moved(pa, partner[pb], True)
+                row = _merged([(source, 1), (swapped[0], -1), (x_before[0], 1), (x_after[0], -1)])
+                minus = _negated(row)
+                fill(here, ((swapped[1] + 1, minus), (x_after[1] + 1, minus), (x_before[1], row)))
+            out.append(row)
+        if here + 1 in ahead:
+            row = ahead.pop(here + 1)
+            if row is None:
+                continue  # the same row is built, as its twin, from a smaller column
+        else:
+            # family B moves b's foot to just before / after a's far foot
+            y_after = moved(pb, partner[pa], True)
+            if b_only and y_after[0] < source:
+                continue  # the same row is built, as its twin, from y_after's column
+            if swapped is None:
+                swapped = term(_swap(feet, pa, pb), starts, pa)
+            y_before = moved(pb, partner[pa], False)
+            row = _merged([(source, 1), (swapped[0], -1), (y_before[0], -1), (y_after[0], 1)])
+            if b_only:
+                fill(here + 1, ((y_after[1] + 1, None if y_after[0] > source else row),))
+            else:
+                minus = _negated(row)
+                fill(here + 1, ((y_after[1] + 1, row), (swapped[1], minus), (y_before[1], minus)))
+        out.append(row)
     return out
 
 
-def _merged(terms: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _swap(feet: tuple[int, ...], pa: int, pb: int) -> tuple[int, ...]:
+    """``feet`` with the feet at ``pa`` and ``pb`` exchanged."""
+    swapped = list(feet)
+    swapped[pa], swapped[pb] = swapped[pb], swapped[pa]
+    return tuple(swapped)
+
+
+def _merged(terms: list[tuple[int, int]]) -> Row:
     """The terms with equal columns summed and zeros dropped, by column."""
     merged: dict[int, int] = {}
     for t, coef in terms:
@@ -177,24 +250,34 @@ def _merged(terms: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(t, c) for t, c in merged.items() if c]))
 
 
-def _active_rows(active: tuple[Term, ...], feet_of: Callable[..., tuple[int, ...]],
-                 budget: Budget, b_only: bool) -> list[list[tuple[tuple[int, int], ...]]]:
+def _negated(row: Row) -> Row:
+    return tuple([(t, -c) for t, c in row])
+
+
+def _active_rows(active: tuple[Term, ...], feet_of: Callable[..., tuple[tuple[int, ...], int]],
+                 budget: Budget, b_only: bool) -> list[list[Row]]:
     """The rows of every active term (feet, active starts) of ``active``,
     over the positions in ``active`` as columns, each edited term's diagram
-    found by ``feet_of`` (:meth:`DiagramSet.term_feet`); a term that
-    ``active`` lacks raises :class:`DiagramError`."""
+    and pair position found by ``feet_of`` (:meth:`DiagramSet.term_feet`);
+    a term that ``active`` lacks raises :class:`DiagramError`."""
     local = {t: c for c, t in enumerate(active)}
+    size = len(active[0][0])  # every term has the 2n feet
 
-    def term(feet: tuple[int, ...], starts: tuple[int, ...]) -> int:
+    def term(feet: tuple[int, ...], starts: tuple[int, ...], pos: int) -> tuple[int, int]:
         try:
-            return local[(feet_of(feet, starts), starts)]
+            canonical, pos = feet_of(feet, starts, pos)
+            column = local[(canonical, starts)]
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
+        return column, (column * size + pos) * 2
 
+    # slot -> the row built for it at an earlier slot of its class, or None
+    # for a b_only pair whose row is built, as its twin, from a smaller column
+    ahead: dict[int, Row | None] = {}
     out = []
     for c, (feet, starts) in enumerate(active):
         budget.check_time()
-        out.append(_row_coeffs(feet, starts, c, term, b_only))
+        out.append(_row_coeffs(feet, starts, c, term, b_only, ahead))
     return out
 
 
@@ -217,7 +300,7 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         patterns.setdefault(tuple([lo == hi for lo, hi in zip(starts, starts[1:])]),
                             []).append(i)
     feet_of = ds.term_feet(budget)
-    built: dict[tuple[Term, ...], list[list[tuple[tuple[int, int], ...]]]] = {}
+    built: dict[tuple[Term, ...], list[list[Row]]] = {}
     placed: list[list[Relation]] = [[] for _ in ds.diagrams]
     for where in patterns.values():
         budget.check_time()

@@ -381,7 +381,7 @@ def test_memo_holds_no_orbit_images():
         assert ds._images is None
         # a lookup asked of the released set builds maps afresh, not kept
         rep = ds.diagrams[-1].rep
-        assert ds.term_feet()(rep.feet, active_starts(rep.starts)) == rep.feet
+        assert ds.term_feet()(rep.feet, active_starts(rep.starts), 0) == (rep.feet, 0)
         assert ds._images is None
 
 

@@ -148,6 +148,19 @@ def test_canonicalize_matches_bruteforce_oracle(rep):
     assert min(orbit(rep.feet, rep.starts)) == oracle
 
 
+@settings(max_examples=100)
+@given(string_reps())
+def test_orbit_maps_each_image_to_a_rotation_that_gives_it(rep):
+    members = orbit(rep.feet, rep.starts)
+    again = orbit(canonicalize(rep).rep.feet, rep.starts)
+    assert members.keys() == again.keys()
+    for image, rotation in members.items():
+        assert sorted(rotation) == list(range(len(rep.feet)))
+        assert relabel([rep.feet[q] for q in rotation]) == image
+        # the position maps of one starts tuple are shared, not made per image
+        assert any(rotation is other for other in again.values())
+
+
 TIE_HEAVY_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chordbasis.basis import basis_from_text, basis_sections, basis_to_text, connected_basis
 from chordbasis.cache import content_digest
+from chordbasis import diagrams
 from chordbasis.diagrams import diagram
 from chordbasis.cli import CONFIG_KEYS, Settings, build_parser
 from chordbasis.enumeration import DiagramSet, enumerate_connected
@@ -171,3 +172,25 @@ def test_config_file_raises_only_diagram_errors(tmp_path_factory, text):
         Settings(build_parser().parse_args(["--config", str(path), "tree-basis", "1"]))
     except DiagramError:
         pass
+
+
+def test_each_parsed_diagram_is_validated_once(monkeypatch):
+    # parse validates its input; the canonical form of a valid rep is valid
+    # by construction and is not validated again
+    ds = enumerate_connected(3, 3)
+    basis_text = basis_to_text(connected_basis(3, 3))
+    calls = []
+    validate = diagrams.validate
+
+    def counting(feet, starts):
+        calls.append(feet)
+        validate(feet, starts)
+
+    monkeypatch.setattr(diagrams, "validate", counting)
+    texts = ["0121|20", "0,1,10,1|10,2,3,4,5,6,7,8,9,2,3,4,5,6,7,8,9,0", "", "01|01|"]
+    assert [str(diagram(text)) for text in texts]
+    assert len(calls) == len(texts)
+    for read, text in ((DiagramSet.from_text, ds.to_text()), (basis_from_text, basis_text)):
+        calls.clear()
+        read(text)
+        assert len(calls) == len(ds) == 22

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import sys
 import time
 
@@ -8,7 +10,7 @@ from chordbasis import enumeration, relations
 from chordbasis.basis import quotient
 from chordbasis.budget import Budget
 from chordbasis.cache import content_digest
-from chordbasis.diagrams import canonical_feet, diagram, orbit
+from chordbasis.diagrams import canonical_feet, diagram, orbit, relabel
 from chordbasis.enumeration import DiagramSet, enumerate_all, enumerate_connected
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns, rref
@@ -215,12 +217,22 @@ def test_one_canonical_form_per_distinct_term(monkeypatch):
     ds = enumerate_connected(4, 4)
     assert len(built) == len(ds) == 279
     rows = generate_relations(ds)
-    # 1584 adjacent pairs, each with a swapped term and four moved-foot
-    # terms: 7920 edited terms, each found among the orbit images that
-    # enumeration built, one orbit per diagram of the set's 279, and none
-    # built again for the rows
+    # 1584 adjacent pairs, two rows each; every edited term the rows look up
+    # is found among the orbit images that enumeration built, one orbit per
+    # diagram of the set's 279, and none is built again for the rows
     assert len(rows) == 2 * 1584
     assert len(built) == 279
+
+
+def test_full_list_builds_each_row_class_once():
+    ds = enumerate_connected(4, 4)
+    terms, rows = _looked_up(ds)
+    # one lookup per edited term of every slot (the swapped term and four
+    # moved-foot terms of each of the 1584 adjacent pairs) would be 7920;
+    # each row is built at the first slot of its class and copied to the
+    # others, so 2184 terms are looked up
+    assert len(rows) == 2 * 1584
+    assert len(terms) == 2184
 
 
 def test_hand_built_set_gets_one_orbit_per_diagram(monkeypatch):
@@ -261,57 +273,75 @@ def test_terms_already_numbered_are_not_renumbered(monkeypatch):
 
     # the set's term lookup, DiagramSet.term_feet, is the one renumbering
     monkeypatch.setattr(enumeration, "relabel", counting)
-    rows = generate_relations(ds, b_only=True)
+    terms, rows = _looked_up(ds, b_only=True)
     assert rows == expected
-    # b_only looks up one term (Y_after) for each of the 464 adjacent pairs
-    # and two more (S', Y_before) for each of the 236 rows it keeps; only
-    # the 288 terms whose feet are not numbered by first occurrence miss
-    # the orbit map and are renumbered
+    # b_only looks up 726 terms over the 464 adjacent pairs and the 236 rows
+    # it keeps (a pair left to its twin looks up none); only the 238 terms
+    # whose feet are not numbered by first occurrence miss the orbit map
+    # and are renumbered
     pairs = sum(1 for d in ds for _ in relations._adjacent_pairs(d.rep.feet, d.rep.starts))
-    assert (pairs, len(rows)) == (464, 236)
-    assert len(relabelled) == 288 < pairs + 2 * len(rows)
+    assert (pairs, len(rows), len(terms)) == (464, 236, 726)
+    assert len(relabelled) == 238 == sum(1 for feet, *_ in terms if feet != relabel(feet))
 
 
-def _edited_terms(ds):
-    """Every (feet, active starts) that row generation over ``ds`` looks up,
-    both families."""
+def _looked_up(ds, b_only=False):
+    """Every (feet, active starts, position) that row generation over
+    ``ds`` looks up, and the rows it generates."""
     looked_up = []
     term_feet = ds.term_feet
 
     def recording(budget=None):
         feet_of = term_feet(budget)
 
-        def record(feet, starts):
-            looked_up.append((feet, starts))
-            return feet_of(feet, starts)
+        def record(*term):
+            looked_up.append(term)
+            return feet_of(*term)
 
         return record
 
     ds.term_feet = recording
-    generate_relations(ds)
+    rows = generate_relations(ds, b_only=b_only)
     del ds.term_feet
-    return looked_up
+    return looked_up, rows
+
+
+def _carried(feet, starts, pos, canonical, landed):
+    """True iff some rotation of every circle that carries position ``pos``
+    to ``landed`` relabels ``feet`` into ``canonical``."""
+    i = next(i for i, hi in enumerate(starts[1:]) if pos < hi)
+    lo, hi = starts[i], starts[i + 1]
+    assert lo <= landed < hi
+    turns = [range(b - a) or [0] for a, b in zip(starts, starts[1:])]
+    turns[i] = [(pos - landed) % (hi - lo)]
+    for combo in itertools.product(*turns):
+        rotated = [x for (a, b), r in zip(zip(starts, starts[1:]), combo)
+                   for x in feet[a + r:b] + feet[a:a + r]]
+        if relabel(rotated) == canonical:
+            return True
+    return False
 
 
 @pytest.mark.parametrize("enumerate_fn, m, n", [(enumerate_connected, 3, 4),
                                                  (enumerate_all, 3, 3)])
 def test_term_feet_is_the_canonical_form_of_every_edited_term(enumerate_fn, m, n):
     ds = enumerate_fn(m, n)
-    terms = _edited_terms(ds)
+    terms, _ = _looked_up(ds)
     assert terms
     copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)  # no orbit maps
     for feet_of in (ds.term_feet(), copy.term_feet()):
-        for feet, starts in terms:
-            assert feet_of(feet, starts) == canonical_feet(feet, starts)
+        for feet, starts, pos in terms:
+            canonical, landed = feet_of(feet, starts, pos)
+            assert canonical == canonical_feet(feet, starts)
+            assert _carried(feet, starts, pos, canonical, landed)
 
 
 def test_term_feet_refuses_a_term_outside_the_set():
     ds = enumerate_connected(2, 3)
     feet_of = ds.term_feet()
     with pytest.raises(KeyError):
-        feet_of((0, 0, 1, 2, 1, 2), (0, 2, 6))  # disconnected, in a block the set has
+        feet_of((0, 0, 1, 2, 1, 2), (0, 2, 6), 0)  # disconnected, in a block the set has
     with pytest.raises(KeyError):
-        feet_of((0, 1, 2, 0, 1, 2), (0, 1, 2, 6))  # starts with no block
+        feet_of((0, 1, 2, 0, 1, 2), (0, 1, 2, 6), 0)  # starts with no block
     # copies without maps: one lacks a diagram, the other its whole block
     rep = ds.diagrams[0].rep
     lacking_feet = [d for d in ds if d.rep != rep]
@@ -320,7 +350,7 @@ def test_term_feet_refuses_a_term_outside_the_set():
     for kept in (lacking_feet, lacking_block):
         copy = DiagramSet(ds.m, ds.n, ds.connected_only, tuple(kept))
         with pytest.raises(KeyError):
-            copy.term_feet()(rep.feet, rep.starts)
+            copy.term_feet()(rep.feet, rep.starts, 0)
 
 
 def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):
@@ -391,6 +421,78 @@ def test_a_set_without_a_used_term_is_refused():
     for b_only in (False, True):
         with pytest.raises(DiagramError):
             generate_relations(ds, b_only=b_only)
+
+
+def _direct_rows(ds, b_only):
+    """Every row of ``ds`` in generation order, or with ``b_only`` the
+    family-B rows whose Y_after column is not smaller than their own,
+    each merged from the columns of its four edited terms, which
+    ``canonical_feet`` finds one by one."""
+    column = {(d.rep.feet, d.rep.starts): c for c, d in enumerate(ds)}
+
+    def col(blocks):
+        feet = tuple(x for block in blocks for x in block)
+        starts = tuple(itertools.accumulate([len(b) for b in blocks], initial=0))
+        return column[(canonical_feet(feet, starts), starts)]
+
+    def moved(blocks, foot, around, after):
+        """``foot`` (circle, index) taken out and put back just before or
+        after the foot ``around``."""
+        out = [list(b) for b in blocks]
+        label = out[foot[0]].pop(foot[1])
+        i, k = around
+        k -= i == foot[0] and k > foot[1]
+        out[i].insert(k + after, label)
+        return out
+
+    rows = []
+    for source, d in enumerate(ds):
+        blocks = d.rep.blocks()
+        places = [(i, k) for i, b in enumerate(blocks) for k in range(len(b))]
+        for i, b in enumerate(blocks):
+            for k in range(len(b) if len(b) >= 2 else 0):
+                a_foot, b_foot = (i, k), (i, (k + 1) % len(b))
+                a, c = b[k], b[b_foot[1]]
+                if a == c:
+                    continue
+                a_far = next(p for p in places if blocks[p[0]][p[1]] == a and p != a_foot)
+                b_far = next(p for p in places if blocks[p[0]][p[1]] == c and p != b_foot)
+                swapped = [list(x) for x in blocks]
+                swapped[i][k], swapped[i][b_foot[1]] = c, a
+                y_after = col(moved(blocks, b_foot, a_far, True))
+                terms = {"A": [(col(moved(blocks, a_foot, b_far, False)), 1),
+                               (col(moved(blocks, a_foot, b_far, True)), -1)],
+                         "B": [(col(moved(blocks, b_foot, a_far, False)), -1),
+                               (y_after, 1)]}
+                for family in ("B",) if b_only else ("A", "B"):
+                    if b_only and y_after < source:
+                        continue
+                    merged = collections.Counter()
+                    for t, v in [(source, 1), (col(swapped), -1)] + terms[family]:
+                        merged[t] += v
+                    rows.append(tuple(sorted((t, v) for t, v in merged.items() if v)))
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_connected(1, 4),
+    lambda: enumerate_connected(2, 4),
+    lambda: enumerate_connected(3, 3),
+    lambda: enumerate_connected(3, 4),  # many orbits walked from a member not least
+    lambda: enumerate_all(3, 3),
+    lambda: enumeration._enumerate(4, 3, False, None, active_only=True),
+    lambda: DiagramSet(2, 4, True, enumerate_connected(2, 4).diagrams),  # no orbit maps
+], ids=["connected-1-4", "connected-2-4", "connected-3-3", "connected-3-4", "all-3-3", "active-4-3",
+        "hand-built-2-4"])
+def test_every_row_is_the_direct_four_term_merge(make):
+    # sets with automorphic diagrams and two-foot circles, whose interior
+    # and wrap pairs coincide; rows copied between the slots of a class
+    # must equal the rows built directly at each slot
+    ds = make()
+    for b_only in (False, True):
+        direct = _direct_rows(ds, b_only)
+        assert direct
+        assert [r.coeffs for r in generate_relations(ds, b_only=b_only)] == direct
 
 
 def _up_to_sign(rows):
