@@ -1,10 +1,10 @@
 """Bases and dimensions of the diagram spaces modulo the four-term relation.
 
 ``quotient`` is the one pipeline from (m, n) to an eliminated quotient:
-enumerate the diagrams, generate the family-B relation rows, each twin
-pair once (they span every four-term row, see ``relations``), assemble
-them, which keeps each row once (``exactla.assemble``), run the forward
-elimination, and memoize the result per (m, n, connected).
+enumerate the diagrams, build each four-term row once
+(``relations.relation_classes``), assemble them, which keeps each row
+once (``exactla.assemble``), run the forward elimination, and memoize the
+result per (m, n, connected).
 Dimensions and bases derive from it: ``connected_basis`` keeps the
 non-pivot diagrams as the basis, and each pivot diagram carries an
 expression over the basis.
@@ -43,7 +43,7 @@ from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connec
 from .errors import ChordBasisError, DiagramError
 from .exactla import (Echelon, Relation, assemble, back_substitute, echelon_form,
                       express_pivots)
-from .relations import generate_relations
+from .relations import generate_relations, relation_classes
 
 Combination = dict[ChordDiagram, Fraction]
 
@@ -115,19 +115,15 @@ def quotient(m: int, n: int, connected: bool = True,
     diagrams, or with ``connected=False`` the active ones, which carry a
     foot on every circle (``diagrams.active_starts``: every (m, n) diagram
     is an active one on some k <= m circles, placed among m - k bare ones);
-    memoized per (m, n, connected).  The rows eliminated are the family-B
-    rows built once per twin pair (``generate_relations(..., b_only=True)``),
-    each kept once by ``assemble``, as in every assembled matrix; the
-    pivots, the basis and every expression depend on their row space alone.
+    memoized per (m, n, connected).  It eliminates the four-term rows as
+    built, without their copies (``relation_classes``): the same matrix.
     Enumeration's orbit maps, which the rows are built from, are dropped
     before assembly, so the memoized set holds no orbit image.
 
     A caller that also needs the full four-term list, as the relations file
     does, passes the list ``rows``.  A memo miss then relates the full list
-    once instead, appends it to ``rows`` and eliminates its family-B rows
-    (``rows[1::2]``, since family A precedes B at every pair), which hold
-    the ``b_only`` rows and their twins, so the assembled matrix is the
-    same; a memo hit leaves ``rows`` as it is.
+    instead, appends it to ``rows`` and eliminates it, the same matrix; a
+    memo hit leaves ``rows`` as it is.
 
     A budget pays for each key once: a memo hit charges what the cold build
     did unless it has paid, so a cap too small fails the same warm or cold.
@@ -140,11 +136,11 @@ def quotient(m: int, n: int, connected: bool = True,
         ds = (enumerate_connected(m, n, budget=budget) if connected
               else _enumerate(m, n, False, budget, active_only=True))
         candidates = budget.candidates_used - used
-        related = generate_relations(ds, budget=budget, b_only=rows is None)
+        relate = relation_classes if rows is None else generate_relations
+        related = relate(ds, budget=budget)
         ds.release_orbit_maps()  # the rows are built
         if rows is not None:
             rows.extend(related)
-            related = related[1::2]
         mat = assemble(related, len(ds))
         del related  # the rows no caller keeps go before the elimination
         q = _MEMO[key] = Quotient(ds, echelon_form(mat, budget=budget), candidates,

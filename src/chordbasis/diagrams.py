@@ -314,16 +314,21 @@ class ChordDiagram:
         return format_rep(self.rep)
 
 
+def _trusted(feet: tuple[int, ...], starts: tuple[int, ...]) -> StringRep:
+    """The rep (feet, starts) of feet valid by construction, not validated."""
+    rep = object.__new__(StringRep)
+    object.__setattr__(rep, "feet", feet)
+    object.__setattr__(rep, "starts", starts)
+    return rep
+
+
 def canonicalize(rep: StringRep) -> ChordDiagram:
     """Canonical form of ``rep``; the identity of the underlying diagram.
 
     ``rep`` was validated when it was made, and its canonical feet are
     valid by construction, so the canonical rep is not validated again.
     """
-    canonical = object.__new__(StringRep)
-    object.__setattr__(canonical, "feet", canonical_feet(rep.feet, rep.starts))
-    object.__setattr__(canonical, "starts", rep.starts)
-    return ChordDiagram(canonical)
+    return ChordDiagram(_trusted(canonical_feet(rep.feet, rep.starts), rep.starts))
 
 
 def parse(text: str) -> StringRep:

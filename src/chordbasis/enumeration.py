@@ -52,6 +52,7 @@ from .cache import artifact_text, content_digest, diagrams_name, header_fields
 from .diagrams import (
     ChordDiagram,
     StringRep,
+    _trusted,
     active_starts,
     canonicalize,
     chord_circles,
@@ -333,7 +334,7 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
         matchings = kept
     del matchings, kept
     # compositions come in lexicographic order, and so do their starts
-    diagrams = [ChordDiagram(StringRep(feet, starts))
+    diagrams = [ChordDiagram(_trusted(feet, starts))
                 for starts in starts_vectors for feet in found[active_starts(starts)]]
     ds = DiagramSet(m, n, connected_only, tuple(diagrams))
     ds._images = maps

@@ -124,9 +124,10 @@ def _forward_eliminate(int_rows: list[dict[int, int]], ncols: int,
     """Column-ordered elimination; returns (pivot column, row) in pivot order.
 
     Rows are bucketed by leading column; at each column the sparsest row
-    becomes the pivot and the rest are combined against it with integer
-    cross-multiplication and gcd reduction.  Every elimination passes
-    through here, so the matrix-cell budget is checked here.
+    becomes the pivot, a tie going to the row whose last column is largest
+    (its fill lands furthest right), and the rest are combined against it
+    with integer cross-multiplication and gcd reduction.  Every elimination
+    passes through here, so the matrix-cell budget is checked here.
     """
     budget = ensure_budget(budget)
     budget.check_cells(len(int_rows), ncols)
@@ -140,7 +141,7 @@ def _forward_eliminate(int_rows: list[dict[int, int]], ncols: int,
         if not rows_here:
             continue
         budget.check_time()
-        rows_here.sort(key=len)
+        rows_here.sort(key=lambda r: (len(r), -max(r)))
         pivot = rows_here[0]
         echelon.append((col, pivot))
         for row in rows_here[1:]:

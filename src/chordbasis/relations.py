@@ -21,9 +21,8 @@ row.
 Bare circles are only a placement (:func:`active_starts`).  The diagrams
 of a set that share one bare-circle pattern are the terms of their active
 list: each diagram's feet with its active starts, in set order, placed on
-the pattern's circles.  So are their rows.  Each call of
-:func:`generate_relations` builds the rows of every distinct active list
-once, with the list's positions as columns.
+the pattern's circles.  So are their rows.  Each call builds the rows of
+every distinct active list once, with the list's positions as columns.
 
 A term's column is found in two steps.  :meth:`DiagramSet.term_feet`
 gives the canonical feet of the edited term's diagram, and those feet
@@ -45,10 +44,9 @@ the whole set.
 The adjacent pair at a circle's boundary (last foot followed cyclically by
 the first) is generated by the wrap families; on a two-foot circle the
 interior and wrap pairs coincide and both are still emitted.  The full list
-is what the relations file records; it is deliberately redundant, and its
-repeats never reach an eliminator, since assembly keeps each row once.
+is what the relations file records; it is deliberately redundant.
 
-Family B alone spans the row space.  Take a diagram S, an adjacent pair
+Family A is family B up to sign.  Take a diagram S, an adjacent pair
 (a then b) of it, and S' = S with the pair swapped.  Let X_before and
 X_after be S with a's foot moved immediately before and after b's far foot.
 The family-A row of S on the pair is  S - S' + X_before - X_after.  The
@@ -92,27 +90,13 @@ feet, which names the slot; on a diagram with automorphisms it names one
 of the equivalent slots, and those have the same rows.  A built row is
 kept only for the slots still ahead of the one being built, and each is
 taken out when generation reaches it, so every slot gets exactly the row
-that building it would give.  At connected (4,4) the full list looks up
-2,184 terms where building every slot looks up five per adjacent pair,
-7,920.
+that building it would give.
 
-``b_only`` builds the family-B rows alone and each twin pair once.  Its
-first lookup is Y_after, and it skips the pair when that column is
-smaller than the diagram's own, since the twin is then built from Y_after's
-column, whose own Y_after is S.  A built row marks its twin's slot when
-Y_after's column is larger, and a marked pair is skipped with no lookup.
-A twin in the row's own column is kept and gets the built row.  A pair
-whose twin marked an equivalent slot is still skipped by its Y_after
-lookup.  The ``b_only`` rows are the family-B rows in generation order
-with one row of each twin pair left out, and as a set they are exactly the
-family-B rows: at connected (2,5) 2,304 of the 4,594 B rows, holding
-1,858 distinct rows up to sign, for 7,002 lookups.  A term missing from
-the set is still refused: every term of a row is looked up where the row
-is built, and the row's diagrams are the same at every slot of its class.
-:func:`basis.quotient` eliminates the ``b_only`` rows.  Like every
-assembled matrix, theirs keeps each row once (``exactla.assemble`` drops
-zero rows and rows equal up to sign to an earlier one).  The RREF of a row
-space in a fixed column order is unique, so the result is the same.
+The rows built, without their copies, are :func:`relation_classes`, which
+:func:`basis.quotient` eliminates.  A copy follows the row it copies and
+equals it up to sign, and ``exactla.assemble`` keeps each row up to sign
+once, where it first occurs, so both lists assemble to one matrix.  Both
+refuse a missing term: a row's terms are looked up where it is built.
 """
 
 from __future__ import annotations
@@ -169,12 +153,12 @@ Row = tuple[tuple[int, int], ...]
 
 
 def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
-                term: Callable[..., tuple[int, int]], b_only: bool,
-                ahead: dict[int, Row | None]) -> list[Row]:
-    """The rows of the diagram (feet, starts) at column ``source``, or with
-    ``b_only`` its family-B rows whose twin it does not leave to a smaller
-    column.  ``term(feet, starts, pos)`` gives an edited term's column and
-    the A slot of the pair that starts at its position ``pos``.
+                term: Callable[..., tuple[int, int]], ahead: dict[int, Row],
+                copies: bool) -> list[Row]:
+    """The rows built at the slots of the diagram (feet, starts) at column
+    ``source``, and with ``copies`` the rows copied to its other slots too,
+    in generation order.  ``term(feet, starts, pos)`` gives an edited term's
+    column and the A slot of the pair that starts at its position ``pos``.
     A slot already in ``ahead`` is taken from there; a built row fills the
     slots of its class that are still ahead (module docstring)."""
     circle = circle_owners(starts)
@@ -193,7 +177,7 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
         return term(*_remove_insert(feet, starts, circle, moving, target, after),
                     target - (target > moving))
 
-    def fill(here: int, slots: tuple[tuple[int, Row | None], ...]) -> None:
+    def fill(here: int, slots: tuple[tuple[int, Row], ...]) -> None:
         for slot, row in slots:
             if slot > here:
                 ahead[slot] = row
@@ -202,36 +186,31 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
     for _, pa, pb, _ in _adjacent_pairs(feet, starts):
         here = (source * len(feet) + pa) * 2  # the pair's A slot; its B slot is here + 1
         swapped = None
-        if not b_only:
-            row = ahead.pop(here, None)
-            if row is None:
-                # family A moves a's foot to just before / after b's far foot
-                swapped = term(_swap(feet, pa, pb), starts, pa)
-                x_before = moved(pa, partner[pb], False)
-                x_after = moved(pa, partner[pb], True)
-                row = _merged([(source, 1), (swapped[0], -1), (x_before[0], 1), (x_after[0], -1)])
-                minus = _negated(row)
-                fill(here, ((swapped[1] + 1, minus), (x_after[1] + 1, minus), (x_before[1], row)))
+        row = ahead.pop(here, None)
+        if row is None:
+            # family A moves a's foot to just before / after b's far foot
+            swapped = term(_swap(feet, pa, pb), starts, pa)
+            x_before = moved(pa, partner[pb], False)
+            x_after = moved(pa, partner[pb], True)
+            row = _merged([(source, 1), (swapped[0], -1), (x_before[0], 1), (x_after[0], -1)])
+            minus = _negated(row) if copies else row  # no copy is read without copies
+            fill(here, ((swapped[1] + 1, minus), (x_after[1] + 1, minus), (x_before[1], row)))
             out.append(row)
-        if here + 1 in ahead:
-            row = ahead.pop(here + 1)
-            if row is None:
-                continue  # the same row is built, as its twin, from a smaller column
-        else:
+        elif copies:
+            out.append(row)
+        row = ahead.pop(here + 1, None)
+        if row is None:
             # family B moves b's foot to just before / after a's far foot
-            y_after = moved(pb, partner[pa], True)
-            if b_only and y_after[0] < source:
-                continue  # the same row is built, as its twin, from y_after's column
             if swapped is None:
                 swapped = term(_swap(feet, pa, pb), starts, pa)
             y_before = moved(pb, partner[pa], False)
+            y_after = moved(pb, partner[pa], True)
             row = _merged([(source, 1), (swapped[0], -1), (y_before[0], -1), (y_after[0], 1)])
-            if b_only:
-                fill(here + 1, ((y_after[1] + 1, None if y_after[0] > source else row),))
-            else:
-                minus = _negated(row)
-                fill(here + 1, ((y_after[1] + 1, row), (swapped[1], minus), (y_before[1], minus)))
-        out.append(row)
+            minus = _negated(row) if copies else row
+            fill(here + 1, ((y_after[1] + 1, row), (swapped[1], minus), (y_before[1], minus)))
+            out.append(row)
+        elif copies:
+            out.append(row)
     return out
 
 
@@ -255,7 +234,7 @@ def _negated(row: Row) -> Row:
 
 
 def _active_rows(active: tuple[Term, ...], feet_of: Callable[..., tuple[tuple[int, ...], int]],
-                 budget: Budget, b_only: bool) -> list[list[Row]]:
+                 budget: Budget, copies: bool) -> list[list[Row]]:
     """The rows of every active term (feet, active starts) of ``active``,
     over the positions in ``active`` as columns, each edited term's diagram
     and pair position found by ``feet_of`` (:meth:`DiagramSet.term_feet`);
@@ -271,27 +250,34 @@ def _active_rows(active: tuple[Term, ...], feet_of: Callable[..., tuple[tuple[in
             raise DiagramError("canonical form not in the enumerated set") from None
         return column, (column * size + pos) * 2
 
-    # slot -> the row built for it at an earlier slot of its class, or None
-    # for a b_only pair whose row is built, as its twin, from a smaller column
-    ahead: dict[int, Row | None] = {}
+    # slot -> the row built for it at an earlier slot of its class
+    ahead: dict[int, Row] = {}
     out = []
     for c, (feet, starts) in enumerate(active):
         budget.check_time()
-        out.append(_row_coeffs(feet, starts, c, term, b_only, ahead))
+        out.append(_row_coeffs(feet, starts, c, term, ahead, copies))
     return out
 
 
-def generate_relations(ds: DiagramSet, budget: Budget | None = None,
-                       b_only: bool = False) -> list[Relation]:
-    """All four-term rows over ``ds``, in a fixed documented order, or with
-    ``b_only`` the family-B rows alone with one row of each twin pair left
-    out (module docstring), which span the same row space.
+def generate_relations(ds: DiagramSet, budget: Budget | None = None) -> list[Relation]:
+    """All four-term rows over ``ds``, in a fixed documented order.
 
     Iteration order: diagrams in set order, circles ascending, interior
     pairs by position then the wrap pair, family A before B.  Rows that
     merge to nothing are kept (for auditing); matrix assembly drops them
     and keeps every other row once.
     """
+    return _placed_rows(ds, budget, copies=True)
+
+
+def relation_classes(ds: DiagramSet, budget: Budget | None = None) -> list[Relation]:
+    """The rows :func:`generate_relations` builds, without their copies, in
+    the same order; both lists assemble to one matrix (module docstring)."""
+    return _placed_rows(ds, budget, copies=False)
+
+
+def _placed_rows(ds: DiagramSet, budget: Budget | None, copies: bool) -> list[Relation]:
+    """Each diagram's rows in set order, built once per active list."""
     budget = ensure_budget(budget)
     # bare-circle pattern -> the indices of its diagrams, in set order
     patterns: dict[tuple[bool, ...], list[int]] = {}
@@ -307,7 +293,7 @@ def generate_relations(ds: DiagramSet, budget: Budget | None = None,
         reps = [ds.diagrams[i].rep for i in where]
         active = tuple([(rep.feet, active_starts(rep.starts)) for rep in reps])
         if active not in built:
-            built[active] = _active_rows(active, feet_of, budget, b_only)
+            built[active] = _active_rows(active, feet_of, budget, copies)
         # where is increasing, so a row sorted by local column stays sorted;
         # a pattern of the set's first diagrams shares the rows as built
         first = where[-1] == len(where) - 1

@@ -390,9 +390,9 @@ def test_no_term_lookup_keeps_released_orbit_maps_alive(monkeypatch):
 
     def relate(ds, **kwargs):
         maps.append(ds._images)
-        return relations.generate_relations(ds, **kwargs)
+        return relations.relation_classes(ds, **kwargs)
 
-    monkeypatch.setattr(B, "generate_relations", relate)
+    monkeypatch.setattr(B, "relation_classes", relate)
     clear_memo()
     quotient(2, 4)
     # quotient has released the maps its rows were built from, and only
@@ -417,23 +417,28 @@ def test_a_budget_pays_for_each_quotient_once():
 
 def test_relation_rows_generated_once_per_instance(monkeypatch, tmp_path):
     calls = []
-    real = relations.generate_relations
 
-    def counting(ds, *args, **kwargs):
-        calls.append((ds.m, ds.n, kwargs.get("b_only", False)))
-        return real(ds, *args, **kwargs)
+    def counting(entry):
+        real = getattr(relations, entry)
+
+        def count(ds, *args, **kwargs):
+            calls.append((ds.m, ds.n, entry))
+            return real(ds, *args, **kwargs)
+
+        return count
 
     for module in (B, cli):
-        monkeypatch.setattr(module, "generate_relations", counting)
+        monkeypatch.setattr(module, "generate_relations", counting("generate_relations"))
+    monkeypatch.setattr(B, "relation_classes", counting("relation_classes"))
     clear_memo()
     assert cli.main(["--cache", str(tmp_path / "cache"), "basis", "3", "4"]) == 0
-    # a cold basis relates the full list once: the quotient eliminates its
-    # family-B rows, and the relations file records it
-    assert calls == [(3, 4, False)]
+    # a cold basis relates the full list once: the quotient eliminates it,
+    # and the relations file records it
+    assert calls == [(3, 4, "generate_relations")]
     calls.clear()
     clear_memo()
     assert dim_C(2, 4, budget=Budget()) == 22
-    assert calls == [(2, 4, True)]
+    assert calls == [(2, 4, "relation_classes")]
     calls.clear()
     assert dim_C(2, 4, budget=Budget()) == 22
     assert connected_basis(2, 4).dimension == 22

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from chordbasis import budget as budget_module
-from chordbasis import enumeration
+from chordbasis import diagrams, enumeration
 from chordbasis.budget import Budget
 from chordbasis.cache import content_digest
 from chordbasis.diagrams import diagram, is_connected, orbit, permute_circles
@@ -337,3 +337,18 @@ def test_serialization_roundtrip_empty_diagram():
 def test_single_circle_counts_match_classical_sequence():
     # numbers of distinct one-circle diagrams: 1, 2, 5, 18, 105
     assert [len(enumerate_all(1, n)) for n in range(1, 6)] == [1, 2, 5, 18, 105]
+
+
+def test_enumerated_diagrams_are_not_validated(monkeypatch):
+    # the walk builds each diagram from canonical feet, valid by construction
+    calls = []
+    validate = diagrams.validate
+
+    def counting(feet, starts):
+        calls.append(feet)
+        validate(feet, starts)
+
+    monkeypatch.setattr(diagrams, "validate", counting)
+    assert len(enumerate_connected(3, 4)) == 177
+    assert len(enumerate_all(4, 3)) == 330
+    assert calls == []

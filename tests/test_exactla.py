@@ -222,3 +222,13 @@ def test_back_substitution_stops_on_a_spent_time_budget():
     assert back_substitute(echelon, 3).rank == 2
     with pytest.raises(BudgetExceededError):
         back_substitute(echelon, 3, Budget(time_budget=1e-9))
+
+
+def test_pivot_tie_goes_to_the_row_reaching_furthest_right():
+    # two-term rows with one leading column: the pivot is the one whose
+    # other entry lies furthest right, whatever the row order
+    rows = [{0: 1, 1: 1}, {0: 1, 3: -1}, {0: 2, 2: 1}, {1: 1, 2: 1, 3: 1}]
+    for order in (rows, rows[::-1]):
+        echelon = echelon_form(assemble(order, 4))
+        assert echelon[0] == (0, {0: 1, 3: -1})
+        assert back_substitute(echelon, 4) == rref(assemble(rows, 4))

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from chordbasis import enumeration, relations
-from chordbasis.basis import quotient
+from chordbasis.basis import clear_memo, quotient
 from chordbasis.budget import Budget
 from chordbasis.cache import content_digest
 from chordbasis.diagrams import canonical_feet, diagram, orbit, relabel
@@ -18,6 +18,7 @@ from chordbasis.relations import (
     Relation,
     check_component_preservation,
     generate_relations,
+    relation_classes,
     relations_from_text,
     relations_to_text,
 )
@@ -263,7 +264,7 @@ def test_rows_built_once_per_active_block(monkeypatch):
 
 def test_terms_already_numbered_are_not_renumbered(monkeypatch):
     ds = enumerate_connected(2, 4)
-    expected = generate_relations(ds, b_only=True)
+    expected = {relate: relate(ds) for relate in (generate_relations, relation_classes)}
     relabelled = []
     relabel = enumeration.relabel
 
@@ -273,20 +274,23 @@ def test_terms_already_numbered_are_not_renumbered(monkeypatch):
 
     # the set's term lookup, DiagramSet.term_feet, is the one renumbering
     monkeypatch.setattr(enumeration, "relabel", counting)
-    terms, rows = _looked_up(ds, b_only=True)
-    assert rows == expected
-    # b_only looks up 726 terms over the 464 adjacent pairs and the 236 rows
-    # it keeps (a pair left to its twin looks up none); only the 238 terms
-    # whose feet are not numbered by first occurrence miss the orbit map
-    # and are renumbered
     pairs = sum(1 for d in ds for _ in relations._adjacent_pairs(d.rep.feet, d.rep.starts))
-    assert (pairs, len(rows), len(terms)) == (464, 236, 726)
-    assert len(relabelled) == 238 == sum(1 for feet, *_ in terms if feet != relabel(feet))
+    assert pairs == 464
+    for relate, count in ((generate_relations, 928), (relation_classes, 284)):
+        relabelled.clear()
+        terms, rows = _looked_up(ds, relate)
+        assert rows == expected[relate]
+        # both look up the 760 terms of the 284 rows built over the 464
+        # adjacent pairs (a slot copied from an earlier one looks up none);
+        # only the 304 terms whose feet are not numbered by first occurrence
+        # miss the orbit map and are renumbered
+        assert (len(rows), len(terms)) == (count, 760)
+        assert len(relabelled) == 304 == sum(1 for feet, *_ in terms if feet != relabel(feet))
 
 
-def _looked_up(ds, b_only=False):
-    """Every (feet, active starts, position) that row generation over
-    ``ds`` looks up, and the rows it generates."""
+def _looked_up(ds, relate=generate_relations):
+    """Every (feet, active starts, position) that ``relate`` over ``ds``
+    looks up, and the rows it generates."""
     looked_up = []
     term_feet = ds.term_feet
 
@@ -300,7 +304,7 @@ def _looked_up(ds, b_only=False):
         return record
 
     ds.term_feet = recording
-    rows = generate_relations(ds, b_only=b_only)
+    rows = relate(ds)
     del ds.term_feet
     return looked_up, rows
 
@@ -418,16 +422,15 @@ def test_a_set_without_a_used_term_is_refused():
     assert any(label["source"] != "0102|12|" and gone in dict(row.coeffs)
                for label, row in _labelled(full))
     ds = DiagramSet(3, 3, False, full.diagrams[:gone] + full.diagrams[gone + 1:])
-    for b_only in (False, True):
+    for relate in (generate_relations, relation_classes):
         with pytest.raises(DiagramError):
-            generate_relations(ds, b_only=b_only)
+            relate(ds)
 
 
-def _direct_rows(ds, b_only):
-    """Every row of ``ds`` in generation order, or with ``b_only`` the
-    family-B rows whose Y_after column is not smaller than their own,
-    each merged from the columns of its four edited terms, which
-    ``canonical_feet`` finds one by one."""
+def _direct_rows(ds):
+    """Every row of ``ds`` in generation order, each merged from the
+    columns of its four edited terms, which ``canonical_feet`` finds one
+    by one."""
     column = {(d.rep.feet, d.rep.starts): c for c, d in enumerate(ds)}
 
     def col(blocks):
@@ -459,14 +462,11 @@ def _direct_rows(ds, b_only):
                 b_far = next(p for p in places if blocks[p[0]][p[1]] == c and p != b_foot)
                 swapped = [list(x) for x in blocks]
                 swapped[i][k], swapped[i][b_foot[1]] = c, a
-                y_after = col(moved(blocks, b_foot, a_far, True))
                 terms = {"A": [(col(moved(blocks, a_foot, b_far, False)), 1),
                                (col(moved(blocks, a_foot, b_far, True)), -1)],
                          "B": [(col(moved(blocks, b_foot, a_far, False)), -1),
-                               (y_after, 1)]}
-                for family in ("B",) if b_only else ("A", "B"):
-                    if b_only and y_after < source:
-                        continue
+                               (col(moved(blocks, b_foot, a_far, True)), 1)]}
+                for family in ("A", "B"):
                     merged = collections.Counter()
                     for t, v in [(source, 1), (col(swapped), -1)] + terms[family]:
                         merged[t] += v
@@ -487,12 +487,13 @@ def _direct_rows(ds, b_only):
 def test_every_row_is_the_direct_four_term_merge(make):
     # sets with automorphic diagrams and two-foot circles, whose interior
     # and wrap pairs coincide; rows copied between the slots of a class
-    # must equal the rows built directly at each slot
+    # must equal the rows built directly at each slot, and the built rows
+    # are those rows with the copies left out
     ds = make()
-    for b_only in (False, True):
-        direct = _direct_rows(ds, b_only)
-        assert direct
-        assert [r.coeffs for r in generate_relations(ds, b_only=b_only)] == direct
+    direct = _direct_rows(ds)
+    assert direct
+    assert [r.coeffs for r in generate_relations(ds)] == direct
+    assert _is_subsequence([r.coeffs for r in relation_classes(ds)], direct)
 
 
 def _up_to_sign(rows):
@@ -516,44 +517,67 @@ def _is_subsequence(rows, of):
 def test_family_a_is_minus_family_b(enumerate_fn, m, n):
     ds = enumerate_fn(m, n)
     rows = generate_relations(ds)
-    b_rows = generate_relations(ds, b_only=True)
-    # b_only keeps one of the two equal rows of each twin pair, in
-    # generation order, and loses no row
-    assert _is_subsequence(b_rows, rows[1::2])
-    assert {r.coeffs for r in b_rows} == {r.coeffs for r in rows[1::2]}
     # every A row of S is minus the B row of S with the pair swapped, and
     # every B row arises so: as sets up to sign the families coincide
-    assert _up_to_sign(rows[0::2]) == _up_to_sign(b_rows)
+    assert _up_to_sign(rows[0::2]) == _up_to_sign(rows[1::2])
+    # the built rows are the full list with the copies left out, and every
+    # copy is a built row up to sign
+    classes = relation_classes(ds)
+    assert _is_subsequence(classes, rows)
+    assert _up_to_sign(classes) == _up_to_sign(rows)
+
+
+@pytest.mark.parametrize("make", [
+    lambda m=m, n=n: enumerate_connected(m, n) for n in range(1, 6) for m in range(1, n + 2)
+] + [
+    lambda k=k: enumeration._enumerate(k, 3, False, None, active_only=True) for k in range(1, 7)
+] + [
+    lambda: enumerate_all(3, 3),
+    lambda: enumerate_all(4, 3),  # several bare-circle patterns share one active list
+    lambda: DiagramSet(2, 4, True, enumerate_connected(2, 4).diagrams),  # no orbit maps
+], ids=[f"connected-{m}-{n}" for n in range(1, 6) for m in range(1, n + 2)]
+    + [f"active-{k}-3" for k in range(1, 7)] + ["all-3-3", "all-4-3", "hand-built-2-4"])
+def test_built_rows_assemble_as_the_full_list(make):
+    ds = make()
+    assert assemble(relation_classes(ds), len(ds)) == assemble(generate_relations(ds), len(ds))
 
 
 @pytest.mark.parametrize("connected, m, n", [
     (True, m, n) for n in range(5) for m in range(1, n + 2)
 ] + [(True, 1, 5), (True, 2, 5)] + [(False, k, 3) for k in range(1, 7)])
 def test_family_b_of_the_full_list_assembles_as_b_only(connected, m, n):
-    # basis.quotient eliminates rows[1::2] of the full list when it also
-    # relates that list for the relations file: the matrix must be the same
-    ds = quotient(m, n, connected=connected).diagram_set
-    rows = generate_relations(ds)
-    assert assemble(rows[1::2], len(ds)) == assemble(generate_relations(ds, b_only=True),
-                                                     len(ds))
+    # basis.quotient eliminates the built rows, or the full list when it
+    # also relates that list for the relations file: the echelon form is
+    # the same, and so is its matrix's shape
+    clear_memo()
+    alone = quotient(m, n, connected=connected)
+    clear_memo()
+    rows = []
+    related = quotient(m, n, connected=connected, rows=rows)
+    assert related.echelon == alone.echelon
+    assert related.cells == alone.cells
+    ds = related.diagram_set
+    assert rows == generate_relations(ds)
+    # family B alone holds every distinct row up to sign
+    assert _up_to_sign(rows[1::2]) == _up_to_sign(relation_classes(ds))
     families = [label.split()[-1] for label in relations._row_labels(ds)]
     assert len(families) == len(rows)
     assert all(f.startswith("family=") and f.endswith("-B") for f in families[1::2])
     assert not any(f.endswith("-B") for f in families[0::2])
 
 
-@pytest.mark.parametrize("m, n, b_rows, distinct", [(2, 5, 2304, 1858), (3, 5, 6924, 5409)])
-def test_b_rows_are_built_once_per_twin_pair(m, n, b_rows, distinct):
+@pytest.mark.parametrize("m, n, built, distinct", [(2, 5, 2512, 1858), (3, 5, 6998, 5409)])
+def test_b_rows_are_built_once_per_twin_pair(m, n, built, distinct):
     ds = enumerate_connected(m, n)
-    rows = generate_relations(ds, b_only=True)
-    assert len(rows) == b_rows  # of 4594 and 13596 family-B rows in all
+    rows = relation_classes(ds)
+    assert len(rows) == built  # of 9188 and 27192 rows in the full list
     assert assemble(rows, len(ds)).nrows == distinct
 
 
 @pytest.mark.parametrize("m, n, distinct", [(3, 4, 294), (2, 5, 1858)])
 def test_distinct_b_rows_have_the_rref_of_all_rows(m, n, distinct):
     ds = enumerate_connected(m, n)
-    reduced = assemble(generate_relations(ds, b_only=True), len(ds))
+    reduced = assemble(relation_classes(ds), len(ds))
     assert reduced.nrows == distinct
     assert set(reduced.rows) <= {r.coeffs for r in generate_relations(ds)}
     assert rref(reduced) == rref(assemble(generate_relations(ds), len(ds)))

@@ -171,3 +171,21 @@ def test_checks_are_timed_on_the_monotonic_performance_clock(monkeypatch):
     result = V.check_rref_oracle(cases=3)
     assert result.passed
     assert result.seconds == 2.25
+
+
+def test_rref_oracle_draws_matrices_rich_in_short_rows(monkeypatch):
+    drawn = []
+    real = V.rref
+
+    def recording(mat):
+        drawn.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(V, "rref", recording)
+    assert V.check_rref_oracle(cases=100).passed
+    assert len(drawn) == 100
+    # every other case is drawn with rows of mostly one or two terms; 100
+    # dense draws alone give 8 such matrices with 8 or more columns
+    short = [mat for mat in drawn if mat.ncols >= 8
+             and 2 * sum(len(row) <= 2 for row in mat.rows) > len(mat.rows)]
+    assert len(short) >= 20
