@@ -4,10 +4,51 @@
 enumerate the diagrams, build each four-term row once
 (``relations.relation_classes``), assemble them, which keeps each row
 once (``exactla.assemble``), run the forward elimination, and memoize the
-result per (m, n, connected).
+result per (m, n, connected), or per (m, n, "unframed") for the diagrams
+without an isolated chord.
 Dimensions and bases derive from it: ``connected_basis`` keeps the
 non-pivot diagrams as the basis, and each pivot diagram carries an
 expression over the basis.
+
+Connected dimensions split off isolated chords.  A chord is *isolated*
+when its two feet are cyclically adjacent on one circle.  Let U(m, n) be
+the connected (m, n) space modulo the four-term and the one-term relation,
+which sets every diagram with an isolated chord to zero.  Then
+
+    C(m, n) = sum over k of binom(m+k-1, k) * U(m, n-k),
+
+with U(1, 0) = 1 and U(m, s) = 0 for s < m - 1 (Bar-Natan, *On the
+Vassiliev knot invariants*, Topology 1995, for one circle: the framed
+algebra is the unframed one tensored with the polynomials in the isolated
+chord).  For m circles:
+
+* Let theta_i insert an isolated chord on circle i.  The family-A row
+  whose moving foot x sits just before an isolated chord t reads
+  S - S' + S' - X_after: the isolated chord hops over x.  So theta_i is
+  well defined modulo 4T, and it maps four-term rows to four-term rows.
+* Let d_i(D) be the sum of D without c, over the chords c with both feet
+  on circle i.  Deleting such a chord keeps D connected.  Deleting the
+  target chord, or the moving chord, of a four-term row cancels its terms
+  in pairs, so d_i is well defined modulo 4T.
+* Then [d_i, theta_j] = 1 if i = j and 0 otherwise; the theta commute, and
+  so do the d.  Each d lowers the degree, so it is locally nilpotent, and
+  the Weyl-algebra lemma gives C = Q[theta_1..theta_m] (x) K with K the
+  intersection of the kernels of the d_i.  The projection onto K is
+  sum over k of (-theta_i)^k d_i^k / k!, taken one circle at a time.
+* The ideal (theta)C is spanned by the diagrams with an isolated chord,
+  so K = C/(theta)C = U, and a monomial of degree k in m variables, of
+  which there are binom(m+k-1, k), raises the degree by k.
+* U is the quotient of the diagrams without an isolated chord by the
+  four-term rows with their isolated terms dropped
+  (``quotient(m, n, unframed=True)``).  Rows built at those diagrams
+  alone suffice: each of a row's four terms is a source of that row up to
+  sign (the identities in the ``relations`` docstring), and a row whose
+  terms are all isolated vanishes modulo the one-term relation.
+
+``dim_C`` sums this splitting, and its U quotients hold about a third of
+the diagrams and rows of the direct one.  Bases, expressions and every
+file stay on the direct quotient of all connected diagrams: a basis is a
+set of its non-pivot diagrams.  ``verify`` compares both routes.
 Dimensions of the full (not necessarily connected) spaces are computed from
 connected dimensions by the component-decomposition formula: every diagram
 splits into connected components, so
@@ -36,7 +77,7 @@ from functools import cached_property
 from math import comb, factorial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .budget import Budget, ensure_budget
+from .budget import Budget, QuotientKey, ensure_budget
 from .cache import artifact_intact, artifact_text, basis_name, header_fields
 from .diagrams import ChordDiagram, canonicalize, disjoint_union, is_connected, parse
 from .enumeration import DiagramSet, _compositions, _enumerate, enumerate_connected
@@ -100,7 +141,7 @@ class Quotient:
         return self._basis
 
 
-_MEMO: dict[tuple[int, int, bool], Quotient] = {}
+_MEMO: dict[QuotientKey, Quotient] = {}
 
 
 def clear_memo() -> None:
@@ -110,13 +151,17 @@ def clear_memo() -> None:
 
 def quotient(m: int, n: int, connected: bool = True,
              budget: Budget | None = None,
-             rows: list[Relation] | None = None) -> Quotient:
+             rows: list[Relation] | None = None,
+             unframed: bool = False) -> Quotient:
     """Enumerate, relate and forward-eliminate the connected (m, n)
     diagrams, or with ``connected=False`` the active ones, which carry a
     foot on every circle (``diagrams.active_starts``: every (m, n) diagram
-    is an active one on some k <= m circles, placed among m - k bare ones);
-    memoized per (m, n, connected).  It eliminates the four-term rows as
-    built, without their copies (``relation_classes``): the same matrix.
+    is an active one on some k <= m circles, placed among m - k bare ones),
+    or with ``unframed`` the connected ones without an isolated chord, whose
+    rows drop every isolated term (the U quotient of the module docstring);
+    memoized per (m, n, connected), or (m, n, "unframed").  It eliminates
+    the four-term rows as built, without their copies
+    (``relation_classes``): the same matrix.
     Enumeration's orbit maps, which the rows are built from, are dropped
     before assembly, so the memoized set holds no orbit image.
 
@@ -128,13 +173,17 @@ def quotient(m: int, n: int, connected: bool = True,
     A budget pays for each key once: a memo hit charges what the cold build
     did unless it has paid, so a cap too small fails the same warm or cold.
     """
-    key = (m, n, connected)
+    key: QuotientKey = (m, n, "unframed" if unframed else connected)
     budget = ensure_budget(budget)
     q = _MEMO.get(key)
     if q is None:
         used = budget.candidates_used
-        ds = (enumerate_connected(m, n, budget=budget) if connected
-              else _enumerate(m, n, False, budget, active_only=True))
+        if unframed:
+            ds = _enumerate(m, n, True, budget, unframed=True)
+        elif connected:
+            ds = enumerate_connected(m, n, budget=budget)
+        else:
+            ds = _enumerate(m, n, False, budget, active_only=True)
         candidates = budget.candidates_used - used
         relate = relation_classes if rows is None else generate_relations
         related = relate(ds, budget=budget)
@@ -152,6 +201,15 @@ def quotient(m: int, n: int, connected: bool = True,
     return q
 
 
+def connected_set(m: int, n: int, budget: Budget | None = None) -> DiagramSet:
+    """The connected (m, n) diagram set, without an elimination: the set of
+    the memoized quotient when there is one, which charges the budget as a
+    memo hit does, else an enumerated set."""
+    if (m, n, True) in _MEMO:
+        return quotient(m, n, budget=budget).diagram_set
+    return enumerate_connected(m, n, budget=budget)
+
+
 def connected_basis(m: int, n: int, budget: Budget | None = None) -> BasisResult:
     """Basis of the connected space: the non-pivot diagrams, plus an
     expression for every pivot diagram over the basis."""
@@ -167,13 +225,28 @@ def express(d: ChordDiagram, b: BasisResult) -> Combination:
 
 
 def dim_C(m: int, n: int, budget: Budget | None = None) -> int:
-    """Dimension of the connected space; 0 without enumeration when
-    n < m - 1, since a connected diagram on m circles needs m - 1 chords."""
+    """Dimension of the connected space, by the isolated-chord splitting
+    (module docstring): C(m, n) = sum over k of binom(m+k-1, k) *
+    U(m, n-k), the U from the quotients without isolated chords
+    (:func:`dim_U`); 0 without enumeration when n < m - 1, since a
+    connected diagram on m circles needs m - 1 chords.  The direct quotient
+    of every connected diagram, ``quotient(m, n).dimension``, gives the same
+    number, and ``verify`` checks that it does."""
     if m < 1 or n < 0:
         raise DiagramError(f"bad parameters m={m}, n={n}")
+    return sum(comb(m + k - 1, k) * dim_U(m, n - k, budget) for k in range(n - m + 2))
+
+
+def dim_U(m: int, n: int, budget: Budget | None = None) -> int:
+    """Dimension of the connected space modulo four-term and one-term
+    relations, the quotient of the connected diagrams without an isolated
+    chord (``quotient(m, n, unframed=True)``); 1 for the chordless circle
+    and 0 when n < m - 1, both without enumeration."""
     if n < m - 1:
         return 0
-    return quotient(m, n, budget=budget).dimension
+    if n == 0:
+        return 1
+    return quotient(m, n, budget=budget, unframed=True).dimension
 
 
 def block_dims(n: int, k_max: int | None = None,

@@ -3,7 +3,8 @@
 Budgets make "too big" a first-class, reported outcome: when a cap is hit
 the computation stops with :class:`BudgetExceededError` rather than running
 unbounded or returning a truncated (wrong) result.  A budget pays for each
-quotient (m, n, connected) once, warm or cold (``Budget.paid``).
+quotient once, warm or cold (``Budget.paid``, keyed as ``basis.quotient``
+memoizes).
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ DEFAULT_MAX_CANDIDATES = 10**9
 DEFAULT_MAX_MATRIX_CELLS = 10**10
 DEFAULT_TIME_BUDGET = 0.0  # seconds; 0 means unlimited
 
+# the memo key of a quotient: (m, n, connected), or (m, n, "unframed") for
+# the connected diagrams without an isolated chord (``basis.quotient``)
+QuotientKey = tuple[int, int, bool | str]
+
 
 @dataclass
 class Budget:
@@ -30,7 +35,7 @@ class Budget:
     max_matrix_cells: int = DEFAULT_MAX_MATRIX_CELLS
     time_budget: float = DEFAULT_TIME_BUDGET
     candidates_used: int = field(default=0, init=False)
-    paid: set[tuple[int, int, bool]] = field(default_factory=set, init=False)  # quotient keys
+    paid: set[QuotientKey] = field(default_factory=set, init=False)
     _deadline: float = field(default=0.0, init=False)
 
     def __post_init__(self):

@@ -21,7 +21,9 @@ outside the connected set is refused before the cache is touched.  Every
 quotient comes from ``basis.quotient``, paid for once by the one budget.
 Each stage runs once per command: ``basis`` and ``verify`` hand the
 quotient a list for the full four-term rows, so a quotient they build
-relates once for both files, and ``orbits`` and ``equivariant`` rebuild
+relates once for both files, a relations file missing beside a cached
+basis file is related again without an elimination, and
+``orbits`` and ``equivariant`` rebuild
 their basis from an intact cached basis file (``basis.basis_from_text``)
 instead of building a quotient; a miss there writes no basis file.
 
@@ -45,6 +47,7 @@ from .basis import (
     basis_sections,
     basis_to_text,
     connected_basis,
+    connected_set,
     dim_table_A,
     dim_table_C,
     format_dimension_table,
@@ -213,13 +216,15 @@ def _basis_text(settings: Settings, m: int, n: int,
 def _basis_files(settings: Settings, m: int, n: int) -> tuple[str, list[str], list[str]]:
     """The basis file of the connected (m, n) space, as :func:`_basis_text`
     gives it, with its input, the relations file, cached beside it.  A
-    quotient built here relates the full list once for both files; a
-    memoized one kept no rows, so a relations miss relates its set again."""
+    quotient built here relates the full list once for both files.  A
+    relations miss without such a quotient (a basis hit, or a memoized
+    quotient, which kept no rows) relates the set again and eliminates
+    nothing (``basis.connected_set``)."""
     rows: list[Relation] = []
     files = _basis_text(settings, m, n, rows)
 
     def relations() -> str:
-        ds = quotient(m, n, budget=settings.budget, rows=rows).diagram_set
+        ds = connected_set(m, n, budget=settings.budget)
         return relations_to_text(ds, rows or generate_relations(ds, budget=settings.budget))
 
     _cached_text(settings, relations_name(m, n), relations)

@@ -28,7 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from typing import Iterable, Iterator, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DiagramError
 
@@ -164,6 +165,23 @@ def components(masks: Sequence[int], m: int) -> Iterator[int]:
             reached = grown
         yield reached
         left ^= reached
+
+
+def isolated_chord_test(starts: Sequence[int]) -> Callable[[Sequence[int]], bool]:
+    """A test of the feet with these ``starts``: true iff some chord is
+    isolated, its two feet cyclically adjacent on one circle.  Two
+    ``operator.itemgetter`` calls pick the feet of every adjacent pair of
+    positions at once; ``starts`` must give some circle two feet."""
+    pairs = []
+    for lo, hi in zip(starts, starts[1:]):
+        pairs += [(p, p + 1) for p in range(lo, hi - 1)]
+        if hi - lo > 2:
+            pairs.append((hi - 1, lo))
+    if len(pairs) == 1:
+        pairs *= 2  # a getter of one position returns the foot, not a tuple
+    left = itemgetter(*[p for p, _ in pairs])
+    right = itemgetter(*[q for _, q in pairs])
+    return lambda feet: any(map(eq, left(feet), right(feet)))
 
 
 def active_starts(starts: Sequence[int]) -> tuple[int, ...]:

@@ -16,6 +16,13 @@ form of every diagram exactly once, without a canonicalizer call and
 without the quadratic retained-list scan of the naive method (which is
 kept as :func:`enumerate_all_naive` for cross-checking).
 
+A set without isolated chords (``unframed``, for ``basis.dim_C``'s
+splitting) drops a matching with an isolated chord before anything else
+looks at it, through :func:`diagrams.isolated_chord_test` of its block.
+Isolation survives rotation and renumbering, so the orbit of a kept
+diagram holds no dropped matching.  A connected set with n = m - 1 chords
+has no chord with both feet on one circle and tests nothing.
+
 The marks are the set's orbit maps, two per active block.  The image map
 takes every orbit image to its diagram's canonical feet, together with
 the position in them of each position of the orbit's first member: one
@@ -59,6 +66,7 @@ from .diagrams import (
     circle_owners,
     components,
     is_connected,
+    isolated_chord_test,
     orbit,
     parse,
     relabel,
@@ -93,10 +101,14 @@ class DiagramSet:
     """Sorted set of distinct canonical diagrams with fixed (m, n)."""
 
     def __init__(self, m: int, n: int, connected_only: bool,
-                 diagrams: tuple[ChordDiagram, ...]):
+                 diagrams: tuple[ChordDiagram, ...], unframed: bool = False):
         self.m = m
         self.n = n
         self.connected_only = connected_only
+        # the diagrams without an isolated chord only, which the one-term
+        # relation does not set to zero; relation generation drops every
+        # isolated term of such a set
+        self.unframed = unframed
         self.diagrams = diagrams
         # keyed by the canonical (feet, starts), which identifies a diagram
         self._index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
@@ -116,7 +128,8 @@ class DiagramSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DiagramSet)
-            and (self.m, self.n, self.connected_only) == (other.m, other.n, other.connected_only)
+            and (self.m, self.n, self.connected_only, self.unframed)
+            == (other.m, other.n, other.connected_only, other.unframed)
             and self.diagrams == other.diagrams
         )
 
@@ -284,10 +297,12 @@ def _recorded(matchings: Iterator[tuple[int, ...]], kept: list[tuple[int, ...]]
 
 
 def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
-               active_only: bool = False) -> DiagramSet:
+               active_only: bool = False, unframed: bool = False) -> DiagramSet:
     """The (m, n) diagrams, or the connected ones; with ``active_only``
     only those with a foot on every circle, the active set of
-    :func:`active_starts`."""
+    :func:`active_starts`; with ``unframed`` and ``connected_only`` only the
+    connected ones without an isolated chord
+    (:func:`diagrams.isolated_chord_test`)."""
     if m < 1:
         raise DiagramError("need at least one circle")
     if n < 0:
@@ -299,10 +314,10 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
         # the chordless diagram, which has no adjacent pair and so no term
         # for relation generation to look up
         diagrams = () if active_only else (canonicalize(StringRep((), (0,) * (m + 1))),)
-        return DiagramSet(m, n, connected_only, diagrams)
+        return DiagramSet(m, n, connected_only, diagrams, unframed)
     if connected_only and n < m - 1:
         # Fewer chords than a spanning tree needs: nothing to enumerate.
-        return DiagramSet(m, n, connected_only, ())
+        return DiagramSet(m, n, connected_only, (), unframed)
     minimum = 1 if active_only else 0
     starts_vectors = []
     for comp in _compositions(2 * n, m, minimum):
@@ -324,8 +339,15 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
         matchings = _recorded(matchings, kept)
     maps: dict[tuple[int, ...], tuple[Images, Rotations]] = {}
     found = {}
+    # a connected diagram with n = m - 1 chords has no chord with both feet
+    # on one circle, so it needs no isolation test
+    isolated = unframed and n >= m
     for active in blocks:
-        images, rotations, canonical = _candidates_for_starts(active, matchings,
+        # isolation survives rotation and renumbering, so dropping a
+        # matching with an isolated chord drops its whole orbit
+        walk = (itertools.filterfalse(isolated_chord_test(active), matchings) if isolated
+                else matchings)
+        images, rotations, canonical = _candidates_for_starts(active, walk,
                                                               connected_only, budget)
         maps[active] = images, rotations
         # each block's canonical feet in order, copied, so that the set pins
@@ -336,7 +358,7 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
     # compositions come in lexicographic order, and so do their starts
     diagrams = [ChordDiagram(_trusted(feet, starts))
                 for starts in starts_vectors for feet in found[active_starts(starts)]]
-    ds = DiagramSet(m, n, connected_only, tuple(diagrams))
+    ds = DiagramSet(m, n, connected_only, tuple(diagrams), unframed)
     ds._images = maps
     return ds
 

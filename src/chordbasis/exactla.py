@@ -243,6 +243,7 @@ def rank_modular(mat: ExactMatrix, prime: int) -> int:
         rows_here = buckets.pop(col, None)
         if not rows_here:
             continue
+        rows_here.sort(key=lambda r: (len(r), -max(r)))  # as _forward_eliminate
         pivot = rows_here[0]
         inv = pow(pivot[col], -1, prime)
         rank += 1

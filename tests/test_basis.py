@@ -18,6 +18,7 @@ from chordbasis.basis import (
     connected_basis,
     dim_A,
     dim_C,
+    dim_U,
     dim_table_A,
     dim_table_C,
     eval_A_polynomial,
@@ -37,6 +38,34 @@ def test_connected_dimensions_small():
     assert dim_C(1, 1) == 1
     assert dim_C(2, 3) == 9
     assert dim_C(3, 3) == 16
+
+
+# U(m, n): the connected space modulo the four-term and one-term relations
+UNFRAMED_DIMS = {
+    (1, 1): 0, (1, 2): 1, (1, 3): 1, (1, 4): 3, (1, 5): 4,
+    (2, 1): 1, (2, 2): 1, (2, 3): 4, (2, 4): 7, (2, 5): 20,
+    (3, 2): 3, (3, 3): 7, (3, 4): 28, (3, 5): 73,
+    (4, 3): 16, (4, 4): 63, (4, 5): 287,
+    (5, 4): 125, (5, 5): 722, (6, 5): 1296,
+}
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 6) for m in range(1, n + 2)]
+                         + [(1, 6), (2, 6)])
+def test_connected_dimension_by_the_splitting_and_by_the_direct_quotient(m, n):
+    clear_memo()
+    split = dim_C(m, n)
+    assert quotient(m, n).dimension == split
+    assert split == REFERENCE_C_DIMS.get((m, n)) or split == {(1, 6): 19, (2, 6): 128}[(m, n)]
+    if n <= 5:
+        assert dim_U(m, n) == UNFRAMED_DIMS[(m, n)]  # a memo hit
+    clear_memo()
+
+
+def test_unframed_dimension_conventions_without_enumeration():
+    clear_memo()
+    assert dim_U(1, 0) == 1 and dim_U(3, 1) == 0
+    assert not B._MEMO
 
 
 def test_boundary_conventions_without_enumeration():
@@ -357,6 +386,16 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
     calls = _count_calls(monkeypatch, [B], "enumerate_connected",
                          B.enumerate_connected)
     clear_memo()
+    assert quotient(2, 3).dimension == 9
+    with pytest.raises(BudgetExceededError):
+        quotient(2, 3, budget=Budget(max_candidates=10))
+    with pytest.raises(BudgetExceededError):
+        quotient(2, 3, budget=Budget(max_matrix_cells=1))
+    warm = Budget()
+    assert quotient(2, 3, budget=warm).dimension == 9
+    assert warm.candidates_used == 5 * 15  # feet-count vectors x matchings
+    assert calls == [(2, 3)]  # enumerated once, by the first call
+    # dim_C's U quotients are memoized and charged the same way
     assert dim_C(2, 3) == 9
     with pytest.raises(BudgetExceededError):
         dim_C(2, 3, budget=Budget(max_candidates=10))
@@ -364,8 +403,8 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
         dim_C(2, 3, budget=Budget(max_matrix_cells=1))
     warm = Budget()
     assert dim_C(2, 3, budget=warm) == 9
-    assert warm.candidates_used == 5 * 15  # feet-count vectors x matchings
-    assert calls == [(2, 3)]  # enumerated once, by the first call
+    assert warm.candidates_used == 5 * 15 + 3 * 3 + 1 * 1  # U(2,3), U(2,2), U(2,1)
+    assert warm.paid == {(2, s, "unframed") for s in (1, 2, 3)}
 
 
 def test_memo_holds_no_orbit_images():
@@ -437,9 +476,14 @@ def test_relation_rows_generated_once_per_instance(monkeypatch, tmp_path):
     assert calls == [(3, 4, "generate_relations")]
     calls.clear()
     clear_memo()
-    assert dim_C(2, 4, budget=Budget()) == 22
+    assert quotient(2, 4, budget=Budget()).dimension == 22
     assert calls == [(2, 4, "relation_classes")]
     calls.clear()
+    # dim_C relates each of its U quotients once
+    assert dim_C(2, 4, budget=Budget()) == 22
+    assert calls == [(2, s, "relation_classes") for s in (4, 3, 2, 1)]
+    calls.clear()
+    assert quotient(2, 4, budget=Budget()).dimension == 22
     assert dim_C(2, 4, budget=Budget()) == 22
     assert connected_basis(2, 4).dimension == 22
     assert calls == []  # a memo hit builds no rows

@@ -154,20 +154,37 @@ def test_basis_charges_its_quotient_once_for_both_files(tmp_path, capsys):
 
 
 def test_verify_pays_for_each_quotient_once(tmp_path, capsys):
-    # a cold verify --profile fast needs 25,350 candidates: 23,909 for its
-    # quotients, which its files and its checks reach through one budget that
-    # pays for each once, and 1,441 for the labelled trees of n = 1..5
+    # a cold verify --profile fast needs 25,763 candidates: 24,322 for its
+    # quotients, direct and without isolated chords, which its files and its
+    # checks reach through one budget that pays for each once, and 1,441 for
+    # the labelled trees of n = 1..5
     clear_memo()
-    assert run(tmp_path, "--max-candidates", "25350", "verify", "--profile", "fast") == 1
+    assert run(tmp_path, "--max-candidates", "25763", "verify", "--profile", "fast") == 1
     out, err = capsys.readouterr()
     # the closed-form polynomial check fails on its own (criterion 04)
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
         "closed-form-polynomials"]
     assert err == ""
     # and the cap is tight, warm memo or not
-    assert run(tmp_path, "--max-candidates", "25349", "verify", "--profile", "fast",
+    assert run(tmp_path, "--max-candidates", "25762", "verify", "--profile", "fast",
                cache=tmp_path / "other") == 3
-    assert "25350 > 25349" in capsys.readouterr().err
+    assert "25763 > 25762" in capsys.readouterr().err
+
+
+def test_a_relations_only_miss_runs_no_elimination(tmp_path, capsys, monkeypatch):
+    assert run(tmp_path, "basis", "2", "4") == 0
+    cold = capsys.readouterr().out
+    path = tmp_path / "cache" / "relations-m2-n4.txt"
+    written = path.read_bytes()
+    path.unlink()
+    clear_memo()
+    eliminations = []
+    monkeypatch.setattr(basis_module, "echelon_form",
+                        lambda *args, **kwargs: eliminations.append(args))
+    assert run(tmp_path, "basis", "2", "4") == 0
+    assert eliminations == []
+    assert path.read_bytes() == written
+    assert capsys.readouterr().out == cold
 
 
 def test_usage_error_on_bad_diagram(tmp_path):

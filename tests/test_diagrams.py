@@ -19,6 +19,7 @@ from chordbasis.diagrams import (
     disjoint_union,
     format_rep,
     is_connected,
+    isolated_chord_test,
     orbit,
     parse,
     permute_circles,
@@ -394,3 +395,27 @@ def test_components_equivariant_under_circle_relabelling(rep, pick):
     after = classes(image.rep)
     relabelled = sorted(tuple(sorted(sigma[c] for c in cls)) for cls in before)
     assert sorted(after) == relabelled
+
+
+def _isolated_by_hand(feet, starts):
+    """True iff some circle holds the two feet of one chord next to each
+    other, reading the circle cyclically."""
+    for lo, hi in zip(starts, starts[1:]):
+        block = feet[lo:hi]
+        if len(block) >= 2 and any(block[k] == block[k - 1] for k in range(len(block))):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 3), (2, 4)])
+def test_isolated_chord_test_matches_a_scan_of_every_circle(m, n):
+    # every rotation of every diagram, two-foot circles and one-pair starts
+    # included; isolation is the same on every image of an orbit
+    for d in enumerate_all(m, n):
+        starts = d.rep.starts
+        if all(hi - lo < 2 for lo, hi in zip(starts, starts[1:])):
+            continue  # no circle with two feet, so no pair to compare
+        test = isolated_chord_test(starts)
+        expected = _isolated_by_hand(d.rep.feet, starts)
+        for image in orbit(d.rep.feet, starts):
+            assert test(image) == _isolated_by_hand(image, starts) == expected

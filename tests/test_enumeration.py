@@ -81,6 +81,22 @@ def test_connected_set_is_the_connected_part_of_all(m, n):
     assert ds.diagrams == tuple(d for d in enumerate_all(m, n) if is_connected(d))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (2, 4), (3, 3), (3, 4), (4, 3)])
+def test_unframed_set_is_the_connected_set_without_isolated_chords(m, n):
+    # the same walk, charged the same candidates; a matching with an
+    # isolated chord is dropped with its whole orbit
+    full, dropped = Budget(), Budget()
+    ds = enumerate_connected(m, n, budget=full)
+    unframed = enumeration._enumerate(m, n, True, dropped, unframed=True)
+    kept = tuple(d for d in ds
+                 if not diagrams.isolated_chord_test(d.rep.starts)(d.rep.feet))
+    assert unframed.unframed and unframed.diagrams == kept
+    assert dropped.candidates_used == full.candidates_used
+    for starts, (images, rotations) in unframed._images.items():
+        assert images.keys() == rotations.keys()
+        assert not any(map(diagrams.isolated_chord_test(starts), images))
+
+
 @pytest.mark.parametrize("enumerate_fn, m, n, digest", [
     (enumerate_connected, 3, 4,
      "8bee853765fcc616f79d6f1d44f437b2809e07202f282a5844ff3478d96296d6"),

@@ -10,12 +10,13 @@ from chordbasis import enumeration, relations
 from chordbasis.basis import clear_memo, quotient
 from chordbasis.budget import Budget
 from chordbasis.cache import content_digest
-from chordbasis.diagrams import canonical_feet, diagram, orbit, relabel
+from chordbasis.diagrams import canonical_feet, diagram, isolated_chord_test, orbit, relabel
 from chordbasis.enumeration import DiagramSet, enumerate_all, enumerate_connected
 from chordbasis.errors import BudgetExceededError, ChordBasisError, DiagramError
 from chordbasis.exactla import assemble, pivot_columns, rref
 from chordbasis.relations import (
     Relation,
+    _adjacent_pairs,
     check_component_preservation,
     generate_relations,
     relation_classes,
@@ -494,6 +495,94 @@ def test_every_row_is_the_direct_four_term_merge(make):
     assert direct
     assert [r.coeffs for r in generate_relations(ds)] == direct
     assert _is_subsequence([r.coeffs for r in relation_classes(ds)], direct)
+
+
+def _isolated(d):
+    return isolated_chord_test(d.rep.starts)(d.rep.feet)
+
+
+@pytest.mark.parametrize("m, n", [(1, 5), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
+def test_unframed_rows_are_the_direct_rows_without_isolated_terms(m, n):
+    full = enumerate_connected(m, n)
+    unframed = enumeration._enumerate(m, n, True, None, unframed=True)
+    column = {c: k for k, c in enumerate(i for i, d in enumerate(full) if not _isolated(d))}
+    assert len(column) == len(unframed)
+
+    def projected(row):
+        return tuple((column[c], v) for c, v in row if c in column)
+
+    # the full list of the unframed set, copies included, is the direct
+    # rows at its sources with every isolated term dropped
+    direct = iter(_direct_rows(full))
+    expected = []
+    for i, d in enumerate(full):
+        rows = [next(direct) for _ in range(2 * len(list(_adjacent_pairs(d.rep.feet,
+                                                                          d.rep.starts))))]
+        if i in column:
+            expected += [projected(row) for row in rows]
+    assert [r.coeffs for r in generate_relations(unframed)] == expected
+    built = relation_classes(unframed)
+    assert _is_subsequence([r.coeffs for r in built], expected)
+    # and rows at the sources without an isolated chord suffice: the
+    # projection of every row of the whole set has the same row space
+    everything = [dict(projected(r.coeffs)) for r in generate_relations(full)]
+    assert rref(assemble(built, len(unframed))) == rref(assemble(everything, len(unframed)))
+
+
+def _cycle_count(d):
+    """The number of cycles of p -> next(partner(p)), where next is the next
+    position on p's circle, read cyclically; a bare circle is one cycle.
+    The gl_N weight system sends d to N to this power."""
+    feet, starts = d.rep.feet, d.rep.starts
+    first, partner = {}, {}
+    for p, c in enumerate(feet):
+        if c in first:
+            partner[p], partner[first[c]] = first[c], p
+        first.setdefault(c, p)
+    step = {}
+    for lo, hi in zip(starts, starts[1:]):
+        for p in range(lo, hi):
+            step[p] = p + 1 if p + 1 < hi else lo
+    seen, cycles = set(), sum(1 for lo, hi in zip(starts, starts[1:]) if lo == hi)
+    for p in range(len(feet)):
+        if p not in seen:
+            cycles += 1
+            while p not in seen:
+                seen.add(p)
+                p = step[partner[p]]
+    return cycles
+
+
+def _weights_vanish(row, cycles):
+    """True iff the coefficients of ``row`` sum to zero within each cycle
+    count, that is, the gl_N weight system kills the row for every N."""
+    sums = collections.Counter()
+    for c, v in row:
+        sums[cycles[c]] += v
+    return not any(sums.values())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_connected(1, 5),
+    lambda: enumerate_connected(2, 4),
+    lambda: enumerate_connected(2, 5),
+    lambda: enumerate_connected(3, 4),
+    lambda: enumerate_all(3, 3),
+], ids=["connected-1-5", "connected-2-4", "connected-2-5", "connected-3-4", "all-3-3"])
+def test_gl_n_weight_system_kills_every_row(make):
+    # an oracle that shares nothing with the row builder: a four-term row
+    # is a relation of the gl_N weight system for every N
+    ds = make()
+    cycles = [_cycle_count(d) for d in ds]
+    rows = [r.coeffs for r in generate_relations(ds)]
+    assert all(_weights_vanish(row, cycles) for row in rows)
+    # a row's coefficients sum to zero, so only rows over several cycle
+    # counts test anything
+    assert any(len({cycles[c] for c, _ in row}) > 1 for row in rows)
+    # and it catches one flipped sign
+    row = next(r for r in rows if r)
+    col, value = row[0]
+    assert not _weights_vanish(((col, -value),) + row[1:], cycles)
 
 
 def _up_to_sign(rows):
