@@ -4,8 +4,7 @@
 enumerate the diagrams, build each four-term row once
 (``relations.relation_classes``), assemble them, which keeps each row
 once (``exactla.assemble``), run the forward elimination, and memoize the
-result per (m, n, connected), or per (m, n, "unframed") for the diagrams
-without an isolated chord.
+result per (m, n, kind), the family of diagrams (``enumeration.KINDS``).
 Dimensions and bases derive from it: ``connected_basis`` keeps the
 non-pivot diagrams as the basis, and each pivot diagram carries an
 expression over the basis.
@@ -40,7 +39,7 @@ chord).  For m circles:
   which there are binom(m+k-1, k), raises the degree by k.
 * U is the quotient of the diagrams without an isolated chord by the
   four-term rows with their isolated terms dropped
-  (``quotient(m, n, unframed=True)``).  Rows built at those diagrams
+  (``quotient(m, n, "unframed")``).  Rows built at those diagrams
   alone suffice: each of a row's four terms is a source of that row up to
   sign (the identities in the ``relations`` docstring), and a row whose
   terms are all isolated vanishes modulo the one-term relation.
@@ -149,19 +148,18 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def quotient(m: int, n: int, connected: bool = True,
+def quotient(m: int, n: int, kind: str = "connected",
              budget: Budget | None = None,
-             rows: list[Relation] | None = None,
-             unframed: bool = False) -> Quotient:
-    """Enumerate, relate and forward-eliminate the connected (m, n)
-    diagrams, or with ``connected=False`` the active ones, which carry a
-    foot on every circle (``diagrams.active_starts``: every (m, n) diagram
-    is an active one on some k <= m circles, placed among m - k bare ones),
-    or with ``unframed`` the connected ones without an isolated chord, whose
-    rows drop every isolated term (the U quotient of the module docstring);
-    memoized per (m, n, connected), or (m, n, "unframed").  It eliminates
-    the four-term rows as built, without their copies
-    (``relation_classes``): the same matrix.
+             rows: list[Relation] | None = None) -> Quotient:
+    """Enumerate, relate and forward-eliminate the (m, n) diagrams of the
+    family ``kind`` (``enumeration.KINDS``): by default the connected ones;
+    ``"active"``, those with a foot on every circle
+    (``diagrams.active_starts``: every (m, n) diagram is an active one on
+    some k <= m circles, placed among m - k bare ones); ``"unframed"``, the
+    connected ones without an isolated chord, whose rows drop every
+    isolated term (the U quotient of the module docstring).  Memoized per
+    (m, n, kind).  It eliminates the four-term rows as built, without their
+    copies (``relation_classes``): the same matrix.
     Enumeration's orbit maps, which the rows are built from, are dropped
     before assembly, so the memoized set holds no orbit image.
 
@@ -173,17 +171,12 @@ def quotient(m: int, n: int, connected: bool = True,
     A budget pays for each key once: a memo hit charges what the cold build
     did unless it has paid, so a cap too small fails the same warm or cold.
     """
-    key: QuotientKey = (m, n, "unframed" if unframed else connected)
+    key: QuotientKey = (m, n, kind)
     budget = ensure_budget(budget)
     q = _MEMO.get(key)
     if q is None:
         used = budget.candidates_used
-        if unframed:
-            ds = _enumerate(m, n, True, budget, unframed=True)
-        elif connected:
-            ds = enumerate_connected(m, n, budget=budget)
-        else:
-            ds = _enumerate(m, n, False, budget, active_only=True)
+        ds = _enumerate(m, n, kind, budget)
         candidates = budget.candidates_used - used
         relate = relation_classes if rows is None else generate_relations
         related = relate(ds, budget=budget)
@@ -205,7 +198,7 @@ def connected_set(m: int, n: int, budget: Budget | None = None) -> DiagramSet:
     """The connected (m, n) diagram set, without an elimination: the set of
     the memoized quotient when there is one, which charges the budget as a
     memo hit does, else an enumerated set."""
-    if (m, n, True) in _MEMO:
+    if (m, n, "connected") in _MEMO:
         return quotient(m, n, budget=budget).diagram_set
     return enumerate_connected(m, n, budget=budget)
 
@@ -240,20 +233,20 @@ def dim_C(m: int, n: int, budget: Budget | None = None) -> int:
 def dim_U(m: int, n: int, budget: Budget | None = None) -> int:
     """Dimension of the connected space modulo four-term and one-term
     relations, the quotient of the connected diagrams without an isolated
-    chord (``quotient(m, n, unframed=True)``); 1 for the chordless circle
+    chord (``quotient(m, n, "unframed")``); 1 for the chordless circle
     and 0 when n < m - 1, both without enumeration."""
     if n < m - 1:
         return 0
     if n == 0:
         return 1
-    return quotient(m, n, budget=budget, unframed=True).dimension
+    return quotient(m, n, "unframed", budget).dimension
 
 
 def block_dims(n: int, k_max: int | None = None,
                budget: Budget | None = None) -> list[int]:
     """D_0(n), D_1(n), ..., D_2n(n), or only up to D_k_max(n) when k_max is
     smaller: D_k(n) is the dimension of the active diagrams on k circles,
-    each circle carrying a foot (``quotient(k, n, connected=False)``).
+    each circle carrying a foot (``quotient(k, n, "active")``).
 
     The four-term relation never moves a foot to a bare circle, so
     A(m, n) = sum over k of binom(m, k) * D_k(n), and D_k(n) = 0 for
@@ -262,7 +255,7 @@ def block_dims(n: int, k_max: int | None = None,
     if n < 0:
         raise DiagramError(f"bad chord count n={n}")
     top = 2 * n if k_max is None else min(k_max, 2 * n)
-    return [int(n == 0)] + [quotient(k, n, connected=False, budget=budget).dimension
+    return [int(n == 0)] + [quotient(k, n, "active", budget).dimension
                             for k in range(1, top + 1)]
 
 
@@ -589,7 +582,7 @@ def basis_from_text(text: str, name: str = "text") -> BasisResult:
     for line in pivot_lines:
         pivot, _, terms = line.partition(" = ")
         terms_of[member(pivot)] = [] if terms == "0" else terms.split(" + ")
-    ds = DiagramSet(m, n, True, tuple(sorted([*named.values(), *terms_of])))
+    ds = DiagramSet(m, n, "connected", tuple(sorted([*named.values(), *terms_of])))
     if len(ds) != len(basis_lines) + len(pivot_lines):
         raise DiagramError(f"{name} names a diagram twice")
     expressions = {}

@@ -24,9 +24,9 @@ DEFAULT_MAX_CANDIDATES = 10**9
 DEFAULT_MAX_MATRIX_CELLS = 10**10
 DEFAULT_TIME_BUDGET = 0.0  # seconds; 0 means unlimited
 
-# the memo key of a quotient: (m, n, connected), or (m, n, "unframed") for
-# the connected diagrams without an isolated chord (``basis.quotient``)
-QuotientKey = tuple[int, int, bool | str]
+# the memo key of a quotient: (m, n, kind), kind the family of diagrams
+# (``enumeration.KINDS``, ``basis.quotient``)
+QuotientKey = tuple[int, int, str]
 
 
 @dataclass

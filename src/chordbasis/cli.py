@@ -324,7 +324,8 @@ def cmd_equivariant(args, settings: Settings) -> int:
 
 
 def cmd_tree_basis(args, settings: Settings) -> int:
-    diagrams = DiagramSet(args.n + 1, args.n, True, tuple(tree_basis(args.n, settings.budget)))
+    diagrams = DiagramSet(args.n + 1, args.n, "connected",
+                          tuple(tree_basis(args.n, settings.budget)))
     _emit(diagrams.to_text(), args.out)
     return EXIT_OK
 
@@ -372,7 +373,7 @@ def cmd_render(args, settings: Settings) -> int:
 
 
 def cmd_full_basis(args, settings: Settings) -> int:
-    diagrams = DiagramSet(args.m, args.n, False,
+    diagrams = DiagramSet(args.m, args.n, "all",
                           tuple(full_basis(args.m, args.n, settings.budget)))
     _emit(diagrams.to_text(), args.out)
     return EXIT_OK

@@ -16,12 +16,14 @@ form of every diagram exactly once, without a canonicalizer call and
 without the quadratic retained-list scan of the naive method (which is
 kept as :func:`enumerate_all_naive` for cross-checking).
 
-A set without isolated chords (``unframed``, for ``basis.dim_C``'s
-splitting) drops a matching with an isolated chord before anything else
-looks at it, through :func:`diagrams.isolated_chord_test` of its block.
+A set holds one family of the (m, n) diagrams, its ``kind``
+(:data:`KINDS`).  An ``unframed`` set, the connected diagrams without an
+isolated chord (for ``basis.dim_C``'s splitting), drops a matching with
+one before anything else looks at it, and its :meth:`DiagramSet.term_feet`
+gives such a term no feet, so the rows drop it; both test with
+:func:`diagrams.isolated_chord_test`.
 Isolation survives rotation and renumbering, so the orbit of a kept
-diagram holds no dropped matching.  A connected set with n = m - 1 chords
-has no chord with both feet on one circle and tests nothing.
+diagram holds no dropped matching.
 
 The marks are the set's orbit maps, two per active block.  The image map
 takes every orbit image to its diagram's canonical feet, together with
@@ -51,7 +53,7 @@ every matching of every vector.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator
 
 from .budget import Budget, ensure_budget
@@ -71,7 +73,10 @@ from .diagrams import (
     parse,
     relabel,
 )
-from .errors import DiagramError
+from .errors import ChordBasisError, DiagramError
+
+# the families of (m, n) diagrams a set can hold (module docstring)
+KINDS = ("all", "active", "connected", "unframed")
 
 
 # every orbit image of one active block -> the canonical feet of its
@@ -97,18 +102,25 @@ def _add_orbit(images: Images, rotations: Rotations, feet: tuple[int, ...],
     return canonical
 
 
-class DiagramSet:
-    """Sorted set of distinct canonical diagrams with fixed (m, n)."""
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise DiagramError(f"unknown diagram family {kind!r} (one of {', '.join(KINDS)})")
 
-    def __init__(self, m: int, n: int, connected_only: bool,
-                 diagrams: tuple[ChordDiagram, ...], unframed: bool = False):
+
+def _drops_isolated(kind: str, m: int, n: int) -> bool:
+    # a connected diagram with n = m - 1 chords has no chord with both feet
+    # on one circle, so nothing is tested there
+    return kind == "unframed" and n >= m
+
+
+class DiagramSet:
+    """Sorted set of distinct canonical diagrams of one (m, n) and ``kind``."""
+
+    def __init__(self, m: int, n: int, kind: str, diagrams: tuple[ChordDiagram, ...]):
+        _check_kind(kind)
         self.m = m
         self.n = n
-        self.connected_only = connected_only
-        # the diagrams without an isolated chord only, which the one-term
-        # relation does not set to zero; relation generation drops every
-        # isolated term of such a set
-        self.unframed = unframed
+        self.kind = kind
         self.diagrams = diagrams
         # keyed by the canonical (feet, starts), which identifies a diagram
         self._index = {(d.rep.feet, d.rep.starts): i for i, d in enumerate(diagrams)}
@@ -128,18 +140,28 @@ class DiagramSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DiagramSet)
-            and (self.m, self.n, self.connected_only, self.unframed)
-            == (other.m, other.n, other.connected_only, other.unframed)
+            and (self.m, self.n, self.kind) == (other.m, other.n, other.kind)
             and self.diagrams == other.diagrams
         )
 
+    @property
+    def connected_only(self) -> bool:
+        """The ``connected=`` flag of the set's files, which name every
+        (m, n) diagram or the connected ones; raises
+        :class:`ChordBasisError` for a family no file names."""
+        if self.kind not in ("all", "connected"):
+            raise ChordBasisError(f"no file names the {self.kind} diagrams "
+                                  f"of (m={self.m}, n={self.n})")
+        return self.kind == "connected"
+
     def term_feet(self, budget: Budget | None = None
-                  ) -> Callable[..., tuple[tuple[int, ...], int]]:
+                  ) -> Callable[..., tuple[tuple[int, ...], int] | None]:
         """A function from a term (feet, active starts) of the set and a
         position ``pos`` of it to the term's canonical feet and the position
-        where ``pos`` lands in them, raising ``KeyError`` for any other
-        term; a set without orbit maps builds one :func:`orbit` per distinct
-        term for it.
+        where ``pos`` lands in them, ``None`` for a term the set's family
+        drops (one with an isolated chord, in an unframed set), raising
+        ``KeyError`` for any other term; a set without orbit maps builds one
+        :func:`orbit` per distinct term for it.
 
         The rotation map carries ``pos`` to a position of the orbit's first
         member, and the image map carries that to the canonical feet.  On a
@@ -156,9 +178,13 @@ class DiagramSet:
                 if feet not in maps[starts][0]:
                     budget.check_time()
                     _add_orbit(*maps[starts], feet, starts)
+        drops = _drops_isolated(self.kind, self.m, self.n)
+        isolated = cache(isolated_chord_test)  # one test per block
 
         def feet_of(feet: tuple[int, ...], starts: tuple[int, ...], pos: int
-                    ) -> tuple[tuple[int, ...], int]:
+                    ) -> tuple[tuple[int, ...], int] | None:
+            if drops and isolated(starts)(feet):
+                return None
             images, rotations = maps[starts]
             # every key is numbered by first occurrence, so a hit needs no
             # relabel; a relabel keeps positions
@@ -209,7 +235,7 @@ class DiagramSet:
             raise DiagramError(f"malformed diagram file header {header!r}") from exc
         # "" is a real body line: the bare one-circle diagram
         diagrams = sorted({canonicalize(parse(ln)) for ln in body.split("\n")[:-1]})
-        ds = cls(m, n, connected, tuple(diagrams))
+        ds = cls(m, n, "connected" if connected else "all", tuple(diagrams))
         if ds.to_text() != text or any((d.m, d.n) != (m, n) or connected and not is_connected(d)
                                        for d in diagrams):
             raise DiagramError("diagram file is not the text written for the set it names")
@@ -296,28 +322,28 @@ def _recorded(matchings: Iterator[tuple[int, ...]], kept: list[tuple[int, ...]]
         yield feet
 
 
-def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
-               active_only: bool = False, unframed: bool = False) -> DiagramSet:
-    """The (m, n) diagrams, or the connected ones; with ``active_only``
-    only those with a foot on every circle, the active set of
-    :func:`active_starts`; with ``unframed`` and ``connected_only`` only the
-    connected ones without an isolated chord
-    (:func:`diagrams.isolated_chord_test`)."""
+def _enumerate(m: int, n: int, kind: str, budget: Budget | None) -> DiagramSet:
+    """The (m, n) diagrams of the family ``kind`` (:data:`KINDS`): all of
+    them, those with a foot on every circle (the active set of
+    :func:`active_starts`), the connected ones, or the connected ones
+    without an isolated chord (:func:`diagrams.isolated_chord_test`)."""
+    _check_kind(kind)
     if m < 1:
         raise DiagramError("need at least one circle")
     if n < 0:
         raise DiagramError("chord count must be nonnegative")
     budget = ensure_budget(budget)
+    connected_only = kind in ("connected", "unframed")
     # a connected diagram on two or more circles has a foot on every circle
-    active_only = active_only or (connected_only and m >= 2)
+    active_only = kind == "active" or (connected_only and m >= 2)
     if n == 0:
         # the chordless diagram, which has no adjacent pair and so no term
         # for relation generation to look up
         diagrams = () if active_only else (canonicalize(StringRep((), (0,) * (m + 1))),)
-        return DiagramSet(m, n, connected_only, diagrams, unframed)
+        return DiagramSet(m, n, kind, diagrams)
     if connected_only and n < m - 1:
         # Fewer chords than a spanning tree needs: nothing to enumerate.
-        return DiagramSet(m, n, connected_only, (), unframed)
+        return DiagramSet(m, n, kind, ())
     minimum = 1 if active_only else 0
     starts_vectors = []
     for comp in _compositions(2 * n, m, minimum):
@@ -339,12 +365,9 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
         matchings = _recorded(matchings, kept)
     maps: dict[tuple[int, ...], tuple[Images, Rotations]] = {}
     found = {}
-    # a connected diagram with n = m - 1 chords has no chord with both feet
-    # on one circle, so it needs no isolation test
-    isolated = unframed and n >= m
+    isolated = _drops_isolated(kind, m, n)
     for active in blocks:
-        # isolation survives rotation and renumbering, so dropping a
-        # matching with an isolated chord drops its whole orbit
+        # a matching with an isolated chord is dropped with its whole orbit
         walk = (itertools.filterfalse(isolated_chord_test(active), matchings) if isolated
                 else matchings)
         images, rotations, canonical = _candidates_for_starts(active, walk,
@@ -358,19 +381,19 @@ def _enumerate(m: int, n: int, connected_only: bool, budget: Budget | None,
     # compositions come in lexicographic order, and so do their starts
     diagrams = [ChordDiagram(_trusted(feet, starts))
                 for starts in starts_vectors for feet in found[active_starts(starts)]]
-    ds = DiagramSet(m, n, connected_only, tuple(diagrams), unframed)
+    ds = DiagramSet(m, n, kind, tuple(diagrams))
     ds._images = maps
     return ds
 
 
 def enumerate_all(m: int, n: int, budget: Budget | None = None) -> DiagramSet:
     """Every diagram with m circles and n chords, each exactly once."""
-    return _enumerate(m, n, False, budget)
+    return _enumerate(m, n, "all", budget)
 
 
 def enumerate_connected(m: int, n: int, budget: Budget | None = None) -> DiagramSet:
     """The connected diagrams with m circles and n chords."""
-    return _enumerate(m, n, True, budget)
+    return _enumerate(m, n, "connected", budget)
 
 
 def enumerate_all_naive(m: int, n: int) -> DiagramSet:
@@ -390,4 +413,4 @@ def enumerate_all_naive(m: int, n: int) -> DiagramSet:
             cand = canonicalize(StringRep(tuple(perm), starts))
             if all(cand != kept for kept in retained):
                 retained.append(cand)
-    return DiagramSet(m, n, False, tuple(sorted(retained)))
+    return DiagramSet(m, n, "all", tuple(sorted(retained)))

@@ -92,13 +92,9 @@ kept only for the slots still ahead of the one being built, and each is
 taken out when generation reaches it, so every slot gets exactly the row
 that building it would give.
 
-A set without isolated chords (``DiagramSet.unframed``) takes rows at its
-own diagrams, as every set does, and tests each edited term for an
-isolated chord before looking it up.  An isolated term is dropped from its
-row and fills no slot.  Dropping the isolated terms is one projection,
-applied to every row of a class alike, so the identities above still
-hold, and a built row still fills its twin and its family-A partners.
-A connected set with n = m - 1 chords has no isolated chord to test.
+A term the set's family drops (``term_feet`` gives it no feet) leaves
+its row and fills no slot: one projection of every row of a class alike,
+so the identities above still hold.
 
 The rows built, without their copies, are :func:`relation_classes`, which
 :func:`basis.quotient` eliminates.  A copy follows the row it copies and
@@ -113,8 +109,7 @@ from typing import Callable, Iterator
 
 from .budget import Budget, ensure_budget
 from .cache import artifact_text, relations_name
-from .diagrams import (active_starts, chord_circles, circle_owners, components,
-                       isolated_chord_test)
+from .diagrams import active_starts, chord_circles, circle_owners, components
 from .enumeration import DiagramSet
 from .errors import ChordBasisError, DiagramError
 from .exactla import Relation
@@ -163,16 +158,14 @@ Row = tuple[tuple[int, int], ...]
 
 def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
                 term: Callable[..., tuple[int | None, int]], ahead: dict[int, Row],
-                copies: bool, merge: Callable[[list[tuple[int | None, int]]], Row]
-                ) -> list[Row]:
+                copies: bool) -> list[Row]:
     """The rows built at the slots of the diagram (feet, starts) at column
     ``source``, and with ``copies`` the rows copied to its other slots too,
     in generation order.  ``term(feet, starts, pos)`` gives an edited term's
     column and the A slot of the pair that starts at its position ``pos``,
-    or a column ``None`` and a negative slot for a term the set drops;
-    ``merge`` sums a row's terms.  A slot already in ``ahead`` is taken from
-    there; a built row fills the slots of its class that are still ahead
-    (module docstring)."""
+    or a column ``None`` and a negative slot for a term the set drops.  A
+    slot already in ``ahead`` is taken from there; a built row fills the
+    slots of its class that are still ahead (module docstring)."""
     circle = circle_owners(starts)
     partner: dict[int, int] = {}
     first_pos: dict[int, int] = {}
@@ -204,7 +197,7 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
             swapped = term(_swap(feet, pa, pb), starts, pa)
             x_before = moved(pa, partner[pb], False)
             x_after = moved(pa, partner[pb], True)
-            row = merge([(source, 1), (swapped[0], -1), (x_before[0], 1), (x_after[0], -1)])
+            row = _merged([(source, 1), (swapped[0], -1), (x_before[0], 1), (x_after[0], -1)])
             minus = _negated(row) if copies else row  # no copy is read without copies
             fill(here, ((swapped[1] + 1, minus), (x_after[1] + 1, minus), (x_before[1], row)))
             out.append(row)
@@ -217,7 +210,7 @@ def _row_coeffs(feet: tuple[int, ...], starts: tuple[int, ...], source: int,
                 swapped = term(_swap(feet, pa, pb), starts, pa)
             y_before = moved(pb, partner[pa], False)
             y_after = moved(pb, partner[pa], True)
-            row = merge([(source, 1), (swapped[0], -1), (y_before[0], -1), (y_after[0], 1)])
+            row = _merged([(source, 1), (swapped[0], -1), (y_before[0], -1), (y_after[0], 1)])
             minus = _negated(row) if copies else row
             fill(here + 1, ((y_after[1] + 1, row), (swapped[1], minus), (y_before[1], minus)))
             out.append(row)
@@ -233,63 +226,50 @@ def _swap(feet: tuple[int, ...], pa: int, pb: int) -> tuple[int, ...]:
     return tuple(swapped)
 
 
-def _merged(terms: list[tuple[int, int]]) -> Row:
-    """The terms with equal columns summed and zeros dropped, by column."""
-    merged: dict[int, int] = {}
+def _merged(terms: list[tuple[int | None, int]]) -> Row:
+    """The terms with equal columns summed and zeros dropped, by column; a
+    term without a column, which the set drops, is left out."""
+    merged: dict[int | None, int] = {}
     for t, coef in terms:
         merged[t] = merged.get(t, 0) + coef
+    merged.pop(None, None)
     return tuple(sorted([(t, c) for t, c in merged.items() if c]))
-
-
-def _merged_without_dropped(terms: list[tuple[int | None, int]]) -> Row:
-    """:func:`_merged` of the terms the set keeps, those with a column."""
-    return _merged([t for t in terms if t[0] is not None])
 
 
 def _negated(row: Row) -> Row:
     return tuple([(t, -c) for t, c in row])
 
 
-def _active_rows(active: tuple[Term, ...], feet_of: Callable[..., tuple[tuple[int, ...], int]],
-                 budget: Budget, copies: bool, drop_isolated: bool) -> list[list[Row]]:
+def _active_rows(active: tuple[Term, ...],
+                 feet_of: Callable[..., tuple[tuple[int, ...], int] | None],
+                 budget: Budget, copies: bool) -> list[list[Row]]:
     """The rows of every active term (feet, active starts) of ``active``,
     over the positions in ``active`` as columns, each edited term's diagram
     and pair position found by ``feet_of`` (:meth:`DiagramSet.term_feet`);
-    a term that ``active`` lacks raises :class:`DiagramError`.  With
-    ``drop_isolated`` an edited term with an isolated chord is tested for
-    first, and dropped from its row."""
+    a term that ``active`` lacks raises :class:`DiagramError`."""
     local = {t: c for c, t in enumerate(active)}
     size = len(active[0][0])  # every term has the 2n feet
 
-    def term(feet: tuple[int, ...], starts: tuple[int, ...], pos: int) -> tuple[int, int]:
+    def term(feet: tuple[int, ...], starts: tuple[int, ...], pos: int
+             ) -> tuple[int | None, int]:
         try:
-            canonical, pos = feet_of(feet, starts, pos)
+            found = feet_of(feet, starts, pos)
+            if found is None:
+                # a dropped term: no column, and a slot below every slot
+                # being built, which no fill reaches
+                return None, -2
+            canonical, pos = found
             column = local[(canonical, starts)]
         except KeyError:
             raise DiagramError("canonical form not in the enumerated set") from None
         return column, (column * size + pos) * 2
-
-    merge = _merged
-    if drop_isolated:
-        tests: dict[tuple[int, ...], Callable[..., bool]] = {}
-        kept_term = term
-        merge = _merged_without_dropped
-
-        def term(feet: tuple[int, ...], starts: tuple[int, ...], pos: int
-                 ) -> tuple[int | None, int]:
-            isolated = tests.get(starts)
-            if isolated is None:
-                isolated = tests[starts] = isolated_chord_test(starts)
-            # no column, and a slot that no fill reaches (it is below every
-            # slot being built)
-            return (None, -2) if isolated(feet) else kept_term(feet, starts, pos)
 
     # slot -> the row built for it at an earlier slot of its class
     ahead: dict[int, Row] = {}
     out = []
     for c, (feet, starts) in enumerate(active):
         budget.check_time()
-        out.append(_row_coeffs(feet, starts, c, term, ahead, copies, merge))
+        out.append(_row_coeffs(feet, starts, c, term, ahead, copies))
     return out
 
 
@@ -320,9 +300,6 @@ def _placed_rows(ds: DiagramSet, budget: Budget | None, copies: bool) -> list[Re
         patterns.setdefault(tuple([lo == hi for lo, hi in zip(starts, starts[1:])]),
                             []).append(i)
     feet_of = ds.term_feet(budget)
-    # the terms of a connected set's rows are connected, and with n = m - 1
-    # chords no chord of a connected diagram has both feet on one circle
-    drop_isolated = ds.unframed and ds.n >= ds.m
     built: dict[tuple[Term, ...], list[list[Row]]] = {}
     placed: list[list[Relation]] = [[] for _ in ds.diagrams]
     for where in patterns.values():
@@ -330,7 +307,7 @@ def _placed_rows(ds: DiagramSet, budget: Budget | None, copies: bool) -> list[Re
         reps = [ds.diagrams[i].rep for i in where]
         active = tuple([(rep.feet, active_starts(rep.starts)) for rep in reps])
         if active not in built:
-            built[active] = _active_rows(active, feet_of, budget, copies, drop_isolated)
+            built[active] = _active_rows(active, feet_of, budget, copies)
         # where is increasing, so a row sorted by local column stays sorted;
         # a pattern of the set's first diagrams shares the rows as built
         first = where[-1] == len(where) - 1

@@ -300,7 +300,7 @@ def check_component_rows(n_max: int = 4, budget: Budget | None = None) -> CheckR
     rows_checked = 0
     for n in range(2, n_max + 1):
         for m in range(1, n + 2):
-            ds = quotient(m, n, connected=False, budget=budget).diagram_set
+            ds = quotient(m, n, "active", budget).diagram_set
             rows = generate_relations(ds, budget=budget)  # both families
             for i, rel in enumerate(rows):
                 if not check_component_preservation(rel, ds):

@@ -383,8 +383,7 @@ def _count_calls(monkeypatch, modules, name, real):
 
 
 def test_memo_hit_is_charged_to_the_budget(monkeypatch):
-    calls = _count_calls(monkeypatch, [B], "enumerate_connected",
-                         B.enumerate_connected)
+    calls = _count_calls(monkeypatch, [B], "_enumerate", B._enumerate)
     clear_memo()
     assert quotient(2, 3).dimension == 9
     with pytest.raises(BudgetExceededError):
@@ -394,7 +393,8 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
     warm = Budget()
     assert quotient(2, 3, budget=warm).dimension == 9
     assert warm.candidates_used == 5 * 15  # feet-count vectors x matchings
-    assert calls == [(2, 3)]  # enumerated once, by the first call
+    # enumerated once, by the first call
+    assert [args[:3] for args in calls] == [(2, 3, "connected")]
     # dim_C's U quotients are memoized and charged the same way
     assert dim_C(2, 3) == 9
     with pytest.raises(BudgetExceededError):
@@ -407,6 +407,16 @@ def test_memo_hit_is_charged_to_the_budget(monkeypatch):
     assert warm.paid == {(2, s, "unframed") for s in (1, 2, 3)}
 
 
+def test_an_unknown_family_is_refused_before_any_charge():
+    clear_memo()
+    budget = Budget()
+    with pytest.raises(DiagramError):
+        quotient(1, 2, "framed", budget)
+    assert budget.candidates_used == 0 and not budget.paid and not B._MEMO
+    with pytest.raises(DiagramError):
+        B.DiagramSet(1, 2, "framed", ())
+
+
 def test_memo_holds_no_orbit_images():
     # enumeration's orbit maps serve the rows alone; the memoized set is
     # the set and nothing more
@@ -414,9 +424,9 @@ def test_memo_holds_no_orbit_images():
 
     assert enumerate_connected(2, 4)._images  # what the rows are built from
     clear_memo()
-    for connected in (True, False):
-        quotient(2, 4, connected=connected)
-        ds = B._MEMO[(2, 4, connected)].diagram_set
+    for kind in ("connected", "active"):
+        quotient(2, 4, kind)
+        ds = B._MEMO[(2, 4, kind)].diagram_set
         assert ds._images is None
         # a lookup asked of the released set builds maps afresh, not kept
         rep = ds.diagrams[-1].rep

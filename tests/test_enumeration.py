@@ -87,10 +87,10 @@ def test_unframed_set_is_the_connected_set_without_isolated_chords(m, n):
     # isolated chord is dropped with its whole orbit
     full, dropped = Budget(), Budget()
     ds = enumerate_connected(m, n, budget=full)
-    unframed = enumeration._enumerate(m, n, True, dropped, unframed=True)
+    unframed = enumeration._enumerate(m, n, "unframed", dropped)
     kept = tuple(d for d in ds
                  if not diagrams.isolated_chord_test(d.rep.starts)(d.rep.feet))
-    assert unframed.unframed and unframed.diagrams == kept
+    assert unframed.kind == "unframed" and unframed.diagrams == kept
     assert dropped.candidates_used == full.candidates_used
     for starts, (images, rotations) in unframed._images.items():
         assert images.keys() == rotations.keys()
@@ -320,10 +320,11 @@ def test_serialization_accepts_only_the_written_text(edit, redigest):
 
 def test_serialization_refuses_diagrams_the_header_rules_out():
     disconnected, other_n = diagram("001122|"), diagram("0011|")
-    for ds in (DiagramSet(2, 3, True, (disconnected,)), DiagramSet(2, 3, False, (other_n,))):
+    for ds in (DiagramSet(2, 3, "connected", (disconnected,)),
+               DiagramSet(2, 3, "all", (other_n,))):
         with pytest.raises(DiagramError):
             DiagramSet.from_text(ds.to_text())
-    ds = DiagramSet(2, 3, False, (disconnected,))
+    ds = DiagramSet(2, 3, "all", (disconnected,))
     assert DiagramSet.from_text(ds.to_text()) == ds
 
 

@@ -239,7 +239,7 @@ def test_full_list_builds_each_row_class_once():
 
 def test_hand_built_set_gets_one_orbit_per_diagram(monkeypatch):
     ds = enumerate_connected(4, 4)
-    copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)
+    copy = DiagramSet(ds.m, ds.n, ds.kind, ds.diagrams)
     built = _count_orbits(monkeypatch)
     # a set that enumeration did not build carries no orbit maps, so its
     # maps are built from one orbit per diagram, with the same rows
@@ -258,7 +258,7 @@ def test_rows_built_once_per_active_block(monkeypatch):
     assert len(rows) == 12828
     assert len(built) == 176
     # a hand-built copy builds the same 176 orbits for its maps
-    copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)
+    copy = DiagramSet(ds.m, ds.n, ds.kind, ds.diagrams)
     assert generate_relations(copy) == rows
     assert len(built) == 2 * 176
 
@@ -332,7 +332,7 @@ def test_term_feet_is_the_canonical_form_of_every_edited_term(enumerate_fn, m, n
     ds = enumerate_fn(m, n)
     terms, _ = _looked_up(ds)
     assert terms
-    copy = DiagramSet(ds.m, ds.n, ds.connected_only, ds.diagrams)  # no orbit maps
+    copy = DiagramSet(ds.m, ds.n, ds.kind, ds.diagrams)  # no orbit maps
     for feet_of in (ds.term_feet(), copy.term_feet()):
         for feet, starts, pos in terms:
             canonical, landed = feet_of(feet, starts, pos)
@@ -353,7 +353,7 @@ def test_term_feet_refuses_a_term_outside_the_set():
     lacking_block = [d for d in ds if d.rep.starts != rep.starts]
     assert any(d.rep.starts == rep.starts for d in lacking_feet)
     for kept in (lacking_feet, lacking_block):
-        copy = DiagramSet(ds.m, ds.n, ds.connected_only, tuple(kept))
+        copy = DiagramSet(ds.m, ds.n, ds.kind, tuple(kept))
         with pytest.raises(KeyError):
             copy.term_feet()(rep.feet, rep.starts, 0)
 
@@ -422,7 +422,7 @@ def test_a_set_without_a_used_term_is_refused():
     # another diagram with the same bare circle has a row on it
     assert any(label["source"] != "0102|12|" and gone in dict(row.coeffs)
                for label, row in _labelled(full))
-    ds = DiagramSet(3, 3, False, full.diagrams[:gone] + full.diagrams[gone + 1:])
+    ds = DiagramSet(3, 3, "all", full.diagrams[:gone] + full.diagrams[gone + 1:])
     for relate in (generate_relations, relation_classes):
         with pytest.raises(DiagramError):
             relate(ds)
@@ -481,8 +481,8 @@ def _direct_rows(ds):
     lambda: enumerate_connected(3, 3),
     lambda: enumerate_connected(3, 4),  # many orbits walked from a member not least
     lambda: enumerate_all(3, 3),
-    lambda: enumeration._enumerate(4, 3, False, None, active_only=True),
-    lambda: DiagramSet(2, 4, True, enumerate_connected(2, 4).diagrams),  # no orbit maps
+    lambda: enumeration._enumerate(4, 3, "active", None),
+    lambda: DiagramSet(2, 4, "connected", enumerate_connected(2, 4).diagrams),  # no orbit maps
 ], ids=["connected-1-4", "connected-2-4", "connected-3-3", "connected-3-4", "all-3-3", "active-4-3",
         "hand-built-2-4"])
 def test_every_row_is_the_direct_four_term_merge(make):
@@ -504,7 +504,7 @@ def _isolated(d):
 @pytest.mark.parametrize("m, n", [(1, 5), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
 def test_unframed_rows_are_the_direct_rows_without_isolated_terms(m, n):
     full = enumerate_connected(m, n)
-    unframed = enumeration._enumerate(m, n, True, None, unframed=True)
+    unframed = enumeration._enumerate(m, n, "unframed", None)
     column = {c: k for k, c in enumerate(i for i, d in enumerate(full) if not _isolated(d))}
     assert len(column) == len(unframed)
 
@@ -527,6 +527,37 @@ def test_unframed_rows_are_the_direct_rows_without_isolated_terms(m, n):
     # projection of every row of the whole set has the same row space
     everything = [dict(projected(r.coeffs)) for r in generate_relations(full)]
     assert rref(assemble(built, len(unframed))) == rref(assemble(everything, len(unframed)))
+
+
+@pytest.mark.parametrize("kind, m, n, count", [("active", 2, 2, 4), ("unframed", 2, 3, 6)])
+def test_no_file_is_written_for_a_family_it_cannot_name(kind, m, n, count):
+    # a header names every (m, n) diagram or the connected ones: an active
+    # or unframed set would claim a set it does not hold (the all-set and
+    # connected files keep their bytes, pinned above and in test_enumeration)
+    clear_memo()
+    ds = quotient(m, n, kind).diagram_set
+    assert ds.kind == kind and len(ds) == count
+    with pytest.raises(ChordBasisError):
+        ds.to_text()
+    with pytest.raises(ChordBasisError):
+        relations_to_text(ds, generate_relations(ds))
+    clear_memo()
+
+
+def test_term_feet_gives_no_feet_to_a_term_the_family_drops():
+    # the isolated-chord test belongs to the unframed set: a connected
+    # diagram with an isolated chord is a term of the connected set and a
+    # dropped term of the unframed one
+    connected = enumerate_connected(2, 4)
+    unframed = enumeration._enumerate(2, 4, "unframed", None)
+    isolated = [d for d in connected if _isolated(d)]
+    assert isolated and len(unframed) == len(connected) - len(isolated)
+    for d in isolated:
+        feet, starts = d.rep.feet, d.rep.starts
+        assert connected.term_feet()(feet, starts, 0)[0] == feet
+        assert unframed.term_feet()(feet, starts, 0) is None
+    kept = unframed.diagrams[0].rep
+    assert unframed.term_feet()(kept.feet, kept.starts, 0)[0] == kept.feet
 
 
 def _cycle_count(d):
@@ -619,11 +650,11 @@ def test_family_a_is_minus_family_b(enumerate_fn, m, n):
 @pytest.mark.parametrize("make", [
     lambda m=m, n=n: enumerate_connected(m, n) for n in range(1, 6) for m in range(1, n + 2)
 ] + [
-    lambda k=k: enumeration._enumerate(k, 3, False, None, active_only=True) for k in range(1, 7)
+    lambda k=k: enumeration._enumerate(k, 3, "active", None) for k in range(1, 7)
 ] + [
     lambda: enumerate_all(3, 3),
     lambda: enumerate_all(4, 3),  # several bare-circle patterns share one active list
-    lambda: DiagramSet(2, 4, True, enumerate_connected(2, 4).diagrams),  # no orbit maps
+    lambda: DiagramSet(2, 4, "connected", enumerate_connected(2, 4).diagrams),  # no orbit maps
 ], ids=[f"connected-{m}-{n}" for n in range(1, 6) for m in range(1, n + 2)]
     + [f"active-{k}-3" for k in range(1, 7)] + ["all-3-3", "all-4-3", "hand-built-2-4"])
 def test_built_rows_assemble_as_the_full_list(make):
@@ -638,11 +669,12 @@ def test_family_b_of_the_full_list_assembles_as_b_only(connected, m, n):
     # basis.quotient eliminates the built rows, or the full list when it
     # also relates that list for the relations file: the echelon form is
     # the same, and so is its matrix's shape
+    kind = "connected" if connected else "active"
     clear_memo()
-    alone = quotient(m, n, connected=connected)
+    alone = quotient(m, n, kind)
     clear_memo()
     rows = []
-    related = quotient(m, n, connected=connected, rows=rows)
+    related = quotient(m, n, kind, rows=rows)
     assert related.echelon == alone.echelon
     assert related.cells == alone.cells
     ds = related.diagram_set

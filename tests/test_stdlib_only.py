@@ -69,6 +69,21 @@ def test_only_enumeration_knows_the_orbit_maps():
                             and node.value.id == "diagrams"), (path.name, node.attr)
 
 
+def test_only_enumeration_knows_the_diagram_families():
+    # a set owns its family: only diagrams and enumeration name the
+    # isolated-chord test, and relations reads no family field
+    for path in sorted((ROOT / "src" / "chordbasis").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if path.stem not in ("diagrams", "enumeration"):
+            assert "isolated_chord_test" not in names | attributes, path.name
+        if path.stem == "relations":
+            assert not attributes & {"kind", "unframed"}, path.name
+
+
 # public names with no caller in src/, each kept for a reason
 NO_CALLER_IN_SRC = {
     "clear_memo": "the benchmark and the tests reset the memo with it",
