@@ -167,16 +167,24 @@ def components(masks: Sequence[int], m: int) -> Iterator[int]:
         left ^= reached
 
 
-def isolated_chord_test(starts: Sequence[int]) -> Callable[[Sequence[int]], bool]:
-    """A test of the feet with these ``starts``: true iff some chord is
-    isolated, its two feet cyclically adjacent on one circle.  Two
-    ``operator.itemgetter`` calls pick the feet of every adjacent pair of
-    positions at once; ``starts`` must give some circle two feet."""
+def adjacent_positions(starts: Sequence[int]) -> list[tuple[int, int]]:
+    """Every pair of positions cyclically adjacent on one circle, each
+    pair once: (p, p + 1) along a circle, then (last, first) on a circle
+    of three or more feet.  A chord on such a pair is isolated."""
     pairs = []
     for lo, hi in zip(starts, starts[1:]):
         pairs += [(p, p + 1) for p in range(lo, hi - 1)]
         if hi - lo > 2:
             pairs.append((hi - 1, lo))
+    return pairs
+
+
+def isolated_chord_test(starts: Sequence[int]) -> Callable[[Sequence[int]], bool]:
+    """A test of the feet with these ``starts``: true iff some chord is
+    isolated, its two feet on a pair of :func:`adjacent_positions`.  Two
+    ``operator.itemgetter`` calls pick the feet of every pair at once;
+    ``starts`` must give some circle two feet."""
+    pairs = adjacent_positions(starts)
     if len(pairs) == 1:
         pairs *= 2  # a getter of one position returns the foot, not a tuple
     left = itemgetter(*[p for p, _ in pairs])

@@ -2,28 +2,38 @@
 
 For each feet-count vector (one weak composition of 2n over the m circles)
 every perfect matching of the 2n feet positions is generated with chords
-numbered by first occurrence.  Rotating each circle's block and numbering
-the chords afresh maps a matching to another matching of the same diagram,
-so the matchings fall into orbits, one per diagram (orbit marking, the
-first step of isomorph-free generation; McKay, J. Algorithms 26, 1998).
-The matchings are walked in order.  A matching already marked is skipped
-unexamined.  Any other matching is the first of its orbit: for a connected
-set it is first tested for connectivity straight from its feet, and a
-disconnected one is dropped without building its orbit.  A kept matching
-builds the whole :func:`orbit` and marks every image with the orbit's
-least member, the diagram's canonical form.  This yields the canonical
-form of every diagram exactly once, without a canonicalizer call and
-without the quadratic retained-list scan of the naive method (which is
-kept as :func:`enumerate_all_naive` for cross-checking).
+numbered by first occurrence, together with its pair mask: one bit per
+chord, naming the chord's two positions.  Rotating each circle's block and
+numbering the chords afresh maps a matching to another matching of the
+same diagram, so the matchings fall into orbits, one per diagram (orbit
+marking, the first step of isomorph-free generation; McKay, J. Algorithms
+26, 1998).  The matchings are walked in order.  A matching with a chord
+that no diagram of the set's family can hold (:func:`_impossible_chords`)
+is skipped first, by one integer test of its pair mask; a matching already
+marked is skipped next.  Neither is examined further.  Any other matching
+is the first of its orbit: for a connected set it is tested for
+connectivity straight from its feet, and a disconnected one is dropped
+without building its orbit.  A kept matching builds the whole :func:`orbit`
+and marks every image with the orbit's least member, the diagram's
+canonical form.  This yields the canonical form of every diagram exactly
+once, without a canonicalizer call and without the quadratic retained-list
+scan of the naive method (which is kept as :func:`enumerate_all_naive` for
+cross-checking).
 
 A set holds one family of the (m, n) diagrams, its ``kind``
-(:data:`KINDS`).  An ``unframed`` set, the connected diagrams without an
-isolated chord (for ``basis.dim_C``'s splitting), drops a matching with
-one before anything else looks at it, and its :meth:`DiagramSet.term_feet`
-gives such a term no feet, so the rows drop it; both test with
-:func:`diagrams.isolated_chord_test`.
-Isolation survives rotation and renumbering, so the orbit of a kept
-diagram holds no dropped matching.
+(:data:`KINDS`).  A family rules out a chord on three kinds of position
+pair, each of which decides the family test alone.  In a tree of circles
+(n = m - 1, connected or unframed), a chord inside one circle leaves the
+diagram disconnected.  In a connected set on m >= 2 circles, a chord on
+the two feet of a two-foot circle cuts that circle off.  In an unframed
+set with n >= m, a chord on two cyclically adjacent feet is isolated; the
+unframed sets are the connected diagrams without an isolated chord, the
+family of ``basis.dim_C``'s splitting.  Each property survives
+rotation and renumbering, so a kept orbit holds no skipped matching.  An
+unframed set's :meth:`DiagramSet.term_feet` gives a dropped term no feet,
+so the rows drop it: such a term is in no map, and only on that miss does
+it run :func:`diagrams.isolated_chord_test`, which reads the pairs of
+:func:`diagrams.adjacent_positions` that the walk's mask is built from.
 
 The marks are the set's orbit maps, two per active block.  The image map
 takes every orbit image to its diagram's canonical feet, together with
@@ -43,11 +53,12 @@ The canonical feet of a feet-count vector depend only on its nonzero
 parts, its active block (see :func:`active_starts`).  Each call walks every
 distinct active block once and places its sorted feet on every vector with
 those nonzero parts.  Every block has the same 2n positions, so every
-block walks the same matchings: :func:`_matchings` runs once per call,
-inside the first block's walk (where the time budget is checked as they
-are generated), and its matchings are kept as a list for the other walks
-only when there are other blocks.  The candidate budget is still charged
-every matching of every vector.
+block walks the same matchings and pair masks: :func:`_matchings` runs
+once per call, inside the first block's walk (where the time budget is
+checked as they are generated), and its output is kept as a list for the
+other walks only when there are other blocks.  Each block tests them
+against its own mask of impossible chords.  The candidate budget is still
+charged every matching of every vector.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ from .diagrams import (
     StringRep,
     _trusted,
     active_starts,
+    adjacent_positions,
     canonicalize,
     chord_circles,
     circle_owners,
@@ -79,6 +91,8 @@ from .errors import ChordBasisError, DiagramError
 KINDS = ("all", "active", "connected", "unframed")
 
 
+# the feet of a perfect matching and its pair mask (_matchings)
+Matching = tuple[tuple[int, ...], int]
 # every orbit image of one active block -> the canonical feet of its
 # diagram, with the position in them of each position of the orbit's first
 # member (one pair per orbit)
@@ -105,12 +119,6 @@ def _add_orbit(images: Images, rotations: Rotations, feet: tuple[int, ...],
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise DiagramError(f"unknown diagram family {kind!r} (one of {', '.join(KINDS)})")
-
-
-def _drops_isolated(kind: str, m: int, n: int) -> bool:
-    # a connected diagram with n = m - 1 chords has no chord with both feet
-    # on one circle, so nothing is tested there
-    return kind == "unframed" and n >= m
 
 
 class DiagramSet:
@@ -166,7 +174,10 @@ class DiagramSet:
         The rotation map carries ``pos`` to a position of the orbit's first
         member, and the image map carries that to the canonical feet.  On a
         diagram with automorphisms the result is one of the equivalent
-        positions, all of which carry the same four-term rows."""
+        positions, all of which carry the same four-term rows.  A term is
+        looked up first: a dropped term is in no map, so the isolation test
+        runs only on a miss, where it tells a dropped term from one the set
+        lacks."""
         maps = self._images
         if maps is None:
             budget = ensure_budget(budget)
@@ -178,20 +189,28 @@ class DiagramSet:
                 if feet not in maps[starts][0]:
                     budget.check_time()
                     _add_orbit(*maps[starts], feet, starts)
-        drops = _drops_isolated(self.kind, self.m, self.n)
+        # a connected diagram with n = m - 1 chords has no chord with both
+        # feet on one circle, so nothing is tested there
+        drops = self.kind == "unframed" and self.n >= self.m
         isolated = cache(isolated_chord_test)  # one test per block
 
         def feet_of(feet: tuple[int, ...], starts: tuple[int, ...], pos: int
                     ) -> tuple[tuple[int, ...], int] | None:
-            if drops and isolated(starts)(feet):
-                return None
-            images, rotations = maps[starts]
+            try:
+                images, rotations = maps[starts]
+            except KeyError:
+                images = rotations = {}  # a rebuilt set lacks the block
             # every key is numbered by first occurrence, so a hit needs no
             # relabel; a relabel keeps positions
             found = images.get(feet)
             if found is None:
                 feet = relabel(feet)
-                found = images[feet]
+                found = images.get(feet)
+                if found is None:
+                    # a term the family drops is in no map
+                    if drops and isolated(starts)(feet):
+                        return None
+                    raise KeyError((feet, starts))
             canonical, back = found
             return canonical, back[rotations[feet][pos]]
 
@@ -253,27 +272,52 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _matchings(size: int) -> Iterator[tuple[int, ...]]:
+def _matchings(size: int) -> Iterator[Matching]:
     """Feet sequences of every perfect matching of ``size`` positions, chords
-    numbered by first occurrence; the leftmost free position is paired with
-    each later free position in turn."""
+    numbered by first occurrence, each with its pair mask: bit
+    ``p * size + q`` is set for a chord with feet at positions p < q.  The
+    leftmost free position is paired with each later free position in turn,
+    one bit added to the mask per chord."""
     feet = [-1] * size
 
-    def extend(label: int, first: int) -> Iterator[tuple[int, ...]]:
+    def extend(label: int, first: int, pairs: int) -> Iterator[Matching]:
         while first < size and feet[first] >= 0:
             first += 1
         if first == size:
-            yield tuple(feet)
+            yield tuple(feet), pairs
             return
         feet[first] = label
+        row = first * size
         for j in range(first + 1, size):
             if feet[j] < 0:
                 feet[j] = label
-                yield from extend(label + 1, first + 1)
+                yield from extend(label + 1, first + 1, pairs | 1 << row + j)
                 feet[j] = -1
         feet[first] = -1
 
-    yield from extend(0, 0)
+    yield from extend(0, 0, 0)
+
+
+def _impossible_chords(kind: str, m: int, n: int, starts: tuple[int, ...]) -> int:
+    """The pair mask (:func:`_matchings`) of the position pairs of the
+    active block ``starts`` that no diagram of the family ``kind`` holds
+    as a chord."""
+    circles = list(zip(starts, starts[1:]))
+    if kind in ("connected", "unframed") and n == m - 1:
+        # a tree of circles: every chord joins two circles
+        pairs = [(p, q) for lo, hi in circles for p in range(lo, hi) for q in range(p + 1, hi)]
+    elif kind == "unframed":
+        # n >= m here: a chord with adjacent feet is isolated
+        pairs = adjacent_positions(starts)
+    elif kind == "connected" and m >= 2:
+        # a chord on the two feet of a circle cuts that circle off
+        pairs = [(lo, lo + 1) for lo, hi in circles if hi - lo == 2]
+    else:
+        pairs = []
+    size, mask = starts[-1], 0
+    for p, q in pairs:
+        mask |= 1 << min(p, q) * size + max(p, q)
+    return mask
 
 
 def _double_factorial_odd(n: int) -> int:
@@ -284,19 +328,21 @@ def _double_factorial_odd(n: int) -> int:
     return out
 
 
-def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[tuple[int, ...]],
-                           connected_only: bool, budget: Budget
+def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[Matching],
+                           impossible: int, connected_only: bool, budget: Budget
                            ) -> tuple[Images, Rotations, list[tuple[int, ...]]]:
     """The two orbit maps of the diagrams with these ``starts`` (only the
-    connected ones with ``connected_only``), and their canonical feet;
-    ``matchings`` are the feet of every perfect matching of the block's
-    positions, in :func:`_matchings` order.
+    connected ones with ``connected_only``) that hold no chord of the pair
+    mask ``impossible``, and their canonical feet; ``matchings`` are the
+    feet of every perfect matching of the block's positions with their
+    pair masks, in :func:`_matchings` order.
 
     The rotations of the circles act on the matchings; each orbit is one
-    diagram.  A matching already mapped is skipped unexamined; any other
-    is the first of its orbit, and a connected one maps the whole orbit to
-    its least member, the diagram's canonical feet.  A disconnected one is
-    dropped before its orbit is built.
+    diagram.  A matching with an impossible chord is skipped first, and a
+    matching already mapped next, both unexamined; any other is the first
+    of its orbit, and a connected one maps the whole orbit to its least
+    member, the diagram's canonical feet.  A disconnected one is dropped
+    before its orbit is built.
     """
     circle = circle_owners(starts)
     m = len(starts) - 1
@@ -304,8 +350,8 @@ def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[tuple[in
     images: Images = {}
     rotations: Rotations = {}
     found = []
-    for feet in matchings:
-        if feet in images:
+    for feet, pairs in matchings:
+        if pairs & impossible or feet in images:
             continue
         budget.check_time()
         if connected_only and next(components(chord_circles(feet, circle), m)) != everything:
@@ -314,12 +360,11 @@ def _candidates_for_starts(starts: tuple[int, ...], matchings: Iterable[tuple[in
     return images, rotations, found
 
 
-def _recorded(matchings: Iterator[tuple[int, ...]], kept: list[tuple[int, ...]]
-              ) -> Iterator[tuple[int, ...]]:
+def _recorded(matchings: Iterator[Matching], kept: list[Matching]) -> Iterator[Matching]:
     """``matchings``, each appended to ``kept`` as it is yielded."""
-    for feet in matchings:
-        kept.append(feet)
-        yield feet
+    for matching in matchings:
+        kept.append(matching)
+        yield matching
 
 
 def _enumerate(m: int, n: int, kind: str, budget: Budget | None) -> DiagramSet:
@@ -359,19 +404,15 @@ def _enumerate(m: int, n: int, kind: str, budget: Budget | None) -> DiagramSet:
     # matchings are generated once, by the first block's walk, and kept for
     # the others only when there are others.
     blocks = list(dict.fromkeys([active_starts(starts) for starts in starts_vectors]))
-    kept: list[tuple[int, ...]] = []
-    matchings: Iterable[tuple[int, ...]] = _matchings(2 * n)
+    kept: list[Matching] = []
+    matchings: Iterable[Matching] = _matchings(2 * n)
     if len(blocks) > 1:
         matchings = _recorded(matchings, kept)
     maps: dict[tuple[int, ...], tuple[Images, Rotations]] = {}
     found = {}
-    isolated = _drops_isolated(kind, m, n)
     for active in blocks:
-        # a matching with an isolated chord is dropped with its whole orbit
-        walk = (itertools.filterfalse(isolated_chord_test(active), matchings) if isolated
-                else matchings)
-        images, rotations, canonical = _candidates_for_starts(active, walk,
-                                                              connected_only, budget)
+        images, rotations, canonical = _candidates_for_starts(
+            active, matchings, _impossible_chords(kind, m, n, active), connected_only, budget)
         maps[active] = images, rotations
         # each block's canonical feet in order, copied, so that the set pins
         # none of the images: dropped, they free whole blocks of memory

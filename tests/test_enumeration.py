@@ -97,6 +97,71 @@ def test_unframed_set_is_the_connected_set_without_isolated_chords(m, n):
         assert not any(map(diagrams.isolated_chord_test(starts), images))
 
 
+def _ruled_out(kind, m, n, feet, starts):
+    """True iff the definition of the family ``kind`` of (m, n) diagrams
+    rules out a diagram with a chord on a position pair where ``feet`` has
+    one."""
+    chords = {}
+    for p, c in enumerate(feet):
+        chords[c] = chords.get(c, ()) + (p,)
+    owner = diagrams.circle_owners(starts)
+    if kind in ("all", "active") or kind == "connected" and m == 1:
+        return False
+    if n == m - 1:
+        # a tree of circles: a chord with both feet on one circle
+        return any(owner[p] == owner[q] for p, q in chords.values())
+    if kind == "unframed":
+        return diagrams.isolated_chord_test(starts)(feet)
+    # a connected set on m >= 2 circles: a two-foot circle holding one chord
+    return any((lo, hi - 1) in chords.values()
+               for lo, hi in zip(starts, starts[1:]) if hi - lo == 2)
+
+
+def test_pair_masks_match_their_definitions():
+    # every starts vector with parts >= 0, so also every one with parts >= 1
+    for m, n in itertools.product(range(1, 5), range(0, 5)):
+        size = 2 * n
+        for comp in enumeration._compositions(size, m, 0):
+            starts = tuple(itertools.accumulate(comp, initial=0))
+            impossible = {kind: enumeration._impossible_chords(kind, m, n, starts)
+                          for kind in enumeration.KINDS
+                          if kind in ("all", "active") or n >= m - 1}
+            for feet, pairs in enumeration._matchings(size):
+                read = 0
+                for c in set(feet):
+                    p = feet.index(c)
+                    read |= 1 << p * size + feet.index(c, p + 1)
+                assert pairs == read
+                for kind, mask in impossible.items():
+                    assert bool(pairs & mask) == _ruled_out(kind, m, n, feet, starts), \
+                        (kind, m, n, starts, feet)
+
+
+def test_the_masks_spare_the_tests_whose_answer_is_known(monkeypatch):
+    components, isolated = enumeration.components, enumeration.isolated_chord_test
+    tested = []
+
+    def counting_components(masks, m):
+        tested.append("components")
+        return components(masks, m)
+
+    def counting_isolated(starts):
+        tested.append("isolated_chord_test")
+        test = isolated(starts)
+        return lambda feet: tested.append("isolated") or test(feet)
+
+    monkeypatch.setattr(enumeration, "components", counting_components)
+    monkeypatch.setattr(enumeration, "isolated_chord_test", counting_isolated)
+    # a tree of circles tests connectivity only on the matchings without a
+    # chord inside one circle (2,565 tests without the mask)
+    assert len(enumerate_connected(5, 4)) == 210
+    assert tested == ["components"] * 770
+    tested.clear()
+    # the unframed walk runs no isolated-chord test (8,505 without the mask)
+    assert len(enumeration._enumerate(2, 5, "unframed", None)) == 189
+    assert "isolated_chord_test" not in tested and "isolated" not in tested
+
+
 @pytest.mark.parametrize("enumerate_fn, m, n, digest", [
     (enumerate_connected, 3, 4,
      "8bee853765fcc616f79d6f1d44f437b2809e07202f282a5844ff3478d96296d6"),
@@ -191,16 +256,30 @@ def test_matchings_generated_once_per_enumeration(monkeypatch, enumerate_fn, m, 
     assert ds == expected and len(ds) == size
 
 
-def test_time_budget_fires_while_the_first_block_generates_the_matchings(monkeypatch):
+def _first_block_walk_is_stopped(monkeypatch, kind, seconds):
     # 13 active blocks share the 135135 matchings, which the first walk
     # generates and keeps for the others
     yielded = _count_matching_walks(monkeypatch)
     began = time.monotonic()
     with pytest.raises(BudgetExceededError):
-        enumerate_connected(2, 7, budget=Budget(time_budget=0.2))
+        enumeration._enumerate(2, 7, kind, Budget(time_budget=seconds))
     assert time.monotonic() - began < 1.5
     # the budget stopped the one generation part way
     assert len(yielded) == 1 and yielded[0] < 135135
+
+
+def test_time_budget_fires_while_the_first_block_generates_the_matchings(monkeypatch):
+    _first_block_walk_is_stopped(monkeypatch, "connected", 0.2)
+
+
+def test_time_budget_fires_while_the_first_unframed_block_generates_the_matchings(
+        monkeypatch):
+    # The unframed walk skips a matching with an isolated chord before the
+    # time check.  The first block, one foot on circle 0, finds every orbit
+    # among the matchings that pair position 0 with position 1, the first
+    # 10395; all later ones are skipped or marked, so the budget must run
+    # out while those orbits are built.
+    _first_block_walk_is_stopped(monkeypatch, "unframed", 0.05)
 
 
 def test_time_budget_fires_while_rejecting_disconnected_matchings(monkeypatch):

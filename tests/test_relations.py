@@ -356,6 +356,22 @@ def test_term_feet_refuses_a_term_outside_the_set():
         copy = DiagramSet(ds.m, ds.n, ds.kind, tuple(kept))
         with pytest.raises(KeyError):
             copy.term_feet()(rep.feet, rep.starts, 0)
+    # an unframed set looks a term up before it tests isolation: a term it
+    # lacks is still refused, and an isolated one still dropped, also in a
+    # block the copy lacks
+    unframed = enumeration._enumerate(2, 4, "unframed", None)
+    rep = unframed.diagrams[0].rep
+    isolated = [d.rep for d in enumerate_connected(2, 4) if _isolated(d)]
+    assert any(iso.starts == rep.starts for iso in isolated)
+    lacking_feet = [d for d in unframed if d.rep != rep]
+    lacking_block = [d for d in unframed if d.rep.starts != rep.starts]
+    for kept in (lacking_feet, lacking_block):
+        copy = DiagramSet(unframed.m, unframed.n, unframed.kind, tuple(kept))
+        with pytest.raises(KeyError):
+            copy.term_feet()(rep.feet, rep.starts, 0)
+        with pytest.raises(DiagramError):
+            relation_classes(copy)
+        assert all(copy.term_feet()(iso.feet, iso.starts, 0) is None for iso in isolated)
 
 
 def test_set_pipeline_never_runs_the_branch_and_bound_search(monkeypatch):
